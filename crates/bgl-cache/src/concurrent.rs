@@ -5,7 +5,9 @@
 //! queue design 8x cheaper: *all* operations for a shard (queries and
 //! updates) are enqueued, and a single processing thread per shard is the
 //! only code that ever touches the shard's map and buffer. This module
-//! implements exactly that with crossbeam channels, plus a mutex-based
+//! implements exactly that with `std::sync::mpsc` channels — every queue
+//! has one consumer, the shard's owner thread, which is all mpsc offers
+//! and all the design needs — plus a `std::sync::Mutex`-per-shard
 //! variant so the benches can measure the difference on real threads.
 //!
 //! Both variants implement [`ShardedCache`] with *identical accounting*:
@@ -20,10 +22,9 @@ use crate::metrics::{CacheMetricSet, MetricsPublisher};
 use crate::policy::PolicyKind;
 use crate::stats::{AtomicCacheStats, CacheStats};
 use bgl_graph::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -50,6 +51,12 @@ pub trait ShardedCache {
     /// count the same `invalidations` delta into their stats, so the
     /// parity contract extends to invalidation.
     fn invalidate(&self, keys: &[NodeId]) -> u64;
+}
+
+/// Lock a shard or a metrics publisher. A holder that panicked may have
+/// left a slot half-admitted, so poison is fatal here, not recovered.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("a thread panicked while holding this cache lock")
 }
 
 /// Collapse `nodes` to unique keys, remembering every original position of
@@ -114,7 +121,7 @@ impl QueueShardedCache {
         let mut senders = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
         for _ in 0..num_shards {
-            let (tx, rx): (Sender<CacheOp>, Receiver<CacheOp>) = unbounded();
+            let (tx, rx) = channel::<CacheOp>();
             let shared = Arc::clone(&shared);
             let handle = std::thread::spawn(move || {
                 let mut shard = Shard::new(kind, capacity, dim, &[], FeaturePrecision::F32);
@@ -179,11 +186,11 @@ impl QueueShardedCache {
 
     /// Mirror this cache's counters into `reg` under `cache.queue.*`.
     pub fn attach_metrics(&self, reg: &bgl_obs::Registry) {
-        *self.metrics.lock() = MetricsPublisher::new(CacheMetricSet::attach(reg, "cache.queue"));
+        *lock(&self.metrics) = MetricsPublisher::new(CacheMetricSet::attach(reg, "cache.queue"));
     }
 
     fn publish_metrics(&self) {
-        self.metrics.lock().publish(&self.shared.snapshot());
+        lock(&self.metrics).publish(&self.shared.snapshot());
     }
 
     /// Stop the owner threads and return the final statistics.
@@ -195,7 +202,7 @@ impl QueueShardedCache {
             h.join().expect("shard thread panicked");
         }
         let total = self.shared.snapshot();
-        self.metrics.lock().publish(&total);
+        lock(&self.metrics).publish(&total);
         total
     }
 }
@@ -225,7 +232,7 @@ impl ShardedCache for QueueShardedCache {
             if skeys.is_empty() {
                 continue;
             }
-            let (rtx, rrx) = unbounded();
+            let (rtx, rrx) = channel();
             self.senders[s]
                 .send(CacheOp::Query { keys: skeys.clone(), reply: rtx })
                 .expect("shard thread alive");
@@ -273,7 +280,7 @@ impl ShardedCache for QueueShardedCache {
                         out[pos * dim..(pos + 1) * dim].copy_from_slice(row);
                     }
                 }
-                let (dtx, drx) = unbounded();
+                let (dtx, drx) = channel();
                 self.senders[*s]
                     .send(CacheOp::Insert {
                         keys: miss_keys.clone(),
@@ -314,7 +321,7 @@ impl ShardedCache for QueueShardedCache {
             if skeys.is_empty() {
                 continue;
             }
-            let (dtx, drx) = unbounded();
+            let (dtx, drx) = channel();
             self.senders[s]
                 .send(CacheOp::Invalidate { keys: skeys, dropped: dtx })
                 .expect("shard thread alive");
@@ -350,7 +357,7 @@ impl MutexShardedCache {
 
     /// Mirror this cache's counters into `reg` under `cache.mutex.*`.
     pub fn attach_metrics(&self, reg: &bgl_obs::Registry) {
-        *self.metrics.lock() = MetricsPublisher::new(CacheMetricSet::attach(reg, "cache.mutex"));
+        *lock(&self.metrics) = MetricsPublisher::new(CacheMetricSet::attach(reg, "cache.mutex"));
     }
 }
 
@@ -370,7 +377,7 @@ impl ShardedCache for MutexShardedCache {
         let mut missing: Vec<(usize, NodeId)> = Vec::new();
         for (u, &v) in keys.iter().enumerate() {
             let s = (v as usize) % self.shards.len();
-            let mut shard = self.shards[s].lock();
+            let mut shard = lock(&self.shards[s]);
             match shard.policy.lookup(v) {
                 Some(slot) => {
                     delta.gpu_local_hits += 1;
@@ -395,12 +402,12 @@ impl ShardedCache for MutexShardedCache {
                     out[pos * dim..(pos + 1) * dim].copy_from_slice(row);
                 }
                 let s = (v as usize) % self.shards.len();
-                self.shards[s].lock().admit(v, row);
+                lock(&self.shards[s]).admit(v, row);
             }
         }
         delta.overhead_ns = start.elapsed().as_nanos() as u64;
         self.shared.add(&delta);
-        self.metrics.lock().publish(&self.shared.snapshot());
+        lock(&self.metrics).publish(&self.shared.snapshot());
         out
     }
 
@@ -412,12 +419,12 @@ impl ShardedCache for MutexShardedCache {
         let mut dropped = 0u64;
         for &v in keys {
             let s = (v as usize) % self.shards.len();
-            if self.shards[s].lock().policy.remove(v).is_some() {
+            if lock(&self.shards[s]).policy.remove(v).is_some() {
                 dropped += 1;
             }
         }
         self.shared.add(&CacheStats { invalidations: dropped, ..Default::default() });
-        self.metrics.lock().publish(&self.shared.snapshot());
+        lock(&self.metrics).publish(&self.shared.snapshot());
         dropped
     }
 }

@@ -21,6 +21,8 @@ use crate::proto::{
     decode_store_error, ControlOp, Frame, FrameKind, Hello, HelloAck, StatsReply, MAGIC,
     PROTOCOL_VERSION,
 };
+use crate::server::FrameHandler;
+use crate::store_server::StoreHandler;
 use crate::NetError;
 use bgl_obs::Registry;
 use bytes::Bytes;
@@ -54,8 +56,33 @@ impl Default for NetClientConfig {
     }
 }
 
-/// One live, handshaken connection.
-struct Connection {
+/// Why a dial produced no [`Connection`].
+#[derive(Debug)]
+pub enum ConnectError {
+    /// The socket or the protocol failed before the server gave a verdict.
+    Net(NetError),
+    /// The server answered the hello with something other than an ack:
+    /// its plane's refusal frame, for the caller to decode.
+    Refused(Frame),
+}
+
+impl From<NetError> for ConnectError {
+    fn from(e: NetError) -> ConnectError {
+        ConnectError::Net(e)
+    }
+}
+
+/// Resolve the first socket address `addr` names.
+pub fn resolve(addr: impl ToSocketAddrs) -> Result<SocketAddr, NetError> {
+    addr.to_socket_addrs()
+        .ok()
+        .and_then(|mut it| it.next())
+        .ok_or(NetError::Malformed("unresolvable server address"))
+}
+
+/// One live, handshaken connection — the workspace's only dialer. Both
+/// planes' clients ([`NetClient`], `bgl_serve::ServeClient`) wrap it.
+pub struct Connection {
     stream: TcpStream,
     decoder: FrameDecoder,
     next_corr: u64,
@@ -64,14 +91,17 @@ struct Connection {
     parked: HashMap<u64, Frame>,
     /// The server's side of the handshake.
     ack: HelloAck,
+    read_timeout: Duration,
+    metrics: ClientMetrics,
 }
 
 impl Connection {
-    fn connect(
+    /// Dial `addr` and complete the hello handshake.
+    pub fn connect(
         addr: &SocketAddr,
         config: &NetClientConfig,
-        metrics: &ClientMetrics,
-    ) -> Result<Connection, NetError> {
+        metrics: ClientMetrics,
+    ) -> Result<Connection, ConnectError> {
         let stream = TcpStream::connect_timeout(addr, config.connect_timeout)
             .map_err(|e| NetError::from_io(&e, "connect"))?;
         let _ = stream.set_nodelay(true);
@@ -84,6 +114,8 @@ impl Connection {
             next_corr: 1,
             parked: HashMap::new(),
             ack: HelloAck { version: 0, server_id: 0, num_servers: 0, feature_dim: 0 },
+            read_timeout: config.read_timeout,
+            metrics,
         };
         let hello = Hello { magic: MAGIC, version: config.protocol_version };
         // Socket-level failures (reset, EOF, timeout) from here on mean
@@ -91,53 +123,57 @@ impl Connection {
         // dial — so they keep their Io/Closed/Timeout variants and map to
         // a *transient* ServerDown downstream, where retry/failover
         // absorbs them. A server that refuses us says so with an
-        // explicit Err frame; only that (or a protocol violation) is a
+        // explicit frame; only that (or a protocol violation) is a
         // permanent handshake failure.
-        conn.send(Frame::new(0, FrameKind::Hello, hello.encode()), metrics)?;
-        let ack_frame = conn.recv_corr(0, config.read_timeout, metrics)?;
-        if ack_frame.kind == FrameKind::Err {
-            return Err(NetError::Handshake("refused by server"));
-        }
+        conn.send(Frame::new(0, FrameKind::Hello, hello.encode()))?;
+        let ack_frame = conn.recv_corr(0)?;
         if ack_frame.kind != FrameKind::HelloAck {
-            return Err(NetError::Handshake("first frame was not a hello ack"));
+            return Err(ConnectError::Refused(ack_frame));
         }
         let ack = HelloAck::decode(ack_frame.payload)?;
         if ack.version != config.protocol_version {
             return Err(NetError::VersionMismatch {
                 ours: config.protocol_version,
                 theirs: ack.version,
-            });
+            }
+            .into());
         }
         conn.ack = ack;
         Ok(conn)
     }
 
-    fn send(&mut self, frame: Frame, metrics: &ClientMetrics) -> Result<(), NetError> {
+    /// The server's side of the handshake.
+    pub fn ack(&self) -> HelloAck {
+        self.ack
+    }
+
+    /// The counters this connection ticks.
+    pub fn metrics(&self) -> &ClientMetrics {
+        &self.metrics
+    }
+
+    /// Write one frame.
+    pub fn send(&mut self, frame: Frame) -> Result<(), NetError> {
         let wire = frame.encode();
         self.stream
             .write_all(&wire)
             .map_err(|e| NetError::from_io(&e, "send"))?;
-        metrics.bytes_sent.add(wire.len() as u64);
-        metrics.frames_sent.incr();
+        self.metrics.bytes_sent.add(wire.len() as u64);
+        self.metrics.frames_sent.incr();
         Ok(())
     }
 
     /// Read frames until the one with `corr` arrives (parking others) or
-    /// the deadline passes.
-    fn recv_corr(
-        &mut self,
-        corr: u64,
-        timeout: Duration,
-        metrics: &ClientMetrics,
-    ) -> Result<Frame, NetError> {
+    /// the read deadline passes.
+    pub fn recv_corr(&mut self, corr: u64) -> Result<Frame, NetError> {
         if let Some(f) = self.parked.remove(&corr) {
             return Ok(f);
         }
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now() + self.read_timeout;
         let mut chunk = [0u8; 64 * 1024];
         loop {
             while let Some(frame) = self.decoder.next_frame()? {
-                metrics.frames_received.incr();
+                self.metrics.frames_received.incr();
                 if frame.corr_id == corr {
                     return Ok(frame);
                 }
@@ -146,7 +182,7 @@ impl Connection {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(NetError::Closed("response read")),
                 Ok(n) => {
-                    metrics.bytes_received.add(n as u64);
+                    self.metrics.bytes_received.add(n as u64);
                     self.decoder.feed(&chunk[..n]);
                 }
                 Err(e)
@@ -163,7 +199,8 @@ impl Connection {
         }
     }
 
-    fn fresh_corr(&mut self) -> u64 {
+    /// Allocate the next correlation id.
+    pub fn fresh_corr(&mut self) -> u64 {
         let c = self.next_corr;
         self.next_corr += 1;
         c
@@ -196,34 +233,21 @@ impl NetClient {
         config: NetClientConfig,
         registry: &Registry,
     ) -> Result<NetClient, NetError> {
-        let mut resolved = Vec::with_capacity(addrs.len());
-        for a in addrs {
-            let addr = a
-                .as_ref()
-                .to_socket_addrs()
-                .ok()
-                .and_then(|mut it| it.next())
-                .ok_or(NetError::Malformed("unresolvable server address"))?;
-            resolved.push(addr);
-        }
+        let resolved =
+            addrs.iter().map(|a| resolve(a.as_ref())).collect::<Result<Vec<_>, _>>()?;
         let conns = resolved.iter().map(|_| None).collect();
         Ok(NetClient {
             ever_connected: vec![false; resolved.len()],
             addrs: resolved,
             conns,
             config,
-            metrics: ClientMetrics::new(registry),
+            metrics: ClientMetrics::new(registry, StoreHandler::METRIC_PREFIX),
         })
     }
 
     /// Number of servers in the pool.
     pub fn num_servers(&self) -> usize {
         self.addrs.len()
-    }
-
-    /// The metrics bundle (shared handles; cheap to clone).
-    pub fn metrics(&self) -> &ClientMetrics {
-        &self.metrics
     }
 
     fn conn(&mut self, server: usize) -> Result<&mut Connection, NetError> {
@@ -234,10 +258,10 @@ impl NetClient {
             if self.ever_connected[server] {
                 self.metrics.reconnects.incr();
             }
-            match Connection::connect(&self.addrs[server], &self.config, &self.metrics) {
+            match Connection::connect(&self.addrs[server], &self.config, self.metrics.clone()) {
                 Ok(conn) => {
                     // A pool slot must reach the server id it dialed.
-                    if conn.ack.server_id as usize != server {
+                    if conn.ack().server_id as usize != server {
                         self.metrics.handshake_failures.incr();
                         return Err(NetError::Handshake("server identity mismatch"));
                     }
@@ -247,7 +271,15 @@ impl NetClient {
                     self.ever_connected[server] = true;
                     self.conns[server] = Some(conn);
                 }
-                Err(e) => {
+                Err(ConnectError::Refused(frame)) => {
+                    self.metrics.handshake_failures.incr();
+                    return Err(NetError::Handshake(if frame.kind == FrameKind::Err {
+                        "refused by server"
+                    } else {
+                        "first frame was not a hello ack"
+                    }));
+                }
+                Err(ConnectError::Net(e)) => {
                     match &e {
                         NetError::Handshake(_) | NetError::VersionMismatch { .. } => {
                             self.metrics.handshake_failures.incr()
@@ -261,37 +293,38 @@ impl NetClient {
         Ok(self.conns[server].as_mut().expect("connection just ensured"))
     }
 
-    /// The cluster shape reported by server `server`'s handshake.
-    pub fn handshake(&mut self, server: usize) -> Result<HelloAck, NetError> {
-        Ok(self.conn(server)?.ack)
-    }
-
-    /// One request, one response (pipelining depth 1). On any transport
-    /// failure the pooled connection is dropped so the next call redials.
-    pub fn request(&mut self, server: usize, payload: Bytes) -> Result<Bytes, NetError> {
-        let timeout = self.config.read_timeout;
-        let metrics = self.metrics.clone();
-        let sent = payload.len() as u64;
+    /// One frame out, its reply back. After any transport failure the
+    /// connection's state is unknown, so it is dropped and the next call
+    /// redials.
+    fn roundtrip(
+        &mut self,
+        server: usize,
+        kind: FrameKind,
+        payload: Bytes,
+    ) -> Result<Frame, NetError> {
         let conn = self.conn(server)?;
         let corr = conn.fresh_corr();
-        let result = conn
-            .send(Frame::new(corr, FrameKind::Req, payload), &metrics)
-            .and_then(|()| conn.recv_corr(corr, timeout, &metrics));
-        match result {
-            Ok(frame) => {
-                metrics.payload_bytes_sent.add(sent);
-                metrics.pipeline_depth.record(1);
-                let resp = into_payload(frame)?;
-                metrics.payload_bytes_received.add(resp.len() as u64);
-                Ok(resp)
-            }
-            Err(e) => {
-                // Transport failure: the connection state is unknown;
-                // drop it so the next call reconnects.
-                self.conns[server] = None;
-                Err(e)
-            }
+        let reply = conn.send(Frame::new(corr, kind, payload)).and_then(|()| conn.recv_corr(corr));
+        if reply.is_err() {
+            self.conns[server] = None;
         }
+        reply
+    }
+
+    /// The cluster shape reported by server `server`'s handshake.
+    pub fn handshake(&mut self, server: usize) -> Result<HelloAck, NetError> {
+        Ok(self.conn(server)?.ack())
+    }
+
+    /// One request, one response (pipelining depth 1).
+    pub fn request(&mut self, server: usize, payload: Bytes) -> Result<Bytes, NetError> {
+        let sent = payload.len() as u64;
+        let frame = self.roundtrip(server, FrameKind::Req, payload)?;
+        self.metrics.payload_bytes_sent.add(sent);
+        self.metrics.pipeline_depth.record(1);
+        let resp = into_payload(frame)?;
+        self.metrics.payload_bytes_received.add(resp.len() as u64);
+        Ok(resp)
     }
 
     /// Write all requests, then collect all responses (in request
@@ -305,29 +338,26 @@ impl NetClient {
         if payloads.is_empty() {
             return Ok(Vec::new());
         }
-        let timeout = self.config.read_timeout;
-        let metrics = self.metrics.clone();
         let conn = self.conn(server)?;
         let mut corrs = Vec::with_capacity(payloads.len());
         for payload in payloads {
             let corr = conn.fresh_corr();
             let sent = payload.len() as u64;
-            if let Err(e) = conn.send(Frame::new(corr, FrameKind::Req, payload.clone()), &metrics)
-            {
+            if let Err(e) = conn.send(Frame::new(corr, FrameKind::Req, payload.clone())) {
                 self.conns[server] = None;
                 return Err(e);
             }
-            metrics.payload_bytes_sent.add(sent);
+            conn.metrics().payload_bytes_sent.add(sent);
             corrs.push(corr);
         }
-        metrics.pipeline_depth.record(corrs.len() as u64);
+        conn.metrics().pipeline_depth.record(corrs.len() as u64);
         let mut out = Vec::with_capacity(corrs.len());
         for corr in corrs {
-            match conn.recv_corr(corr, timeout, &metrics) {
+            match conn.recv_corr(corr) {
                 Ok(frame) => {
                     let reply = into_payload(frame);
                     if let Ok(resp) = &reply {
-                        metrics.payload_bytes_received.add(resp.len() as u64);
+                        conn.metrics().payload_bytes_received.add(resp.len() as u64);
                     }
                     out.push(reply);
                 }
@@ -346,34 +376,14 @@ impl NetClient {
         server: usize,
         op: ControlOp,
     ) -> Result<Option<StatsReply>, NetError> {
-        let timeout = self.config.read_timeout;
-        let metrics = self.metrics.clone();
-        let want_stats = op == ControlOp::Stats;
-        let conn = self.conn(server)?;
-        let corr = conn.fresh_corr();
-        let result = conn
-            .send(Frame::new(corr, FrameKind::Control, op.encode()), &metrics)
-            .and_then(|()| conn.recv_corr(corr, timeout, &metrics));
-        match result {
-            Ok(frame) if frame.kind == FrameKind::ControlAck => {
-                if want_stats {
-                    Ok(Some(StatsReply::decode(frame.payload)?))
-                } else {
-                    Ok(None)
-                }
-            }
-            Ok(_) => Err(NetError::Malformed("unexpected reply kind")),
-            Err(e) => {
-                self.conns[server] = None;
-                Err(e)
-            }
+        let frame = self.roundtrip(server, FrameKind::Control, op.encode())?;
+        if frame.kind != FrameKind::ControlAck {
+            return Err(NetError::Malformed("unexpected reply kind"));
         }
-    }
-
-    /// Drop the pooled connection for `server` (next call redials).
-    pub fn disconnect(&mut self, server: usize) {
-        if let Some(slot) = self.conns.get_mut(server) {
-            *slot = None;
+        if op == ControlOp::Stats {
+            Ok(Some(StatsReply::decode(frame.payload)?))
+        } else {
+            Ok(None)
         }
     }
 }

@@ -17,23 +17,32 @@
 //!   tolerates frames split across arbitrary `read()` boundaries and
 //!   rejects oversized or malformed frames without panicking or
 //!   over-allocating;
-//! * [`server`] — a bounded thread-per-connection runtime hosting one
-//!   [`bgl_store::GraphStoreServer`] per `TcpListener`, with graceful
-//!   shutdown (drain buffered frames, then close) and per-connection idle
-//!   deadlines; [`server::spawn_loopback_cluster`] stands up an N-server
+//! * [`server`] — the connection runtime: the workspace's one
+//!   `TcpListener`, a bounded thread-per-connection loop generic over a
+//!   [`server::FrameHandler`], with the connection bound, explicit
+//!   handshake refusals, graceful shutdown (drain buffered frames and
+//!   deferred replies, then close), chaos `kill` and per-connection idle
+//!   deadlines;
+//! * [`store_server`] — the store plane's handler
+//!   ([`store_server::StoreHandler`]: `Req`/`Control` frames into one
+//!   [`bgl_store::GraphStoreServer`]);
+//!   [`store_server::spawn_loopback_cluster`] stands up an N-server
 //!   loopback cluster for tests and benches;
-//! * [`client`] — [`client::NetClient`], a connection pool with request
-//!   pipelining over correlation ids, connect/read timeouts, and
-//!   reconnect-on-failure;
+//! * [`client`] — [`client::Connection`], the workspace's one dialer
+//!   (hello handshake, frames by correlation id, parking), and
+//!   [`client::NetClient`], the store plane's pool over it: request
+//!   pipelining, connect/read timeouts, and reconnect-on-failure;
 //! * [`transport`] — [`transport::TcpTransport`], the
 //!   [`bgl_store::StoreTransport`] implementation: socket errors map to
 //!   *transient* [`StoreError`]s so the cluster's `RetryPolicy` /
 //!   `CircuitBreaker` / replica-failover machinery handles a killed TCP
 //!   server exactly like a simulated crash;
 //! * [`query`] — the query-plane schema for the online serving front-end
-//!   (`bgl-serve`): `Query`/`QueryOk`/`QueryErr` frame payloads and the
-//!   typed [`query::QueryError`] with its retryability contract;
-//! * [`obs`] — `net.*` counters, gauges and histograms through `bgl-obs`.
+//!   (`bgl-serve`, which supplies the second handler):
+//!   `Query`/`QueryOk`/`QueryErr` frame payloads and the typed
+//!   [`query::QueryError`] with its retryability contract;
+//! * [`obs`] — per-plane wire counters, gauges and histograms through
+//!   `bgl-obs` (`net.*` for the store plane).
 
 pub mod client;
 pub mod decoder;
@@ -41,13 +50,15 @@ pub mod obs;
 pub mod proto;
 pub mod query;
 pub mod server;
+pub mod store_server;
 pub mod transport;
 
 pub use client::{NetClient, NetClientConfig};
 pub use decoder::FrameDecoder;
 pub use proto::{ControlOp, Frame, FrameKind, Hello, HelloAck, StatsReply};
 pub use query::{QueryError, QueryReq, QueryResp};
-pub use server::{spawn_loopback_cluster, LoopbackCluster, NetServerConfig, NetServerHandle};
+pub use server::NetServerConfig;
+pub use store_server::{spawn_loopback_cluster, LoopbackCluster, NetServerHandle};
 pub use transport::TcpTransport;
 
 use bgl_store::StoreError;

@@ -1,4 +1,10 @@
-//! `net.*` observability.
+//! Wire observability, one ledger per plane.
+//!
+//! Every name below is shown with the store plane's prefix, `net`; a
+//! listener and its dialers take the prefix from
+//! [`crate::server::FrameHandler::METRIC_PREFIX`], so the query plane's
+//! copies live under `serve.net.*` / `serve.net.server.*` and the two
+//! planes reconcile independently in a shared registry.
 //!
 //! Counter naming, client side:
 //! * `net.bytes_sent` / `net.bytes_received` — every wire byte, length
@@ -22,7 +28,7 @@
 
 use bgl_obs::{Counter, Gauge, Histogram, Registry};
 
-/// Client-side counter bundle, resolved once per [`crate::NetClient`].
+/// Client-side counter bundle, resolved once per dialer.
 #[derive(Clone)]
 pub struct ClientMetrics {
     /// Wire bytes written (prefix + header + payload).
@@ -50,20 +56,21 @@ pub struct ClientMetrics {
 }
 
 impl ClientMetrics {
-    /// Resolve the bundle against a registry.
-    pub fn new(reg: &Registry) -> ClientMetrics {
+    /// Resolve the bundle against a registry under `<prefix>.*`.
+    pub fn new(reg: &Registry, prefix: &str) -> ClientMetrics {
+        let counter = |name: &str| reg.counter(&format!("{prefix}.{name}"));
         ClientMetrics {
-            bytes_sent: reg.counter("net.bytes_sent"),
-            bytes_received: reg.counter("net.bytes_received"),
-            frames_sent: reg.counter("net.frames_sent"),
-            frames_received: reg.counter("net.frames_received"),
-            payload_bytes_sent: reg.counter("net.payload_bytes_sent"),
-            payload_bytes_received: reg.counter("net.payload_bytes_received"),
-            connects: reg.counter("net.connects"),
-            reconnects: reg.counter("net.reconnects"),
-            connect_failures: reg.counter("net.connect_failures"),
-            handshake_failures: reg.counter("net.handshake_failures"),
-            pipeline_depth: reg.histogram("net.pipeline.depth"),
+            bytes_sent: counter("bytes_sent"),
+            bytes_received: counter("bytes_received"),
+            frames_sent: counter("frames_sent"),
+            frames_received: counter("frames_received"),
+            payload_bytes_sent: counter("payload_bytes_sent"),
+            payload_bytes_received: counter("payload_bytes_received"),
+            connects: counter("connects"),
+            reconnects: counter("reconnects"),
+            connect_failures: counter("connect_failures"),
+            handshake_failures: counter("handshake_failures"),
+            pipeline_depth: reg.histogram(&format!("{prefix}.pipeline.depth")),
         }
     }
 }
@@ -80,7 +87,7 @@ pub struct ServerMetrics {
     pub frames_received: Counter,
     /// Frames written.
     pub frames_sent: Counter,
-    /// `Req` frames handled.
+    /// Request frames handled (`Req` / `Query`).
     pub requests: Counter,
     /// Connections accepted.
     pub accepted: Counter,
@@ -97,20 +104,21 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Resolve the bundle against a registry.
-    pub fn new(reg: &Registry) -> ServerMetrics {
+    /// Resolve the bundle against a registry under `<prefix>.server.*`.
+    pub fn new(reg: &Registry, prefix: &str) -> ServerMetrics {
+        let counter = |name: &str| reg.counter(&format!("{prefix}.server.{name}"));
         ServerMetrics {
-            bytes_received: reg.counter("net.server.bytes_received"),
-            bytes_sent: reg.counter("net.server.bytes_sent"),
-            frames_received: reg.counter("net.server.frames_received"),
-            frames_sent: reg.counter("net.server.frames_sent"),
-            requests: reg.counter("net.server.requests"),
-            accepted: reg.counter("net.server.accepted"),
-            rejected: reg.counter("net.server.rejected"),
-            handshakes: reg.counter("net.server.handshakes"),
-            handshake_failures: reg.counter("net.server.handshake_failures"),
-            idle_closed: reg.counter("net.server.idle_closed"),
-            connections: reg.gauge("net.server.connections"),
+            bytes_received: counter("bytes_received"),
+            bytes_sent: counter("bytes_sent"),
+            frames_received: counter("frames_received"),
+            frames_sent: counter("frames_sent"),
+            requests: counter("requests"),
+            accepted: counter("accepted"),
+            rejected: counter("rejected"),
+            handshakes: counter("handshakes"),
+            handshake_failures: counter("handshake_failures"),
+            idle_closed: counter("idle_closed"),
+            connections: reg.gauge(&format!("{prefix}.server.connections")),
         }
     }
 }

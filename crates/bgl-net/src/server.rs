@@ -1,36 +1,42 @@
-//! The server runtime: one [`GraphStoreServer`] behind one `TcpListener`.
+//! The connection runtime: the workspace's only `TcpListener`, generic
+//! over what the frames mean.
+//!
+//! A [`FrameHandler`] supplies the plane — the handshake ack, the refusal
+//! frame, what to do with each frame, and (optionally) replies it owes
+//! later. Everything else lives here once: accept, the connection bound,
+//! the handshake check, the socket registry, drain, kill and the idle
+//! deadline. Two handlers exist: [`crate::store_server::StoreHandler`]
+//! (`Req`/`Control` → a `GraphStoreServer`, answered inline) and
+//! `bgl_serve::net::QueryHandler` (`Query` → tickets, answered from
+//! [`FrameHandler::poll`]).
 //!
 //! Threading model — bounded thread-per-connection:
 //! * the accept thread runs a nonblocking accept poll; at the connection
-//!   bound, new sockets are sent an explicit `Err` refusal frame and
-//!   closed (counted as `net.server.rejected`) — explicit, because a
-//!   silent close during the handshake reads as a transient server death
-//!   on the client side;
-//! * each accepted connection gets its own handler thread; all of them
-//!   share the `Arc<GraphStoreServer>`, whose counters are atomics.
+//!   bound, new sockets are sent the handler's refusal frame and closed
+//!   (counted as `rejected`) — explicit, because a silent close during
+//!   the handshake reads as a transient server death on the client side;
+//! * each accepted connection gets its own thread; all of them share the
+//!   handler, which is `Sync`, and call it with static dispatch.
 //!
 //! Shutdown protocol:
-//! * [`NetServerHandle::shutdown`] is *graceful*: the accept loop stops,
-//!   every handler drains the frames already buffered in its decoder,
-//!   replies to them, and then closes. No accepted request is dropped.
-//! * [`NetServerHandle::kill`] is a *crash*: sockets are shut down
+//! * [`ServerHandle::shutdown`] is *graceful*: the accept loop stops,
+//!   every connection drains the frames already buffered in its decoder,
+//!   blocks out the handler's deferred replies, and then closes. No
+//!   accepted request is dropped.
+//! * [`ServerHandle::kill`] is a *crash*: sockets are shut down
 //!   immediately, mid-conversation — exactly what a process kill looks
 //!   like to the client. Chaos tests use this.
 //!
-//! Per-connection deadlines: reads poll with `read_poll`, and a
-//! connection idle longer than `idle_timeout` is closed
-//! (`net.server.idle_closed`), so abandoned clients can't pin handler
+//! Per-connection deadlines: reads poll with `read_poll` — which is also
+//! how often deferred replies are flushed on a quiet socket — and a
+//! connection that has read nothing for `idle_timeout` and is owed
+//! nothing is closed (`idle_closed`), so abandoned clients can't pin
 //! threads forever.
 
 use crate::decoder::FrameDecoder;
 use crate::obs::ServerMetrics;
-use crate::proto::{
-    encode_store_error, ControlOp, Frame, FrameKind, Hello, HelloAck, StatsReply, MAGIC,
-    PROTOCOL_VERSION,
-};
-use bgl_graph::{Csr, FeatureStore};
+use crate::proto::{Frame, FrameKind, Hello, HelloAck, MAGIC, PROTOCOL_VERSION};
 use bgl_obs::Registry;
-use bgl_store::{GraphStoreServer, StoreError};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -47,8 +53,8 @@ pub struct NetServerConfig {
     pub addr: String,
     /// Connection bound; sockets beyond it are refused.
     pub max_connections: usize,
-    /// Read poll interval — how often handlers check shutdown flags and
-    /// deadlines while idle.
+    /// Read poll interval — how often connections check shutdown flags,
+    /// deadlines and deferred replies while idle.
     pub read_poll: Duration,
     /// Close connections with no traffic for this long.
     pub idle_timeout: Option<Duration>,
@@ -68,57 +74,127 @@ impl Default for NetServerConfig {
     }
 }
 
+/// Why the runtime is turning a dialer away before any request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// The listener already holds `max` connections.
+    ConnectionBound {
+        /// The configured bound.
+        max: usize,
+    },
+    /// Bad magic, wrong version, or data before the hello.
+    BadHello,
+}
+
+/// What [`FrameHandler::poll`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Deferred {
+    /// Nothing is owed on this connection.
+    None,
+    /// Replies are still owed; the idle deadline does not run.
+    Pending,
+    /// A write failed; close the connection.
+    Dead,
+}
+
+/// The write half of one connection, as a handler sees it.
+pub struct Wire<'a> {
+    stream: &'a mut TcpStream,
+    /// The listener's counters; handlers tick `requests` themselves
+    /// because only they know which frames are requests.
+    pub metrics: &'a ServerMetrics,
+}
+
+impl Wire<'_> {
+    /// Encode, count, write. Returns `false` on a dead socket.
+    pub fn send(&mut self, frame: Frame) -> bool {
+        let wire = frame.encode();
+        // Count before the write: a client that has already read this
+        // frame must observe it counted, so cross-side byte
+        // reconciliation is exact the moment the response lands. (A
+        // failed write overcounts by one frame, but that connection is
+        // dying anyway.)
+        self.metrics.bytes_sent.add(wire.len() as u64);
+        self.metrics.frames_sent.incr();
+        self.stream.write_all(&wire).is_ok()
+    }
+}
+
+/// One plane served over the connection runtime.
+pub trait FrameHandler: Send + Sync + 'static {
+    /// Registry-name prefix of this plane: the listener counts under
+    /// `<PREFIX>.server.*`, its dialers under `<PREFIX>.*`, so each plane
+    /// reconciles client↔server on its own even in a shared registry.
+    const METRIC_PREFIX: &'static str;
+
+    /// Per-connection state, e.g. replies owed.
+    type Conn: Default;
+
+    /// The answer to a valid hello.
+    fn hello_ack(&self) -> HelloAck;
+
+    /// Kind and payload of the frame that turns a dialer away.
+    fn refusal(&self, why: Refusal) -> (FrameKind, Bytes);
+
+    /// Handle one post-handshake frame. Returns `false` if the
+    /// connection must close.
+    fn on_frame(&self, conn: &mut Self::Conn, frame: Frame, wire: &mut Wire<'_>) -> bool;
+
+    /// Send whatever deferred replies have resolved; with `block`
+    /// (graceful shutdown), wait for and send all of them. Called once
+    /// per read-loop turn, after the buffered frames are handled.
+    fn poll(&self, _conn: &mut Self::Conn, _block: bool, _wire: &mut Wire<'_>) -> Deferred {
+        Deferred::None
+    }
+}
+
 /// Shared state of one running listener.
-struct ServerState {
-    store: Arc<GraphStoreServer>,
+struct Listener<H> {
+    handler: H,
     metrics: ServerMetrics,
     config: NetServerConfig,
     /// Graceful stop: drain, then close.
     stop: AtomicBool,
     /// Hard stop: sockets are already shut down; exit now.
     kill: AtomicBool,
-    /// Artificial per-request delay (micros), set via [`ControlOp::SetSlow`].
-    slow_micros: AtomicU64,
     /// Live connection count, for the accept bound.
     live: AtomicUsize,
     /// Connection id allocator for the socket registry.
     next_conn: AtomicU64,
     /// Clones of live sockets so `kill` can shut them down from outside,
-    /// keyed by connection id so handlers deregister on exit (a lingering
-    /// clone would hold the socket open past the handler's close).
+    /// keyed by connection id so connections deregister on exit (a
+    /// lingering clone would hold the socket open past the close).
     streams: Mutex<HashMap<u64, TcpStream>>,
 }
 
-/// Handle to a running server; dropping it without calling
-/// [`shutdown`](NetServerHandle::shutdown) or
-/// [`kill`](NetServerHandle::kill) leaves the threads running detached.
-pub struct NetServerHandle {
+/// Handle to a running listener; dropping it without calling
+/// [`shutdown`](ServerHandle::shutdown) or [`kill`](ServerHandle::kill)
+/// leaves the threads running detached.
+pub struct ServerHandle<H: FrameHandler> {
     addr: SocketAddr,
-    state: Arc<ServerState>,
+    state: Arc<Listener<H>>,
     accept_join: Option<JoinHandle<()>>,
 }
 
-impl NetServerHandle {
+impl<H: FrameHandler> ServerHandle<H> {
     /// The bound address (with the OS-assigned port resolved).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The hosted store, for test inspection.
-    pub fn store(&self) -> &Arc<GraphStoreServer> {
-        &self.state.store
+    /// The handler behind this listener.
+    pub fn handler(&self) -> &H {
+        &self.state.handler
     }
 
-    /// Graceful shutdown: stop accepting, drain buffered frames on every
-    /// connection, reply, close, join all threads.
+    /// Graceful shutdown: stop accepting, answer every buffered frame and
+    /// every deferred reply on every connection, close, join all threads.
     pub fn shutdown(mut self) {
         self.state.stop.store(true, Ordering::SeqCst);
-        if let Some(j) = self.accept_join.take() {
-            let _ = j.join();
-        }
+        self.join();
     }
 
-    /// Crash the server: shut every socket down mid-conversation and
+    /// Crash the listener: shut every socket down mid-conversation and
     /// join. Clients observe exactly what a process kill produces.
     pub fn kill(mut self) {
         self.state.kill.store(true, Ordering::SeqCst);
@@ -128,53 +204,55 @@ impl NetServerHandle {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
         }
+        self.join();
+    }
+
+    fn join(&mut self) {
         if let Some(j) = self.accept_join.take() {
             let _ = j.join();
         }
     }
 }
 
-/// Bind a listener and serve `store` on it until shutdown.
-pub fn serve(
-    store: Arc<GraphStoreServer>,
+/// Bind a listener and run `handler` behind it until shutdown.
+pub fn listen<H: FrameHandler>(
+    handler: H,
     config: NetServerConfig,
     registry: &Registry,
-) -> io::Result<NetServerHandle> {
+) -> io::Result<ServerHandle<H>> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let state = Arc::new(ServerState {
-        store,
-        metrics: ServerMetrics::new(registry),
+    let state = Arc::new(Listener {
+        handler,
+        metrics: ServerMetrics::new(registry, H::METRIC_PREFIX),
         config,
         stop: AtomicBool::new(false),
         kill: AtomicBool::new(false),
-        slow_micros: AtomicU64::new(0),
         live: AtomicUsize::new(0),
         next_conn: AtomicU64::new(0),
         streams: Mutex::new(HashMap::new()),
     });
     let accept_state = state.clone();
     let accept_join = thread::Builder::new()
-        .name(format!("bgl-net-accept-{}", state.store.id()))
+        .name(format!("bgl-{}-accept", H::METRIC_PREFIX))
         .spawn(move || accept_loop(listener, accept_state))?;
-    Ok(NetServerHandle { addr, state, accept_join: Some(accept_join) })
+    Ok(ServerHandle { addr, state, accept_join: Some(accept_join) })
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+fn accept_loop<H: FrameHandler>(listener: TcpListener, state: Arc<Listener<H>>) {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !state.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _)) => {
-                if state.live.load(Ordering::SeqCst) >= state.config.max_connections {
+                let max = state.config.max_connections;
+                if state.live.load(Ordering::SeqCst) >= max {
                     // At the bound: refuse explicitly (corr 0 is what the
                     // dialing client awaits for its hello ack), then close.
                     state.metrics.rejected.incr();
-                    let refusal =
-                        encode_store_error(&StoreError::Malformed("handshake refused"));
-                    let _ =
-                        send_frame(&mut stream, &state, Frame::new(0, FrameKind::Err, refusal));
-                    drop(stream);
+                    let (kind, payload) = state.handler.refusal(Refusal::ConnectionBound { max });
+                    let mut wire = Wire { stream: &mut stream, metrics: &state.metrics };
+                    let _ = wire.send(Frame::new(0, kind, payload));
                     continue;
                 }
                 state.metrics.accepted.incr();
@@ -188,7 +266,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
                 }
                 let conn_state = state.clone();
                 if let Ok(j) = thread::Builder::new()
-                    .name(format!("bgl-net-conn-{}", conn_state.store.id()))
+                    .name(format!("bgl-{}-conn", H::METRIC_PREFIX))
                     .spawn(move || {
                         handle_connection(&mut stream, &conn_state);
                         // Close for real: the registered clone would keep
@@ -202,52 +280,33 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
                         conn_state.metrics.connections.add(-1);
                     })
                 {
-                    handlers.push(j);
+                    conns.push(j);
                 }
-                // Opportunistically reap finished handlers so the vec
+                // Opportunistically reap finished connections so the vec
                 // doesn't grow unboundedly on long-lived servers.
-                handlers.retain(|h| !h.is_finished());
+                conns.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // WouldBlock is the idle case; anything else is transient too.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
-    for h in handlers {
+    for h in conns {
         let _ = h.join();
     }
 }
 
-/// Outcome of one read attempt.
-enum ReadStep {
-    Data(usize),
-    Idle,
-    Closed,
-}
-
-fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> ReadStep {
-    match stream.read(buf) {
-        Ok(0) => ReadStep::Closed,
-        Ok(n) => ReadStep::Data(n),
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            ReadStep::Idle
-        }
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => ReadStep::Idle,
-        Err(_) => ReadStep::Closed,
-    }
-}
-
-fn handle_connection(stream: &mut TcpStream, state: &ServerState) {
+fn handle_connection<H: FrameHandler>(stream: &mut TcpStream, state: &Listener<H>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(state.config.read_poll));
     let mut decoder = FrameDecoder::new(state.config.max_frame);
     let mut chunk = vec![0u8; 64 * 1024];
     let mut last_activity = Instant::now();
     let mut shaken = false;
+    let mut conn = H::Conn::default();
+    let mut wire = Wire { stream, metrics: &state.metrics };
 
     loop {
-        // Drain every complete frame currently buffered. During graceful
+        // Handle every complete frame currently buffered. During graceful
         // shutdown this is the "drain" phase: buffered requests still get
         // answers before the socket closes.
         loop {
@@ -258,11 +317,11 @@ fn handle_connection(stream: &mut TcpStream, state: &ServerState) {
                 Ok(Some(frame)) => {
                     state.metrics.frames_received.incr();
                     if !shaken {
-                        if !finish_handshake(stream, state, &frame) {
+                        if !finish_handshake(&mut wire, &state.handler, &frame) {
                             return;
                         }
                         shaken = true;
-                    } else if !dispatch_frame(stream, state, frame) {
+                    } else if !state.handler.on_frame(&mut conn, frame, &mut wire) {
                         return;
                     }
                 }
@@ -272,178 +331,60 @@ fn handle_connection(stream: &mut TcpStream, state: &ServerState) {
                 Err(_) => return,
             }
         }
-        if state.stop.load(Ordering::SeqCst) {
+        // Stopping: the socket is drained, so block out the deferred tail
+        // and no accepted request goes unanswered.
+        let stopping = state.stop.load(Ordering::SeqCst);
+        let deferred = state.handler.poll(&mut conn, stopping, &mut wire);
+        if stopping || deferred == Deferred::Dead {
             return;
         }
-        match read_step(stream, &mut chunk) {
-            ReadStep::Data(n) => {
+        match wire.stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => {
                 state.metrics.bytes_received.add(n as u64);
                 decoder.feed(&chunk[..n]);
                 last_activity = Instant::now();
             }
-            ReadStep::Idle => {
+            // The read poll expired with nothing to read.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
                 if let Some(idle) = state.config.idle_timeout {
-                    if last_activity.elapsed() >= idle {
+                    if deferred == Deferred::None && last_activity.elapsed() >= idle {
                         state.metrics.idle_closed.incr();
                         return;
                     }
                 }
             }
-            ReadStep::Closed => return,
+            Err(_) => return,
         }
     }
 }
 
 /// Validate the first frame as a Hello and answer it. Returns `false` if
 /// the connection must close.
-fn finish_handshake(stream: &mut TcpStream, state: &ServerState, frame: &Frame) -> bool {
+fn finish_handshake<H: FrameHandler>(wire: &mut Wire<'_>, handler: &H, frame: &Frame) -> bool {
     let ok = frame.kind == FrameKind::Hello
         && matches!(
             Hello::decode(frame.payload.clone()),
             Ok(h) if h.magic == MAGIC && h.version == PROTOCOL_VERSION
         );
     if !ok {
-        // Bad magic, wrong version, or data before hello: refuse with an
-        // explicit Err frame, then close. The refusal must be on the wire
-        // because a *silent* close during the handshake is how a dying
-        // server looks (chaos kill racing a reconnect), and the client
-        // treats that as transient; only this frame makes it permanent.
-        state.metrics.handshake_failures.incr();
-        let refusal = encode_store_error(&StoreError::Malformed("handshake refused"));
-        let _ = send_frame(stream, state, Frame::new(frame.corr_id, FrameKind::Err, refusal));
+        // Refuse with an explicit frame, then close. The refusal must be
+        // on the wire because a *silent* close during the handshake is
+        // how a dying server looks (chaos kill racing a reconnect), and
+        // the client treats that as transient; only this frame makes it
+        // permanent.
+        wire.metrics.handshake_failures.incr();
+        let (kind, payload) = handler.refusal(Refusal::BadHello);
+        let _ = wire.send(Frame::new(frame.corr_id, kind, payload));
         return false;
     }
-    state.metrics.handshakes.incr();
-    let ack = HelloAck {
-        version: PROTOCOL_VERSION,
-        server_id: state.store.id() as u32,
-        num_servers: state.store.cluster_size() as u32,
-        feature_dim: state.store.features_dim() as u32,
-    };
-    send_frame(stream, state, Frame::new(frame.corr_id, FrameKind::HelloAck, ack.encode()))
-}
-
-/// Handle one post-handshake frame. Returns `false` if the connection
-/// must close.
-fn dispatch_frame(stream: &mut TcpStream, state: &ServerState, frame: Frame) -> bool {
-    match frame.kind {
-        FrameKind::Req => {
-            state.metrics.requests.incr();
-            let slow = state.slow_micros.load(Ordering::SeqCst);
-            if slow > 0 {
-                thread::sleep(Duration::from_micros(slow));
-            }
-            let reply = match state.store.handle(frame.payload) {
-                Ok(resp) => Frame::new(frame.corr_id, FrameKind::Resp, resp),
-                Err(e) => Frame::new(frame.corr_id, FrameKind::Err, encode_store_error(&e)),
-            };
-            send_frame(stream, state, reply)
-        }
-        FrameKind::Control => {
-            let reply = match ControlOp::decode(frame.payload) {
-                Ok(ControlOp::SetDown(down)) => {
-                    state.store.set_down(down);
-                    Frame::new(frame.corr_id, FrameKind::ControlAck, Bytes::from(Vec::new()))
-                }
-                Ok(ControlOp::SetReplication { replication, num_servers }) => {
-                    state.store.set_replication(replication, num_servers);
-                    Frame::new(frame.corr_id, FrameKind::ControlAck, Bytes::from(Vec::new()))
-                }
-                Ok(ControlOp::Stats) => {
-                    let stats = StatsReply {
-                        requests_served: state.store.requests_served(),
-                        nodes_sampled: state.store.nodes_sampled(),
-                    };
-                    Frame::new(frame.corr_id, FrameKind::ControlAck, stats.encode())
-                }
-                Ok(ControlOp::SetSlow { micros }) => {
-                    state.slow_micros.store(micros, Ordering::SeqCst);
-                    Frame::new(frame.corr_id, FrameKind::ControlAck, Bytes::from(Vec::new()))
-                }
-                // An undecodable control op is a protocol violation.
-                Err(_) => return false,
-            };
-            send_frame(stream, state, reply)
-        }
-        // Anything else from a client after the handshake is a protocol
-        // violation; close.
-        _ => false,
-    }
-}
-
-fn send_frame(stream: &mut TcpStream, state: &ServerState, frame: Frame) -> bool {
-    let wire = frame.encode();
-    // Count before the write: a client that has already read this frame
-    // must observe it counted, so cross-side byte reconciliation is exact
-    // the moment the response lands. (A failed write overcounts by one
-    // frame, but that connection is dying anyway.)
-    state.metrics.bytes_sent.add(wire.len() as u64);
-    state.metrics.frames_sent.incr();
-    stream.write_all(&wire).is_ok()
-}
-
-/// An N-server loopback cluster for tests, benches and examples.
-pub struct LoopbackCluster {
-    handles: Vec<Option<NetServerHandle>>,
-    addrs: Vec<SocketAddr>,
-}
-
-impl LoopbackCluster {
-    /// Addresses of all servers (killed ones keep their slot so indices
-    /// stay aligned with server ids).
-    pub fn addrs(&self) -> Vec<String> {
-        self.addrs.iter().map(|a| a.to_string()).collect()
-    }
-
-    /// The hosted store for server `i`, if it is still running.
-    pub fn store(&self, i: usize) -> Option<&Arc<GraphStoreServer>> {
-        self.handles.get(i).and_then(|h| h.as_ref()).map(|h| h.store())
-    }
-
-    /// Crash server `i` mid-conversation (socket shutdown, threads
-    /// joined). Idempotent.
-    pub fn kill(&mut self, i: usize) {
-        if let Some(slot) = self.handles.get_mut(i) {
-            if let Some(h) = slot.take() {
-                h.kill();
-            }
-        }
-    }
-
-    /// Gracefully shut down every remaining server.
-    pub fn shutdown(mut self) {
-        for slot in self.handles.iter_mut() {
-            if let Some(h) = slot.take() {
-                h.shutdown();
-            }
-        }
-    }
-}
-
-/// Stand up `num_servers` loopback TCP servers over one partitioned
-/// dataset — the TCP analogue of `InProcessTransport::new`.
-pub fn spawn_loopback_cluster(
-    graph: Arc<Csr>,
-    features: Arc<FeatureStore>,
-    owner: Arc<Vec<u32>>,
-    num_servers: usize,
-    seed: u64,
-    config: NetServerConfig,
-    registry: &Registry,
-) -> io::Result<LoopbackCluster> {
-    let mut handles = Vec::with_capacity(num_servers);
-    let mut addrs = Vec::with_capacity(num_servers);
-    for i in 0..num_servers {
-        let store = Arc::new(GraphStoreServer::new(
-            i,
-            graph.clone(),
-            features.clone(),
-            owner.clone(),
-            seed,
-        ));
-        let handle = serve(store, config.clone(), registry)?;
-        addrs.push(handle.addr());
-        handles.push(Some(handle));
-    }
-    Ok(LoopbackCluster { handles, addrs })
+    wire.metrics.handshakes.incr();
+    wire.send(Frame::new(frame.corr_id, FrameKind::HelloAck, handler.hello_ack().encode()))
 }

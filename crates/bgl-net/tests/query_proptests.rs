@@ -5,11 +5,23 @@
 //! a panic, never a silent partial decode); trailing garbage is rejected
 //! where the schema is self-delimiting; and hostile length headers fail
 //! fast without allocating.
+//!
+//! The same three attacks (truncation, bit flips, oversize announcements)
+//! are then aimed one layer down, at whole `Control` and `Query` frames
+//! going through [`FrameDecoder`] the way the connection runtime feeds
+//! it: never a panic, and never more than one frame's worth of buffering.
+//! `tests/conn_runtime.rs` at the workspace root fires the same mutations
+//! at live listeners of both planes.
 
+mod support;
+
+use bgl_net::proto::{ControlOp, FrameKind, LEN_PREFIX};
 use bgl_net::query::{QueryError, QueryReq, QueryResp};
+use bgl_net::FrameDecoder;
 use bgl_store::StoreError;
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
+use support::{arb_control_frame, arb_mutation, arb_query_frame, mutate};
 
 fn arb_req() -> impl Strategy<Value = QueryReq> {
     any::<u32>().prop_map(|user| QueryReq { user })
@@ -142,5 +154,72 @@ proptest! {
         let i = pos.index(bytes.len());
         bytes[i] ^= 1 << bit;
         let _ = QueryError::decode(Bytes::from(bytes));
+    }
+
+    /// Whatever a mutated `Control` / `Query` stream looks like, and
+    /// however the socket chops it, the decoder never panics and — once
+    /// the complete frames are drained, as the runtime does after every
+    /// read — holds less than one maximum-size frame, or has poisoned
+    /// itself so the connection closes. Surviving frames reach their
+    /// payload codec, which must not panic either.
+    #[test]
+    fn mutated_frame_streams_stay_within_max_frame(
+        frames in proptest::collection::vec(
+            (prop_oneof![arb_control_frame(), arb_query_frame()], arb_mutation()),
+            1..6,
+        ),
+        chunk in 1usize..64,
+    ) {
+        const MAX_FRAME: usize = 64;
+        let wire: Vec<u8> = frames.iter().flat_map(|(f, m)| mutate(f, m)).collect();
+        let mut dec = FrameDecoder::new(MAX_FRAME);
+        'stream: for piece in wire.chunks(chunk) {
+            dec.feed(piece);
+            loop {
+                match dec.next_frame() {
+                    Ok(Some(f)) => {
+                        prop_assert!(f.payload.len() <= MAX_FRAME);
+                        match f.kind {
+                            FrameKind::Control => {
+                                let _ = ControlOp::decode(f.payload);
+                            }
+                            FrameKind::Query => {
+                                let _ = QueryReq::decode(f.payload);
+                            }
+                            _ => {}
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        prop_assert!(dec.next_frame().is_err(), "errors are terminal");
+                        break 'stream;
+                    }
+                }
+            }
+            prop_assert!(
+                dec.buffered() < LEN_PREFIX + MAX_FRAME,
+                "{} bytes held back after a drain",
+                dec.buffered()
+            );
+        }
+    }
+
+    /// Control payloads get the query payloads' treatment: round trip is
+    /// the identity, and no prefix or single-bit corruption panics.
+    #[test]
+    fn control_payloads_round_trip_and_never_panic(
+        frame in arb_control_frame(),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let op = ControlOp::decode(frame.payload.clone()).unwrap();
+        prop_assert_eq!(op.encode(), frame.payload.clone());
+        for cut in 0..frame.payload.len() {
+            prop_assert!(ControlOp::decode(frame.payload.slice(0..cut)).is_err());
+        }
+        let mut bytes = frame.payload.to_vec();
+        let i = pos.index(bytes.len());
+        bytes[i] ^= 1 << bit;
+        let _ = ControlOp::decode(Bytes::from(bytes));
     }
 }

@@ -28,8 +28,9 @@
 //!   failed + in-flight`, `offered = accepted + shed` — that the chaos
 //!   tests reconcile exactly.
 //!
-//! [`net`] exposes the same front-end over TCP using `bgl-net`'s framing
-//! (`Query`/`QueryOk`/`QueryErr` frames), and [`loadgen`] provides the
+//! [`net`] exposes the same front-end over TCP as a frame handler on
+//! `bgl-net`'s connection runtime (`Query`/`QueryOk`/`QueryErr` frames)
+//! plus a typed client over its dialer, and [`loadgen`] provides the
 //! seeded open-loop load generator (Poisson arrivals) that drives the
 //! throughput/latency knee sweep in `results/BENCH_serve.json`.
 
@@ -42,7 +43,7 @@ pub use bgl_net::query::QueryError as ServeError;
 pub use engine::ServeEngine;
 pub use frontend::{ServeFrontend, ServeHandle, Ticket};
 pub use loadgen::{open_loop, LoadReport};
-pub use net::{spawn_serve_server, ServeClient, ServeNetConfig, ServeServerHandle};
+pub use net::{spawn_serve_server, QueryHandler, ServeClient};
 
 use std::time::Duration;
 

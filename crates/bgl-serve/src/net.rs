@@ -1,104 +1,126 @@
-//! The TCP face of the serving front-end: `bgl-net` framing with the
-//! query-plane frame kinds (`Query` → `QueryOk`/`QueryErr`).
+//! The TCP face of the serving front-end: the query plane's handler and
+//! typed client over `bgl-net`'s connection runtime.
 //!
-//! Server runtime mirrors `bgl_net::server` — bounded thread-per-
-//! connection, nonblocking accept poll, graceful-drain shutdown vs. chaos
-//! `kill` — but dispatches [`bgl_net::query::QueryReq`] frames into a
-//! [`ServeHandle`] instead of a `GraphStoreServer`. Because admission
-//! returns a [`Ticket`] immediately, a connection handler keeps a list of
-//! in-flight `(corr_id, Ticket)` pairs and polls them between reads:
-//! pipelined queries on one socket batch together in the front-end window
-//! instead of serializing, which is the whole point of cross-request
-//! micro-batching.
+//! [`QueryHandler`] is a [`bgl_net::server::FrameHandler`]: the runtime
+//! owns the listener, the connection bound, the handshake, drain, `kill`
+//! and the idle deadline; the handler only turns
+//! [`bgl_net::query::QueryReq`] frames into [`ServeHandle`] submissions.
+//! Because admission returns a [`Ticket`] immediately, a connection's
+//! state is its list of in-flight `(corr_id, Ticket)` pairs, answered
+//! from the runtime's `poll` hook: pipelined queries on one socket batch
+//! together in the front-end window instead of serializing, which is the
+//! whole point of cross-request micro-batching. A reply leaves at the
+//! first poll after its ticket resolves, so on a quiet socket
+//! `NetServerConfig::read_poll` bounds the latency the wire adds.
 //!
-//! [`ServeClient`] is the matching dialer: same hello handshake, queries
-//! by correlation id, arbitrary response arrival order. Transport faults
+//! [`ServeClient`] wraps [`bgl_net::client::Connection`]: queries by
+//! correlation id, arbitrary response arrival order. Transport faults
 //! map through [`bgl_net::NetError::into_store_error`] into
 //! [`QueryError::Store`] — retryable, exactly like a store-server death.
+//!
+//! Both sides count under `serve.net.*` / `serve.net.server.*`, apart
+//! from the store plane's `net.*`, so each plane's client↔server byte
+//! identity holds in a shared registry.
 
 use crate::frontend::{ServeHandle, Ticket};
-use bgl_net::obs::ServerMetrics;
-use bgl_net::proto::{Frame, FrameKind, Hello, HelloAck, MAGIC, PROTOCOL_VERSION};
+use bgl_net::client::{resolve, ConnectError, Connection};
+use bgl_net::obs::ClientMetrics;
+use bgl_net::proto::{Frame, FrameKind, HelloAck, PROTOCOL_VERSION};
 use bgl_net::query::{QueryError, QueryReq, QueryResp};
-use bgl_net::{FrameDecoder, NetError};
+use bgl_net::server::{listen, Deferred, FrameHandler, Refusal, ServerHandle, Wire};
+use bgl_net::{NetClientConfig, NetError, NetServerConfig};
 use bgl_obs::Registry;
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use bgl_store::StoreError;
+use bytes::Bytes;
+use std::io;
+use std::net::ToSocketAddrs;
 
-/// Tuning knobs for the serve listener (a subset of
-/// [`bgl_net::NetServerConfig`], same semantics).
-#[derive(Clone, Debug)]
-pub struct ServeNetConfig {
-    /// Address to bind; use port 0 for an OS-assigned loopback port.
-    pub addr: String,
-    /// Connection bound; sockets beyond it are refused.
-    pub max_connections: usize,
-    /// Read poll interval while idle.
-    pub read_poll: Duration,
-    /// Frame size cap for the per-connection decoder.
-    pub max_frame: usize,
-}
-
-impl Default for ServeNetConfig {
-    fn default() -> Self {
-        ServeNetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            max_connections: 64,
-            read_poll: Duration::from_millis(2),
-            max_frame: bgl_net::proto::DEFAULT_MAX_FRAME,
-        }
-    }
-}
-
-struct ServeNetState {
+/// Dispatches `Query` frames into a [`ServeHandle`].
+pub struct QueryHandler {
     handle: ServeHandle,
-    metrics: ServerMetrics,
-    config: ServeNetConfig,
-    stop: AtomicBool,
-    kill: AtomicBool,
-    live: AtomicUsize,
-    next_conn: AtomicU64,
-    streams: Mutex<HashMap<u64, TcpStream>>,
 }
 
-/// Handle to a running serve listener.
-pub struct ServeServerHandle {
-    addr: SocketAddr,
-    state: Arc<ServeNetState>,
-    accept_join: Option<JoinHandle<()>>,
-}
+impl FrameHandler for QueryHandler {
+    const METRIC_PREFIX: &'static str = "serve.net";
+    /// Queries admitted but not yet answered, in arrival order.
+    type Conn = Vec<(u64, Ticket)>;
 
-impl ServeServerHandle {
-    /// The bound address (OS-assigned port resolved).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    fn hello_ack(&self) -> HelloAck {
+        // server_id 0 / num_servers 1: one front-end, not a store cluster.
+        // feature_dim 0 marks the query plane.
+        HelloAck { version: PROTOCOL_VERSION, server_id: 0, num_servers: 1, feature_dim: 0 }
     }
 
-    /// Graceful shutdown: stop accepting, drain buffered queries, answer
-    /// every in-flight ticket, close, join.
-    pub fn shutdown(mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
-        if let Some(j) = self.accept_join.take() {
-            let _ = j.join();
+    fn refusal(&self, why: Refusal) -> (FrameKind, Bytes) {
+        let e = match why {
+            // A full listener is load, so retryable like a full queue.
+            Refusal::ConnectionBound { max } => QueryError::Overloaded { depth: max as u32 },
+            Refusal::BadHello => QueryError::Store(StoreError::Malformed("handshake refused")),
+        };
+        (FrameKind::QueryErr, e.encode())
+    }
+
+    /// Admit one query frame. Sheds reply immediately; admissions join
+    /// the in-flight list.
+    fn on_frame(&self, inflight: &mut Self::Conn, frame: Frame, wire: &mut Wire<'_>) -> bool {
+        if frame.kind != FrameKind::Query {
+            return false;
+        }
+        wire.metrics.requests.incr();
+        let req = match QueryReq::decode(frame.payload) {
+            Ok(r) => r,
+            // An undecodable query is a protocol violation; close.
+            Err(_) => return false,
+        };
+        match self.handle.try_submit(req.user) {
+            Ok(ticket) => {
+                inflight.push((frame.corr_id, ticket));
+                true
+            }
+            Err(e) => wire.send(Frame::new(frame.corr_id, FrameKind::QueryErr, e.encode())),
         }
     }
 
-    /// Crash the listener mid-conversation (chaos path).
-    pub fn kill(mut self) {
-        self.state.kill.store(true, Ordering::SeqCst);
-        self.state.stop.store(true, Ordering::SeqCst);
-        if let Ok(streams) = self.state.streams.lock() {
-            for s in streams.values() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
+    /// Send replies for every resolved ticket; pipelined queries answer
+    /// out of submission order if the batching windows cut that way. With
+    /// `block`, waits for all of them (the front-end's drain guarantee
+    /// makes this finite).
+    fn poll(&self, inflight: &mut Self::Conn, block: bool, wire: &mut Wire<'_>) -> Deferred {
+        let mut i = 0;
+        while i < inflight.len() {
+            let resolved = if block {
+                let (corr, ticket) = inflight.remove(i);
+                Some((corr, ticket.wait()))
+            } else if let Some(r) = inflight[i].1.try_wait() {
+                let (corr, _) = inflight.remove(i);
+                Some((corr, r))
+            } else {
+                i += 1;
+                None
+            };
+            if let Some((corr, result)) = resolved {
+                let reply = match result {
+                    Ok(reply) => {
+                        let payload = QueryResp {
+                            latency_us: reply.latency.as_micros() as u64,
+                            scores: reply.scores,
+                        };
+                        match payload.encode() {
+                            Ok(p) => Frame::new(corr, FrameKind::QueryOk, p),
+                            Err(_) => return Deferred::Dead,
+                        }
+                    }
+                    Err(e) => Frame::new(corr, FrameKind::QueryErr, e.encode()),
+                };
+                if !wire.send(reply) {
+                    return Deferred::Dead;
+                }
             }
         }
-        if let Some(j) = self.accept_join.take() {
-            let _ = j.join();
+        if inflight.is_empty() {
+            Deferred::None
+        } else {
+            Deferred::Pending
         }
     }
 }
@@ -106,245 +128,16 @@ impl ServeServerHandle {
 /// Bind a listener and serve queries through `handle` until shutdown.
 pub fn spawn_serve_server(
     handle: ServeHandle,
-    config: ServeNetConfig,
+    config: NetServerConfig,
     registry: &Registry,
-) -> io::Result<ServeServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let state = Arc::new(ServeNetState {
-        handle,
-        metrics: ServerMetrics::new(registry),
-        config,
-        stop: AtomicBool::new(false),
-        kill: AtomicBool::new(false),
-        live: AtomicUsize::new(0),
-        next_conn: AtomicU64::new(0),
-        streams: Mutex::new(HashMap::new()),
-    });
-    let accept_state = state.clone();
-    let accept_join = thread::Builder::new()
-        .name("bgl-serve-accept".into())
-        .spawn(move || accept_loop(listener, accept_state))?;
-    Ok(ServeServerHandle { addr, state, accept_join: Some(accept_join) })
-}
-
-fn accept_loop(listener: TcpListener, state: Arc<ServeNetState>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !state.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if state.live.load(Ordering::SeqCst) >= state.config.max_connections {
-                    state.metrics.rejected.incr();
-                    // Same explicit-refusal discipline as the store
-                    // runtime: a silent close during the handshake reads
-                    // as a transient death on the client side.
-                    let refusal = QueryError::Overloaded {
-                        depth: state.config.max_connections as u32,
-                    };
-                    let _ = send_frame(
-                        &mut stream,
-                        &state,
-                        Frame::new(0, FrameKind::QueryErr, refusal.encode()),
-                    );
-                    drop(stream);
-                    continue;
-                }
-                state.metrics.accepted.incr();
-                state.live.fetch_add(1, Ordering::SeqCst);
-                state.metrics.connections.add(1);
-                let cid = state.next_conn.fetch_add(1, Ordering::SeqCst);
-                if let Ok(clone) = stream.try_clone() {
-                    if let Ok(mut streams) = state.streams.lock() {
-                        streams.insert(cid, clone);
-                    }
-                }
-                let conn_state = state.clone();
-                if let Ok(j) = thread::Builder::new()
-                    .name("bgl-serve-conn".into())
-                    .spawn(move || {
-                        handle_connection(&mut stream, &conn_state);
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                        if let Ok(mut streams) = conn_state.streams.lock() {
-                            streams.remove(&cid);
-                        }
-                        conn_state.live.fetch_sub(1, Ordering::SeqCst);
-                        conn_state.metrics.connections.add(-1);
-                    })
-                {
-                    handlers.push(j);
-                }
-                handlers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-fn handle_connection(stream: &mut TcpStream, state: &ServeNetState) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(state.config.read_poll));
-    let mut decoder = FrameDecoder::new(state.config.max_frame);
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut shaken = false;
-    // Queries admitted but not yet answered, in arrival order.
-    let mut inflight: Vec<(u64, Ticket)> = Vec::new();
-
-    loop {
-        // Drain buffered frames first (the graceful-shutdown drain phase).
-        loop {
-            if state.kill.load(Ordering::SeqCst) {
-                return;
-            }
-            match decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    state.metrics.frames_received.incr();
-                    if !shaken {
-                        if !finish_handshake(stream, state, &frame) {
-                            return;
-                        }
-                        shaken = true;
-                    } else if !dispatch_query(stream, state, frame, &mut inflight) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-        // Flush every resolved ticket; pipelined queries answer out of
-        // submission order if the batching windows cut that way.
-        if !flush_inflight(stream, state, &mut inflight, false) {
-            return;
-        }
-        if state.stop.load(Ordering::SeqCst) {
-            // Drained the socket; now block out the in-flight tail so no
-            // accepted query goes unanswered (the front-end's drain
-            // guarantee makes this finite).
-            let _ = flush_inflight(stream, state, &mut inflight, true);
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                state.metrics.bytes_received.add(n as u64);
-                decoder.feed(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-fn finish_handshake(stream: &mut TcpStream, state: &ServeNetState, frame: &Frame) -> bool {
-    let ok = frame.kind == FrameKind::Hello
-        && matches!(
-            Hello::decode(frame.payload.clone()),
-            Ok(h) if h.magic == MAGIC && h.version == PROTOCOL_VERSION
-        );
-    if !ok {
-        state.metrics.handshake_failures.incr();
-        return false;
-    }
-    state.metrics.handshakes.incr();
-    // server_id 0 / num_servers 1: one front-end, not a store cluster.
-    // feature_dim 0 marks the query plane.
-    let ack = HelloAck { version: PROTOCOL_VERSION, server_id: 0, num_servers: 1, feature_dim: 0 };
-    send_frame(stream, state, Frame::new(frame.corr_id, FrameKind::HelloAck, ack.encode()))
-}
-
-/// Admit one query frame. Sheds reply immediately; admissions join the
-/// in-flight list. Returns `false` if the connection must close.
-fn dispatch_query(
-    stream: &mut TcpStream,
-    state: &ServeNetState,
-    frame: Frame,
-    inflight: &mut Vec<(u64, Ticket)>,
-) -> bool {
-    if frame.kind != FrameKind::Query {
-        return false;
-    }
-    state.metrics.requests.incr();
-    let req = match QueryReq::decode(frame.payload) {
-        Ok(r) => r,
-        // An undecodable query is a protocol violation; close.
-        Err(_) => return false,
-    };
-    match state.handle.try_submit(req.user) {
-        Ok(ticket) => {
-            inflight.push((frame.corr_id, ticket));
-            true
-        }
-        Err(e) => send_frame(stream, state, Frame::new(frame.corr_id, FrameKind::QueryErr, e.encode())),
-    }
-}
-
-/// Send replies for every resolved ticket. With `block`, waits for all of
-/// them (shutdown drain). Returns `false` on a dead socket.
-fn flush_inflight(
-    stream: &mut TcpStream,
-    state: &ServeNetState,
-    inflight: &mut Vec<(u64, Ticket)>,
-    block: bool,
-) -> bool {
-    let mut i = 0;
-    while i < inflight.len() {
-        let resolved = if block {
-            let (corr, ticket) = inflight.remove(i);
-            Some((corr, ticket.wait()))
-        } else if let Some(r) = inflight[i].1.try_wait() {
-            let (corr, _) = inflight.remove(i);
-            Some((corr, r))
-        } else {
-            i += 1;
-            None
-        };
-        if let Some((corr, result)) = resolved {
-            let reply = match result {
-                Ok(reply) => {
-                    let payload = QueryResp {
-                        latency_us: reply.latency.as_micros() as u64,
-                        scores: reply.scores,
-                    };
-                    match payload.encode() {
-                        Ok(p) => Frame::new(corr, FrameKind::QueryOk, p),
-                        Err(_) => return false,
-                    }
-                }
-                Err(e) => Frame::new(corr, FrameKind::QueryErr, e.encode()),
-            };
-            if !send_frame(stream, state, reply) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn send_frame(stream: &mut TcpStream, state: &ServeNetState, frame: Frame) -> bool {
-    let wire = frame.encode();
-    state.metrics.bytes_sent.add(wire.len() as u64);
-    state.metrics.frames_sent.incr();
-    stream.write_all(&wire).is_ok()
+) -> io::Result<ServerHandle<QueryHandler>> {
+    listen(QueryHandler { handle }, config, registry)
 }
 
 /// Dialing side: one connection to one serve front-end, queries
 /// correlated by id, responses accepted in any order.
 pub struct ServeClient {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    next_corr: u64,
-    parked: HashMap<u64, Frame>,
-    read_timeout: Duration,
+    conn: Connection,
 }
 
 /// A transport fault turned into the query-plane error taxonomy:
@@ -358,109 +151,54 @@ fn net_to_query(e: NetError) -> QueryError {
     }
 }
 
+/// The typed error a server frame carries (`QueryErr`), or a protocol
+/// violation for any other kind.
+fn frame_error(frame: Frame) -> QueryError {
+    let unexpected = QueryError::Store(StoreError::Malformed("unexpected response"));
+    match frame.kind {
+        FrameKind::QueryErr => QueryError::decode(frame.payload).unwrap_or(unexpected),
+        _ => unexpected,
+    }
+}
+
 impl ServeClient {
-    /// Dial and handshake.
+    /// Dial and handshake. A refusal comes home typed: `Overloaded` from
+    /// a listener at its connection bound, a permanent `Store(Malformed)`
+    /// from one that rejects the hello.
     pub fn connect<A: ToSocketAddrs>(
         addr: A,
-        read_timeout: Duration,
+        config: NetClientConfig,
+        registry: &Registry,
     ) -> Result<ServeClient, QueryError> {
-        let sock_addr = addr
-            .to_socket_addrs()
-            .ok()
-            .and_then(|mut it| it.next())
-            .ok_or(QueryError::Store(bgl_store::StoreError::Malformed(
-                "unresolvable server address",
-            )))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, Duration::from_millis(500))
-            .map_err(|e| net_to_query(NetError::from_io(&e, "connect")))?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(Duration::from_millis(2)))
-            .map_err(|e| net_to_query(NetError::from_io(&e, "connect")))?;
-        let mut client = ServeClient {
-            stream,
-            decoder: FrameDecoder::new(bgl_net::proto::DEFAULT_MAX_FRAME),
-            next_corr: 1,
-            parked: HashMap::new(),
-            read_timeout,
-        };
-        client.send(Frame::new(0, FrameKind::Hello, Hello::ours().encode()))?;
-        let ack = client.recv_corr(0)?;
-        match ack.kind {
-            FrameKind::HelloAck => Ok(client),
-            FrameKind::QueryErr => Err(QueryError::decode(ack.payload)
-                .unwrap_or(QueryError::Store(bgl_store::StoreError::Malformed(
-                    "handshake refused",
-                )))),
-            _ => Err(QueryError::Store(bgl_store::StoreError::Malformed(
-                "handshake failed",
-            ))),
+        let addr = resolve(addr).map_err(net_to_query)?;
+        let metrics = ClientMetrics::new(registry, QueryHandler::METRIC_PREFIX);
+        match Connection::connect(&addr, &config, metrics) {
+            Ok(conn) => Ok(ServeClient { conn }),
+            Err(ConnectError::Refused(frame)) => Err(frame_error(frame)),
+            Err(ConnectError::Net(e)) => Err(net_to_query(e)),
         }
     }
 
-    fn send(&mut self, frame: Frame) -> Result<(), QueryError> {
-        self.stream
-            .write_all(&frame.encode())
-            .map_err(|e| net_to_query(NetError::from_io(&e, "send")))
+    fn send(&mut self, user: u32) -> Result<u64, QueryError> {
+        let corr = self.conn.fresh_corr();
+        self.conn
+            .send(Frame::new(corr, FrameKind::Query, QueryReq { user }.encode()))
+            .map_err(net_to_query)?;
+        Ok(corr)
     }
 
-    fn recv_corr(&mut self, corr: u64) -> Result<Frame, QueryError> {
-        if let Some(f) = self.parked.remove(&corr) {
-            return Ok(f);
-        }
-        let deadline = Instant::now() + self.read_timeout;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            loop {
-                match self.decoder.next_frame() {
-                    Ok(Some(frame)) => {
-                        if frame.corr_id == corr {
-                            return Ok(frame);
-                        }
-                        self.parked.insert(frame.corr_id, frame);
-                    }
-                    Ok(None) => break,
-                    Err(e) => return Err(net_to_query(e)),
-                }
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(net_to_query(NetError::Closed("response read"))),
-                Ok(n) => self.decoder.feed(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut
-                        || e.kind() == io::ErrorKind::Interrupted =>
-                {
-                    if Instant::now() >= deadline {
-                        return Err(net_to_query(NetError::Timeout("response read")));
-                    }
-                }
-                Err(e) => return Err(net_to_query(NetError::from_io(&e, "response read"))),
-            }
-        }
-    }
-
-    fn decode_reply(frame: Frame) -> Result<QueryResp, QueryError> {
-        match frame.kind {
-            FrameKind::QueryOk => QueryResp::decode(frame.payload)
-                .map_err(net_to_query),
-            FrameKind::QueryErr => Err(QueryError::decode(frame.payload)
-                .unwrap_or(QueryError::Store(bgl_store::StoreError::Malformed(
-                    "unexpected response",
-                )))),
-            _ => Err(QueryError::Store(bgl_store::StoreError::Malformed(
-                "unexpected response",
-            ))),
-        }
+    fn recv(&mut self, corr: u64) -> Result<Result<QueryResp, QueryError>, QueryError> {
+        let frame = self.conn.recv_corr(corr).map_err(net_to_query)?;
+        Ok(match frame.kind {
+            FrameKind::QueryOk => QueryResp::decode(frame.payload).map_err(net_to_query),
+            _ => Err(frame_error(frame)),
+        })
     }
 
     /// One query, one answer.
     pub fn query(&mut self, user: u32) -> Result<QueryResp, QueryError> {
-        let corr = self.next_corr;
-        self.next_corr += 1;
-        self.send(Frame::new(corr, FrameKind::Query, QueryReq { user }.encode()))?;
-        let frame = self.recv_corr(corr)?;
-        Self::decode_reply(frame)
+        let corr = self.send(user)?;
+        self.recv(corr)?
     }
 
     /// Write all queries before reading any answer: on the server they
@@ -470,18 +208,7 @@ impl ServeClient {
         &mut self,
         users: &[u32],
     ) -> Result<Vec<Result<QueryResp, QueryError>>, QueryError> {
-        let mut corrs = Vec::with_capacity(users.len());
-        for &user in users {
-            let corr = self.next_corr;
-            self.next_corr += 1;
-            self.send(Frame::new(corr, FrameKind::Query, QueryReq { user }.encode()))?;
-            corrs.push(corr);
-        }
-        let mut out = Vec::with_capacity(corrs.len());
-        for corr in corrs {
-            let frame = self.recv_corr(corr)?;
-            out.push(Self::decode_reply(frame));
-        }
-        Ok(out)
+        let corrs = users.iter().map(|&u| self.send(u)).collect::<Result<Vec<_>, _>>()?;
+        corrs.into_iter().map(|corr| self.recv(corr)).collect()
     }
 }

@@ -3,6 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Manifests first: a dependency no .rs file names fails here, before
+# anything is compiled.
+scripts/check_deps.sh
+
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
@@ -26,15 +30,23 @@ cargo bench -p bgl-obs --bench metrics_overhead -- --test
 env -u RUST_TEST_THREADS cargo test -q -p bgl --test exec_runtime
 env -u RUST_TEST_THREADS cargo test -q --release -p bgl --test exec_runtime
 
-# TCP transport: the bgl-net suites open real sockets and spawn real
-# server threads (handshakes, pipelining, kills, deadlines), so they too
-# get the host's full parallelism; net_transport then drives a whole
-# training epoch over loopback TCP, including the mid-epoch kill. The
-# loopback bench runs in --test mode as a smoke gate on the
-# client/server round-trip path.
+# Connection runtime: one listener and one dialer carry both planes, so
+# their socket suites run here once, uncapped (real sockets, real server
+# threads). bgl-net's suites cover the store plane and the frame
+# proptests; conn_runtime is the runtime's conformance suite instantiated
+# for both handlers; net_transport drives a training epoch over loopback
+# TCP including the mid-epoch kill; serve runs live front-end drivers,
+# query sockets and a mid-load store kill. conn_runtime and serve run once
+# more under --release, where batching windows and the shutdown drain race
+# a much faster inference pass. The loopback bench (--test mode) and the
+# figures --serve smoke run (ledger, knee and percentile cross-check
+# asserts built into the panel) gate the round-trip and load-generator
+# paths end to end.
 env -u RUST_TEST_THREADS cargo test -q -p bgl-net
-env -u RUST_TEST_THREADS cargo test -q -p bgl --test net_transport
+env -u RUST_TEST_THREADS cargo test -q -p bgl --test conn_runtime --test net_transport --test serve
+env -u RUST_TEST_THREADS cargo test -q --release -p bgl --test conn_runtime --test serve
 cargo bench -p bgl-net --bench loopback -- --test
+cargo run --release -p bench --bin figures -- --serve --small --out "$(mktemp -d)"
 
 # Checkpoint/resume: the crash-recovery chaos suite spawns full pipelines,
 # kills them at seeded batches and resumes — real thread interleavings
@@ -63,18 +75,6 @@ cargo bench -p bench --bench kernels -- --test
 env -u RUST_TEST_THREADS cargo test -q -p bgl --test disk_recovery
 env -u RUST_TEST_THREADS cargo test -q --release -p bgl --test disk_recovery
 cargo bench -p bgl-store --bench disk -- --test
-
-# Online serving: the serve suite runs live front-end drivers, loopback
-# query sockets and a mid-load TCP store kill — real thread interleavings,
-# so uncapped, and once under --release where the micro-batching windows
-# race a much faster inference pass. The query-plane proptests
-# (frame roundtrip/truncation/oversize) run under `cargo test -p bgl-net`
-# above. The figures --serve smoke run drives the open-loop load
-# generator end to end at test scale, including the ledger, knee and
-# histogram-vs-exact-percentile cross-check asserts built into the panel.
-env -u RUST_TEST_THREADS cargo test -q -p bgl --test serve
-env -u RUST_TEST_THREADS cargo test -q --release -p bgl --test serve
-cargo run --release -p bench --bin figures -- --serve --small --out "$(mktemp -d)"
 
 # Streaming ingestion: the churn suites drive live mutation through the
 # store's write-all broadcast path — the TCP parity test opens real

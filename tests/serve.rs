@@ -25,7 +25,6 @@ use bgl_net::{spawn_loopback_cluster, NetClientConfig, NetServerConfig, TcpTrans
 use bgl_obs::Registry;
 use bgl_serve::{
     open_loop, spawn_serve_server, ServeClient, ServeConfig, ServeEngine, ServeFrontend,
-    ServeNetConfig,
 };
 use bgl_sim::network::NetworkModel;
 use bgl_store::{RetryPolicy, StoreCluster};
@@ -119,10 +118,10 @@ fn tcp_replies_are_bitwise_identical_to_serial() {
     let reg = Registry::enabled();
     let mut fe = ServeFrontend::new(engine, ServeConfig::default(), &reg);
     fe.start();
-    let server = spawn_serve_server(fe.handle(), ServeNetConfig::default(), &reg)
+    let server = spawn_serve_server(fe.handle(), NetServerConfig::default(), &reg)
         .expect("bind serve listener");
-    let mut client =
-        ServeClient::connect(server.addr(), Duration::from_secs(60)).expect("dial front-end");
+    let patient = NetClientConfig { read_timeout: Duration::from_secs(60), ..Default::default() };
+    let mut client = ServeClient::connect(server.addr(), patient, &reg).expect("dial front-end");
 
     let replies = client.query_pipelined(&users).expect("pipelined queries");
     assert_eq!(replies.len(), users.len());
@@ -137,7 +136,7 @@ fn tcp_replies_are_bitwise_identical_to_serial() {
     server.shutdown();
     fe.shutdown();
     // The queries really crossed the wire and the ledger closes.
-    assert!(counter(&reg, "net.server.frames_received") > users.len() as u64);
+    assert!(counter(&reg, "serve.net.server.frames_received") > users.len() as u64);
     assert_eq!(counter(&reg, "serve.completed"), users.len() as u64);
     assert_eq!(counter(&reg, "serve.failed"), 0);
 }
