@@ -5,81 +5,37 @@
 //! cargo run --release -p bench --bin figures -- --fig5a --fig5b --small
 //! ```
 //!
-//! Flags: `--fig2 --fig3 --fig5a --fig5b --fig11 --fig12 --fig13 --tab3
-//! --tab4 --fig14 --fig15 --recovery --tab5 --fig16 --disk --all`, plus
-//! `--small` (test-scale datasets) and `--out <dir>` (JSON output
-//! directory, default `results/`).
-//!
-//! `--disk` replays one real epoch's feature-access trace (seed batches
-//! expanded by the fanout sampler) against the durable disk tier's buffer
-//! pool, crossing the three eviction policies (SIEVE/CLOCK/LRU) with the
-//! two training orderings (random-shuffle vs proximity-aware), and writes
-//! the hit ratios and read throughput to `BENCH_disk.json`.
-//!
-//! `--serve` (not part of `--all`) sweeps the online-serving front-end
-//! with the seeded open-loop load generator: at each offered arrival rate
-//! it runs the default micro-batching config, the same config pinned to
-//! `max_batch = 1`, and a chaos leg (store server 0 crashed mid-run under
-//! r=2), writing per-rate throughput and p50/p99/p999 latency to
-//! `BENCH_serve.json`.
-//!
-//! `--churn` (not part of `--all`) sweeps streaming ingestion: a seeded
-//! churn plan (edge inserts, node arrivals, feature updates) at each
-//! (churn-ops × re-merge period) point, applied through `bgl-ingest`'s
-//! coordinator against a live durable cluster while a locality-biased
-//! reader runs through an invalidation-coherent cache. Post-churn
-//! edge-cut/balance are pinned within an additive band of a from-scratch
-//! LDG repartition of the merged graph, and the rows land in
-//! `BENCH_churn.json`.
-//!
-//! `--migrate` (not part of `--all`) sweeps physical rebalancing: the
-//! churn substrate with `moves_per_period` at several drain budgets, so
-//! the crash-safe owner-migration protocol moves bytes behind the
-//! refinement pass. Pins lost/duplicated rows to zero at every budget,
-//! requires the physical edge cut to track the logical cut once a budget
-//! is on, and writes the rows to `BENCH_migrate.json`.
+//! Flags: `--fig2 --fig3 --fig5a --fig5b --fig11 --fig12 --fig13 --fig14
+//! --fig15 --fig16 --tab3 --tab4 --tab5 --ablate --recovery --profile
+//! --all`, plus `--small` (test-scale datasets) and `--out <dir>` (JSON
+//! output directory, default `results/`). No flag means `--all`; anything
+//! else exits non-zero (see [`bench::parse_flags`]). Nothing here times the
+//! running system: that is `bash crates/bgl-bench/run.sh`.
 //!
 //! `--profile` (not part of `--all`) closes the §3.4 loop: it runs the
 //! real pipeline stages under an enabled [`bgl_obs`] registry, emits a
 //! *measured* `StageProfile` (cache `a`/`d` fitted from timed replays at
 //! several shard counts), feeds it to the brute-force allocator next to
-//! the paper's running example, and writes `BENCH_profile.json` plus a
-//! chrome-trace timeline (`profile_trace.json`, loadable in Perfetto /
-//! `about:tracing`) into the output directory.
+//! the paper's running example, and writes `profile_stages.json`. With an
+//! explicit `--out` it also writes the run's chrome-trace timeline
+//! (`profile_trace.json`, loadable in Perfetto / `about:tracing`) there.
 
 use bench::*;
 use bgl::config::GnnModelKind;
 use bgl::experiments::{DatasetId, ExperimentCtx};
 use bgl::report::to_json;
 use bgl::systems::SystemKind;
-use std::collections::HashSet;
 use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut flags: HashSet<String> = HashSet::new();
-    let mut out_dir = PathBuf::from("results");
-    let mut small = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--small" => small = true,
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).expect("--out needs a directory"));
-            }
-            flag if flag.starts_with("--") => {
-                flags.insert(flag.trim_start_matches("--").to_string());
-            }
-            other => panic!("unknown argument {}", other),
-        }
-        i += 1;
-    }
-    if flags.is_empty() {
-        flags.insert("all".to_string());
-    }
-    let all = flags.contains("all");
-    let want = |f: &str| all || flags.contains(f);
+    let flags = parse_flags(&args).unwrap_or_else(|msg| {
+        eprintln!("figures: {msg}");
+        std::process::exit(2);
+    });
+    let small = flags.small;
+    let out_dir = flags.out.clone().unwrap_or_else(|| PathBuf::from("results"));
+    let want = |f: &str| flags.want(f);
 
     let ctx = if small { ExperimentCtx::small() } else { ExperimentCtx::standard() };
     std::fs::create_dir_all(&out_dir).expect("create output directory");
@@ -203,95 +159,7 @@ fn main() {
         save("ablate_jhop", &to_json(&rows));
     }
 
-    if want("disk") {
-        section("Disk tier — eviction policy × training order (epoch trace, ~10% pool)");
-        use rand::SeedableRng;
-        let ds = bgl_graph::DatasetSpec::products_like()
-            .with_nodes(if small { 1 << 11 } else { 1 << 13 })
-            .build();
-        let fanouts = if small { vec![4, 4] } else { ctx.fanouts.clone() };
-        let sampler = bgl_sampler::NeighborSampler::new(fanouts);
-        let batch_size = ctx.batch_size.min(64);
-        // Page layout: 8-byte pid header + rows + 8-byte checksum footer;
-        // size the pool to hold ~10% of the paged file, the same fraction
-        // the cache experiments use.
-        let rows_per_page = ((4096 - 16) / (ds.features.dim() * 4)).max(1);
-        let num_pages = ds.graph.num_nodes().div_ceil(rows_per_page);
-        let pool_pages = (num_pages / 10).max(8);
-        let orderings: [Box<dyn bgl_sampler::TrainOrdering>; 2] = [
-            Box::new(bgl_sampler::RandomShuffle::new(7)),
-            Box::new(bgl_sampler::ProximityAware::for_batch(5, batch_size, 7)),
-        ];
-        let mut t = bgl::report::TextTable::new(&[
-            "ordering", "policy", "lookups", "hit-ratio", "evictions", "page-reads",
-            "krows/s",
-        ]);
-        let mut rows_json: Vec<serde_json::Value> = Vec::new();
-        for ordering in &orderings {
-            let batches =
-                ordering.epoch_batches(&ds.graph, &ds.split.train, batch_size, 0);
-            for policy in bgl_store::DiskPolicyKind::all() {
-                let dir = std::env::temp_dir().join(format!(
-                    "bgl-figures-disk-{}-{}-{}",
-                    std::process::id(),
-                    ordering.name(),
-                    policy.name()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                let cfg = bgl_store::DiskTierConfig::default()
-                    .with_pool_pages(pool_pages)
-                    .with_policy(policy);
-                let mut tier =
-                    bgl_store::DurableFeatures::create(&dir, &ds.features, cfg)
-                        .expect("create disk tier");
-                let mut rng = rand::rngs::StdRng::seed_from_u64(0xD15C);
-                let mut row = Vec::new();
-                let started = std::time::Instant::now();
-                for batch in &batches {
-                    let mb = sampler.sample(&ds.graph, batch, &mut rng);
-                    for &v in mb.input_nodes() {
-                        tier.read_row_into(v, &mut row).expect("disk tier read");
-                    }
-                }
-                let elapsed = started.elapsed().as_secs_f64();
-                let pool = tier.pool_stats();
-                let pager = tier.pager_stats();
-                let lookups = pool.hits + pool.misses;
-                let rows_per_s = lookups as f64 / elapsed.max(1e-9);
-                t.row(&[
-                    ordering.name().into(),
-                    policy.name().into(),
-                    lookups.to_string(),
-                    format!("{:.3}", pool.hit_ratio()),
-                    pool.evictions.to_string(),
-                    pager.page_reads.to_string(),
-                    format!("{:.1}", rows_per_s / 1e3),
-                ]);
-                rows_json.push(serde_json::json!({
-                    "ordering": ordering.name(),
-                    "policy": policy.name(),
-                    "pool_pages": pool_pages,
-                    "total_pages": num_pages,
-                    "lookups": lookups,
-                    "hits": pool.hits,
-                    "misses": pool.misses,
-                    "hit_ratio": pool.hit_ratio(),
-                    "evictions": pool.evictions,
-                    "page_reads": pager.page_reads,
-                    "rows_per_s": rows_per_s,
-                }));
-                drop(tier);
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
-        println!("{}", t.render());
-        save(
-            "BENCH_disk",
-            &serde_json::to_string_pretty(&rows_json).expect("serialize disk rows"),
-        );
-    }
-
-    if flags.contains("profile") {
+    if flags.named("profile") {
         section("§3.4 profile→allocate loop — measured vs paper-example (products-like)");
         let mut pctx =
             if small { ExperimentCtx::small() } else { ExperimentCtx::standard() };
@@ -303,392 +171,15 @@ fn main() {
         let paper =
             bgl_exec::allocator::solve(&bgl_exec::StageProfile::paper_example(), &caps);
         println!("{}", render_allocations(&measured, &paper));
-        let path = out_dir.join("BENCH_profile.json");
-        std::fs::write(&path, m.to_json()).expect("write BENCH_profile.json");
-        eprintln!("[saved {}]", path.display());
-        let trace_path = out_dir.join("profile_trace.json");
-        std::fs::write(&trace_path, pctx.obs.chrome_trace_json())
-            .expect("write profile trace");
-        eprintln!("[saved {}]", trace_path.display());
-
-        section("§3.4 threaded executor — measured throughput vs tandem-sim prediction");
-        // Run a real OS-threaded epoch with pools sized from the measured
-        // allocation, then replay its measured service times through the
-        // tandem-queue model and drive the same epoch serially.
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // Checkpoint the threaded epoch while profiling it, so the
-        // `exec.ckpt.*` write-cost metrics land in the same report.
-        let ckpt_dir = std::env::temp_dir()
-            .join(format!("bgl-figures-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
-        let cfg = bgl_exec::ExecConfig::new(pctx.fanouts.clone(), 0xE8EC)
-            .scaled_to(&measured, cores)
-            .with_checkpointing(bgl_exec::CheckpointPolicy::new(&ckpt_dir).every(8));
-        // The model must have one layer per sampling hop (the standard
-        // ctx uses three fanouts, the small one two).
-        let num_layers = pctx.fanouts.len();
-        let build_task = || {
-            let ds = bgl_graph::DatasetSpec::products_like()
-                .with_nodes(if small { 1 << 12 } else { 1 << 14 })
-                .build();
-            let partition = bgl::measure::make_partitioner(
-                SystemKind::Bgl.config().partitioner,
-                3,
-            )
-            .partition(&ds.graph, &ds.split.train, 4);
-            let cluster = bgl_store::StoreCluster::new(
-                ds.graph.clone(),
-                ds.features.clone(),
-                &partition,
-                bgl_sim::network::NetworkModel::paper_fabric(),
-                3,
-            );
-            let cache = bgl_cache::FeatureCacheEngine::new(
-                2,
-                ds.features.dim(),
-                ds.graph.num_nodes() / 10,
-                ds.graph.num_nodes() / 5,
-                bgl_cache::PolicyKind::Fifo,
-                &[],
-            );
-            let model = bgl_gnn::make_model(
-                bgl_gnn::ModelKind::GraphSage,
-                ds.features.dim(),
-                16,
-                ds.num_classes,
-                num_layers,
-                5,
-            );
-            let batches: Vec<Vec<bgl_graph::NodeId>> = ds
-                .split
-                .train
-                .chunks(pctx.batch_size.min(64))
-                .take(if small { 16 } else { 64 })
-                .map(|c| c.to_vec())
-                .collect();
-            bgl_exec::EpochTask {
-                graph: ds.graph.clone(),
-                labels: ds.labels.clone(),
-                batches,
-                cluster,
-                cache,
-                model,
-                opt: bgl_tensor::Adam::new(1e-3),
-            }
-        };
-        let report = bgl_exec::run(&cfg, build_task(), &pctx.obs).expect("threaded epoch");
-        let serial = bgl_exec::run_serial(&cfg, build_task(), &bgl_obs::Registry::disabled())
-            .expect("serial epoch");
-        let predicted = report.predict(&cfg.workers, cfg.buffer_cap);
-        println!(
-            "pools from measured allocation on {} cores: {:?}",
-            cores, cfg.workers
-        );
-        println!("{}", render_exec(&report, &cfg.workers, &predicted, serial.throughput()));
-        section("§3.4 checkpointing — exec.ckpt.* cost of the periodic snapshots above");
-        println!("{}", render_ckpt(&pctx.obs));
-        let _ = std::fs::remove_dir_all(&ckpt_dir);
-
-        section("§14 durable disk tier — store.disk.* cost under the same registry");
-        // A small real tier under the profile registry: load it with one
-        // round of WAL-acked updates and an epoch's worth of reads, then
-        // checkpoint, so the panel shows the full write/read/fsync path.
-        let disk_dir = std::env::temp_dir()
-            .join(format!("bgl-figures-disk-profile-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&disk_dir);
-        {
-            use rand::SeedableRng;
-            let ds = bgl_graph::DatasetSpec::products_like()
-                .with_nodes(if small { 1 << 10 } else { 1 << 12 })
-                .build();
-            let cfg = bgl_store::DiskTierConfig::default()
-                .with_pool_pages(32)
-                .with_registry(&pctx.obs);
-            let mut tier = bgl_store::DurableFeatures::create(&disk_dir, &ds.features, cfg)
-                .expect("create profile disk tier");
-            let dim = ds.features.dim();
-            let mut row = Vec::new();
-            for v in ds.split.train.iter().step_by(4).take(64) {
-                tier.update_row(*v, &vec![0.5; dim]).expect("durable update");
-            }
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0xD15C);
-            let sampler = bgl_sampler::NeighborSampler::new(if small {
-                vec![4, 4]
-            } else {
-                pctx.fanouts.clone()
-            });
-            for batch in ds.split.train.chunks(pctx.batch_size.min(64)).take(8) {
-                let mb = sampler.sample(&ds.graph, batch, &mut rng);
-                for &v in mb.input_nodes() {
-                    tier.read_row_into(v, &mut row).expect("disk tier read");
-                }
-            }
-            tier.checkpoint().expect("checkpoint disk tier");
-            tier.publish_metrics();
+        save("profile_stages", &m.to_json());
+        // The trace is a per-run timeline, not a result: it is written
+        // only where the caller asked for output, never into `results/`.
+        if let Some(dir) = &flags.out {
+            let trace_path = dir.join("profile_trace.json");
+            std::fs::write(&trace_path, pctx.obs.chrome_trace_json())
+                .expect("write profile trace");
+            eprintln!("[saved {}]", trace_path.display());
         }
-        let _ = std::fs::remove_dir_all(&disk_dir);
-        println!("{}", render_disk(&pctx.obs));
-    }
-
-    if flags.contains("serve") {
-        section("Serving — open-loop arrival-rate sweep (bgl-serve, User-Item-like)");
-        // Not part of --all: each point stands up a live front-end and
-        // paces real wall-clock arrivals, so the panel costs seconds per
-        // rate even at --small scale.
-        // The top rate must overrun the serial front-end (one inference
-        // pass per request) so the sweep captures the knee, not just the
-        // underload plateau — and `n` must exceed the default admission
-        // queue depth (256), or nothing can ever shed and every config
-        // just drains its backlog at its own pace.
-        let (rates, n) = if small {
-            (vec![200.0, 1600.0, 204_800.0], 700)
-        } else {
-            (vec![200.0, 800.0, 3200.0, 12800.0, 51200.0], 600)
-        };
-        let rows = ctx.serve_sweep(&rates, n);
-        println!("{}", render_serve(&rows));
-        // Cross-checks the JSON consumers rely on: the ledger closes at
-        // every point, the bucketed p99 never undercuts the exact sort,
-        // and the chaos leg under r=2 drops no accepted request.
-        for r in &rows {
-            assert_eq!(r.offered, r.accepted + r.shed, "{}: admission ledger", r.label);
-            assert_eq!(
-                r.accepted,
-                r.completed + r.failed,
-                "{}: every accepted request resolves",
-                r.label
-            );
-            assert!(
-                r.hist_p99_us >= r.p99_us,
-                "{}: histogram p99 {} undercuts exact p99 {}",
-                r.label,
-                r.hist_p99_us,
-                r.p99_us
-            );
-            if r.label == "chaos-r2" {
-                assert_eq!(r.failed, 0, "chaos-r2 must fail over, not fail requests");
-            }
-        }
-        // The knee claim: at the top offered rate, micro-batching must
-        // complete more work per second than the serialized front-end.
-        // Only the full-scale sweep is in the drain-dominated regime where
-        // throughput measures the engine (wall >> arrival window); the
-        // --small burst is over in milliseconds, so its "throughput" is
-        // mostly which config happened to admit more before the queue
-        // capped — there we assert the structural half instead: overload
-        // actually forms (near-)full batches and sheds at admission.
-        let top = rates[rates.len() - 1];
-        let at = |label: &str| {
-            rows.iter()
-                .find(|r| r.label == label && r.rate_hz == top)
-                .expect("sweep row")
-        };
-        if small {
-            let b = at("batched");
-            assert!(
-                b.mean_batch >= b.max_batch as f64 / 2.0,
-                "overload must fill batching windows (mean {:.1} of max {})",
-                b.mean_batch,
-                b.max_batch
-            );
-            assert!(b.shed > 0, "top rate {top} must overrun admission");
-        } else {
-            assert!(
-                at("batched").throughput_rps > at("serial").throughput_rps,
-                "micro-batching must raise saturation throughput ({:.0} vs {:.0} rps)",
-                at("batched").throughput_rps,
-                at("serial").throughput_rps
-            );
-        }
-        let rows_json: Vec<serde_json::Value> = rows
-            .iter()
-            .map(|r| {
-                serde_json::json!({
-                    "label": r.label.clone(),
-                    "rate_hz": r.rate_hz,
-                    "max_batch": r.max_batch as u64,
-                    "replication": r.replication as u64,
-                    "offered": r.offered,
-                    "accepted": r.accepted,
-                    "shed": r.shed,
-                    "completed": r.completed,
-                    "failed": r.failed,
-                    "throughput_rps": r.throughput_rps,
-                    "p50_us": r.p50_us,
-                    "p99_us": r.p99_us,
-                    "p999_us": r.p999_us,
-                    "hist_p99_us": r.hist_p99_us,
-                    "mean_batch": r.mean_batch,
-                })
-            })
-            .collect();
-        save(
-            "BENCH_serve",
-            &serde_json::to_string_pretty(&rows_json).expect("serialize serve rows"),
-        );
-    }
-
-    if flags.contains("churn") {
-        section("Churn — streaming ingestion sweep (rate × re-merge period)");
-        // Not part of --all: every cell stands up a fresh durable cluster
-        // and streams the full plan through it.
-        let (n, cells) = if small {
-            (400usize, vec![(80usize, 8usize), (80, 32), (160, 8), (160, 32)])
-        } else {
-            (
-                2_000usize,
-                vec![
-                    (300usize, 16usize),
-                    (300, 64),
-                    (300, 256),
-                    (900, 16),
-                    (900, 64),
-                    (900, 256),
-                ],
-            )
-        };
-        let rows: Vec<ChurnRow> =
-            cells.iter().map(|&(ops, period)| churn_cell(n, ops, period)).collect();
-        println!("{}", render_churn(&rows));
-        // Pinned post-churn quality bands: the online (streamed + refined)
-        // partition map must stay within an additive band of a
-        // from-scratch LDG repartition of the same merged graph, and the
-        // training-side cache must keep hitting despite coherent
-        // invalidation.
-        for r in &rows {
-            assert!(
-                r.online_cut <= r.scratch_cut + 0.20,
-                "ops={} period={}: online cut {:.3} drifted past scratch {:.3} + 0.20",
-                r.churn_ops,
-                r.remerge_period,
-                r.online_cut,
-                r.scratch_cut
-            );
-            assert!(
-                r.online_balance <= r.scratch_balance + 0.25,
-                "ops={} period={}: online balance {:.2} vs scratch {:.2}",
-                r.churn_ops,
-                r.remerge_period,
-                r.online_balance,
-                r.scratch_balance
-            );
-            assert!(
-                r.cache_hit_ratio >= 0.30,
-                "ops={} period={}: invalidation churn sank the hit ratio to {:.2}",
-                r.churn_ops,
-                r.remerge_period,
-                r.cache_hit_ratio
-            );
-            assert!(r.applied > r.churn_ops as u64 / 2, "most ops must land");
-            assert!(r.remerges >= 1 && r.invalidations > 0);
-        }
-        let rows_json: Vec<serde_json::Value> = rows
-            .iter()
-            .map(|r| {
-                serde_json::json!({
-                    "churn_ops": r.churn_ops as u64,
-                    "remerge_period": r.remerge_period as u64,
-                    "applied": r.applied,
-                    "rejected": r.rejected,
-                    "invalidations": r.invalidations,
-                    "reassignments": r.reassignments,
-                    "remerges": r.remerges,
-                    "online_cut": r.online_cut,
-                    "scratch_cut": r.scratch_cut,
-                    "online_balance": r.online_balance,
-                    "scratch_balance": r.scratch_balance,
-                    "cache_hit_ratio": r.cache_hit_ratio,
-                    "mean_apply_ns": r.mean_apply_ns,
-                })
-            })
-            .collect();
-        save(
-            "BENCH_churn",
-            &serde_json::to_string_pretty(&rows_json).expect("serialize churn rows"),
-        );
-    }
-
-    if flags.contains("migrate") {
-        section("Migration — physical rebalancing sweep (drain budget per re-merge)");
-        // Not part of --all, like --churn: every cell stands up a fresh
-        // durable cluster. Budget 0 is the logical-only control; the
-        // physical cut should walk down toward the logical cut as the
-        // budget grows.
-        let (n, cells) = if small {
-            (400usize, vec![(160usize, 0usize), (160, 2), (160, 4096)])
-        } else {
-            (
-                2_000usize,
-                vec![(900usize, 0usize), (900, 4), (900, 16), (900, 4096)],
-            )
-        };
-        let rows: Vec<MigrateRow> =
-            cells.iter().map(|&(ops, budget)| migrate_cell(n, ops, budget)).collect();
-        println!("{}", render_migrate(&rows));
-        for r in &rows {
-            // The hard safety band: rebalancing must never lose a row or
-            // leave one claimed by two primaries, at any budget.
-            assert_eq!(
-                (r.lost_rows, r.dup_rows),
-                (0, 0),
-                "ops={} budget={}: lost={} dup={}",
-                r.churn_ops,
-                r.moves_per_period,
-                r.lost_rows,
-                r.dup_rows
-            );
-            if r.moves_per_period == 0 {
-                assert_eq!(
-                    (r.committed, r.copy_bytes),
-                    (0, 0),
-                    "budget 0 must not move bytes"
-                );
-            } else {
-                assert!(
-                    r.physical_cut <= r.logical_cut + 0.10,
-                    "ops={} budget={}: physical cut {:.3} trails logical {:.3} + 0.10",
-                    r.churn_ops,
-                    r.moves_per_period,
-                    r.physical_cut,
-                    r.logical_cut
-                );
-            }
-        }
-        // An effectively unbounded budget must catch the physical map up:
-        // nothing left queued and no lag beyond nodes skipped as moot.
-        let full = rows.last().expect("sweep has cells");
-        assert_eq!(full.backlog, 0, "unbounded budget leaves no backlog");
-        assert!(
-            full.physical_lag <= 0.01,
-            "unbounded budget still lagging {:.3}",
-            full.physical_lag
-        );
-        let rows_json: Vec<serde_json::Value> = rows
-            .iter()
-            .map(|r| {
-                serde_json::json!({
-                    "churn_ops": r.churn_ops as u64,
-                    "moves_per_period": r.moves_per_period as u64,
-                    "planned": r.planned,
-                    "committed": r.committed,
-                    "aborted": r.aborted,
-                    "repaired": r.repaired,
-                    "skipped": r.skipped,
-                    "backlog": r.backlog as u64,
-                    "copy_bytes": r.copy_bytes,
-                    "invalidations": r.invalidations,
-                    "physical_lag": r.physical_lag,
-                    "logical_cut": r.logical_cut,
-                    "physical_cut": r.physical_cut,
-                    "lost_rows": r.lost_rows as u64,
-                    "dup_rows": r.dup_rows as u64,
-                })
-            })
-            .collect();
-        save(
-            "BENCH_migrate",
-            &serde_json::to_string_pretty(&rows_json).expect("serialize migrate rows"),
-        );
     }
 
     if want("recovery") {
@@ -725,7 +216,7 @@ fn main() {
             rows.extend(acc_ctx.accuracy_experiment(DatasetId::Products, model, epochs, hidden));
         }
         println!("{}", render_accuracy(&rows));
-        if want("fig16") || all {
+        if want("fig16") {
             println!("{}", render_curves(
                 &rows
                     .iter()

@@ -1,17 +1,88 @@
-//! Shared helpers for the benchmark harness: rendering each experiment's
-//! result rows as the text tables the `figures` binary prints and the
-//! criterion benches reference.
+//! Shared helpers for the `figures` binary: its command line, and each
+//! experiment's result rows rendered as the text tables it prints.
 
 use bgl::experiments::{
     AccuracyRow, BreakdownRow, CacheRow, FeatureTimeRow, PartitionRow, RecoveryRow,
-    ServeRateRow, ThroughputRow,
+    ThroughputRow,
 };
 use bgl::profiler::MeasuredProfile;
 use bgl::report::TextTable;
 use bgl_exec::allocator::Allocation;
-use bgl_exec::runtime::ExecReport;
 use bgl_exec::StageProfile;
-use bgl_sim::pipeline::PipelineReport;
+use std::collections::BTreeSet;
+use std::path::PathBuf;
+
+/// Every experiment flag `figures` accepts, without the leading `--`.
+/// `--profile` runs only when named; `--all` selects the rest.
+const MODES: [&str; 17] = [
+    "fig2", "fig3", "fig5a", "fig5b", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
+    "tab3", "tab4", "tab5", "ablate", "recovery", "profile", "all",
+];
+
+/// Former `figures` modes that timed the running system, with the
+/// `bgl-bench` workload that measures the same thing now.
+const RETIRED: [(&str, &str); 4] = [
+    ("disk", "train-remote"),
+    ("serve", "serve-sweep"),
+    ("churn", "ingest-mixed"),
+    ("migrate", "ingest-mixed"),
+];
+
+/// A parsed `figures` command line.
+#[derive(Debug)]
+pub struct Flags {
+    modes: BTreeSet<&'static str>,
+    /// `--small`: test-scale datasets.
+    pub small: bool,
+    /// `--out <dir>`, when given.
+    pub out: Option<PathBuf>,
+}
+
+impl Flags {
+    /// `mode` was given on the command line.
+    pub fn named(&self, mode: &str) -> bool {
+        self.modes.contains(mode)
+    }
+
+    /// `mode` should run: it was named, or `--all` was.
+    pub fn want(&self, mode: &str) -> bool {
+        self.named(mode) || self.named("all")
+    }
+}
+
+/// Parse `figures`' arguments against the closed flag list. No experiment
+/// flag means `--all`. Anything outside the list is an error naming the
+/// valid flags; a retired mode's error names the `bgl-bench` workload that
+/// replaced it.
+pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    let mut flags = Flags { modes: BTreeSet::new(), small: false, out: None };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let name = arg.strip_prefix("--").unwrap_or("");
+        if name == "small" {
+            flags.small = true;
+        } else if name == "out" {
+            let dir = args.next().ok_or("--out needs a directory")?;
+            flags.out = Some(PathBuf::from(dir));
+        } else if let Some(mode) = MODES.iter().copied().find(|m| *m == name) {
+            flags.modes.insert(mode);
+        } else if let Some((_, workload)) = RETIRED.iter().find(|(m, _)| *m == name) {
+            return Err(format!(
+                "{arg} moved to `bash crates/bgl-bench/run.sh --workload {workload}`"
+            ));
+        } else {
+            let valid: Vec<String> = MODES.iter().map(|m| format!("--{m}")).collect();
+            return Err(format!(
+                "unknown argument {arg}; valid flags: {} --small --out <dir>",
+                valid.join(" ")
+            ));
+        }
+    }
+    if flags.modes.is_empty() {
+        flags.modes.insert("all");
+    }
+    Ok(flags)
+}
 
 /// Render Figs. 11/12/13 rows (one table per model).
 pub fn render_throughput(rows: &[ThroughputRow]) -> String {
@@ -136,41 +207,6 @@ pub fn render_recovery(rows: &[RecoveryRow]) -> String {
     t.render()
 }
 
-/// Render the serving throughput/latency sweep (`figures --serve`).
-pub fn render_serve(rows: &[ServeRateRow]) -> String {
-    let mut t = TextTable::new(&[
-        "config",
-        "rate/s",
-        "batch",
-        "offered",
-        "shed",
-        "done",
-        "failed",
-        "rps",
-        "p50-us",
-        "p99-us",
-        "p999-us",
-        "avg-batch",
-    ]);
-    for r in rows {
-        t.row(&[
-            r.label.clone(),
-            format!("{:.0}", r.rate_hz),
-            r.max_batch.to_string(),
-            r.offered.to_string(),
-            r.shed.to_string(),
-            r.completed.to_string(),
-            r.failed.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            r.p50_us.to_string(),
-            r.p99_us.to_string(),
-            r.p999_us.to_string(),
-            format!("{:.1}", r.mean_batch),
-        ]);
-    }
-    t.render()
-}
-
 /// Render Table 5 / Fig. 16 rows.
 pub fn render_accuracy(rows: &[AccuracyRow]) -> String {
     let mut t = TextTable::new(&["dataset", "model", "ordering", "final-acc", "best-acc"]);
@@ -226,143 +262,6 @@ pub fn render_profile(m: &MeasuredProfile) -> String {
     out
 }
 
-/// Render the threaded-executor validation block of `figures --profile`:
-/// measured per-stage service times and pool sizes, with the measured
-/// threaded throughput next to the tandem-queue prediction and the
-/// one-thread serial baseline.
-pub fn render_exec(
-    report: &ExecReport,
-    workers: &[usize; 8],
-    predicted: &PipelineReport,
-    serial_throughput: f64,
-) -> String {
-    let mut t = TextTable::new(&["stage", "workers", "service-ms/batch", "batches"]);
-    let service = report.mean_service_ns();
-    for (i, name) in bgl_exec::STAGE_NAMES.iter().enumerate() {
-        t.row(&[
-            (*name).into(),
-            workers[i].to_string(),
-            format!("{:.3}", service[i] as f64 / 1e6),
-            report.stage_batches[i].to_string(),
-        ]);
-    }
-    let measured = report.throughput();
-    let mut s = TextTable::new(&["source", "batches/s", "vs measured"]);
-    s.row(&["threaded (measured)".into(), format!("{:.1}", measured), "1.00x".into()]);
-    s.row(&[
-        "tandem sim (predicted)".into(),
-        format!("{:.1}", predicted.throughput()),
-        format!("{:.2}x", predicted.throughput() / measured.max(f64::MIN_POSITIVE)),
-    ]);
-    s.row(&[
-        "serial baseline".into(),
-        format!("{:.1}", serial_throughput),
-        format!("{:.2}x", serial_throughput / measured.max(f64::MIN_POSITIVE)),
-    ]);
-    format!(
-        "{}\n{} batches of trained work, wall {:.2}s\n{}",
-        t.render(),
-        report.batches_trained,
-        report.wall.as_secs_f64(),
-        s.render()
-    )
-}
-
-/// Render the checkpoint subsystem's `exec.ckpt.*` metrics after a
-/// checkpointing run: write count/bytes, the write-latency histogram
-/// summary, and the recovery counters (torn writes rejected, resumes).
-pub fn render_ckpt(reg: &bgl_obs::Registry) -> String {
-    let counter = |name: &str| {
-        reg.counters()
-            .into_iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    let write_ns = reg
-        .histograms()
-        .into_iter()
-        .find(|(k, _)| k == "exec.ckpt.write_ns")
-        .map(|(_, s)| s)
-        .unwrap_or_default();
-    let mut t = TextTable::new(&["metric", "value"]);
-    t.row(&["ckpt writes".into(), counter("exec.ckpt.writes").to_string()]);
-    t.row(&["ckpt bytes".into(), counter("exec.ckpt.bytes").to_string()]);
-    t.row(&[
-        "write latency mean".into(),
-        format!("{:.3} ms", write_ns.mean() / 1e6),
-    ]);
-    t.row(&[
-        "write latency max".into(),
-        format!("{:.3} ms", write_ns.max as f64 / 1e6),
-    ]);
-    t.row(&[
-        "torn writes rejected".into(),
-        counter("exec.ckpt.torn_writes_rejected").to_string(),
-    ]);
-    t.row(&["resumes".into(), counter("exec.ckpt.resumes").to_string()]);
-    t.render()
-}
-
-/// Render the durable disk tier's `store.disk.*` counters plus the WAL
-/// fsync-latency histogram as a metric/value table (the `--profile` disk
-/// panel, companion to [`render_ckpt`]).
-pub fn render_disk(reg: &bgl_obs::Registry) -> String {
-    let counter = |name: &str| {
-        reg.counters()
-            .into_iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
-    };
-    let fsync_ns = reg
-        .histograms()
-        .into_iter()
-        .find(|(k, _)| k == "store.disk.wal_fsync_ns")
-        .map(|(_, s)| s)
-        .unwrap_or_default();
-    let hits = counter("store.disk.hits");
-    let misses = counter("store.disk.misses");
-    let lookups = hits + misses;
-    let mut t = TextTable::new(&["metric", "value"]);
-    t.row(&["pool hits".into(), hits.to_string()]);
-    t.row(&["pool misses".into(), misses.to_string()]);
-    t.row(&[
-        "pool hit ratio".into(),
-        if lookups == 0 {
-            "n/a".into()
-        } else {
-            format!("{:.3}", hits as f64 / lookups as f64)
-        },
-    ]);
-    t.row(&["evictions".into(), counter("store.disk.evictions").to_string()]);
-    t.row(&["writebacks".into(), counter("store.disk.writebacks").to_string()]);
-    t.row(&["page reads".into(), counter("store.disk.page_reads").to_string()]);
-    t.row(&["page writes".into(), counter("store.disk.page_writes").to_string()]);
-    t.row(&["dw redos".into(), counter("store.disk.dw_redos").to_string()]);
-    t.row(&["wal appends".into(), counter("store.disk.wal_appends").to_string()]);
-    t.row(&["wal fsyncs".into(), counter("store.disk.wal_syncs").to_string()]);
-    t.row(&[
-        "wal fsync mean".into(),
-        format!("{:.1} \u{b5}s", fsync_ns.mean() / 1e3),
-    ]);
-    t.row(&[
-        "wal fsync max".into(),
-        format!("{:.1} \u{b5}s", fsync_ns.max as f64 / 1e3),
-    ]);
-    t.row(&[
-        "wal records replayed".into(),
-        counter("store.disk.wal_replayed").to_string(),
-    ]);
-    t.row(&[
-        "torn tails truncated".into(),
-        counter("store.disk.wal_torn_truncations").to_string(),
-    ]);
-    t.row(&["eio retries".into(), counter("store.disk.eio_retries").to_string()]);
-    t.row(&["recoveries".into(), counter("store.disk.recoveries").to_string()]);
-    t.render()
-}
-
 /// Render the §3.4 solver's output on the measured profile next to the
 /// paper's running example, one row per allocation.
 pub fn render_allocations(measured: &Allocation, paper: &Allocation) -> String {
@@ -387,417 +286,6 @@ pub fn render_allocations(measured: &Allocation, paper: &Allocation) -> String {
             a.b_ii.to_string(),
             format!("{:.6}", a.bottleneck),
             bound.into(),
-        ]);
-    }
-    t.render()
-}
-
-/// One cell of the churn sweep (`figures --churn`): a seeded churn stream
-/// at one (ops × re-merge period) point, with the post-churn partition
-/// quality measured against a from-scratch LDG repartition of the same
-/// merged graph and the training-side cache hit ratio measured under
-/// coherent invalidation.
-#[derive(Clone, Debug)]
-pub struct ChurnRow {
-    pub churn_ops: usize,
-    pub remerge_period: usize,
-    pub applied: u64,
-    pub rejected: u64,
-    pub invalidations: u64,
-    pub reassignments: u64,
-    pub remerges: u64,
-    pub online_cut: f64,
-    pub scratch_cut: f64,
-    pub online_balance: f64,
-    pub scratch_balance: f64,
-    pub cache_hit_ratio: f64,
-    pub mean_apply_ns: f64,
-}
-
-/// Run one churn cell: stand up a k-server in-process cluster with
-/// durable tiers over a community graph of `n` nodes, stream a seeded
-/// [`bgl_ingest::ChurnPlan`] through the [`bgl_ingest::IngestCoordinator`]
-/// while a training-style reader fetches locality-biased batches through
-/// an invalidation-coherent cache, re-merging every `remerge_period`
-/// applied ops.
-pub fn churn_cell(n: usize, ops: usize, remerge_period: usize) -> ChurnRow {
-    use bgl_cache::{FeatureCacheEngine, PolicyKind};
-    use bgl_graph::generate::{self, CommunityConfig};
-    use bgl_graph::{FeatureStore, NodeId};
-    use bgl_ingest::{ChurnPlan, IngestConfig, IngestCoordinator};
-    use bgl_partition::{LdgPartitioner, Partitioner};
-    use bgl_store::{DiskTierConfig, DurableFeatures, InProcessTransport, StoreCluster};
-    use rand::prelude::*;
-    use std::sync::Arc;
-
-    const DIM: usize = 4;
-    const K: usize = 4;
-    let g = Arc::new(generate::community_graph(
-        CommunityConfig { n, communities: 8, intra: 6, inter: 1 },
-        13,
-    ));
-    let mut f = FeatureStore::zeros(n, DIM);
-    for v in 0..n as u32 {
-        f.row_mut(v)[0] = v as f32;
-    }
-    let f = Arc::new(f);
-    let scratch = LdgPartitioner::new(5);
-    let p = scratch.partition(&g, &[], K);
-    let owner = Arc::new(p.assignment.clone());
-    let transport = InProcessTransport::new(g.clone(), f.clone(), owner.clone(), K, 5);
-    let mut dirs = Vec::new();
-    for i in 0..K {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!(
-            "bgl-bench-churn-{}-{}-{}-{}",
-            std::process::id(),
-            ops,
-            remerge_period,
-            i
-        ));
-        let cfg = DiskTierConfig::default().with_page_size(256).with_pool_pages(16);
-        let tier = DurableFeatures::create(&dir, &f, cfg).expect("create churn tier");
-        transport.server(i).unwrap().attach_disk_tier(tier);
-        dirs.push(dir);
-    }
-    let mut cluster = StoreCluster::with_transport(
-        Box::new(transport),
-        owner,
-        bgl_sim::network::NetworkModel::paper_fabric(),
-    );
-    // Physical migration off: the churn sweep pins bands on the *logical*
-    // map's quality; the migrate sweep measures physical movement.
-    let mut coord = IngestCoordinator::new(
-        &p,
-        IngestConfig { remerge_period, capacity_slack: 1.1, moves_per_period: 0 },
-    );
-    let reg = bgl_obs::Registry::enabled();
-    coord.attach_metrics(&reg);
-    // A GPU-level cache big enough to hold a working set but far smaller
-    // than the graph, so invalidation churn actually shows up in the hit
-    // ratio rather than vanishing into spare capacity.
-    let mut cache = FeatureCacheEngine::new(1, DIM, (n / 4).max(64), 0, PolicyKind::Lru, &[]);
-    let wl = cluster.worker_location();
-
-    let schedule = ChurnPlan::new(4242).ops(ops).mix(5, 3, 2).schedule(n, DIM);
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut reader = StdRng::seed_from_u64(7);
-    let mut anchor = 0u32;
-    for (step, op) in schedule.iter().enumerate() {
-        coord
-            .apply(&mut cluster, Some(&mut cache), op)
-            .expect("churn op applies");
-        if coord.remerge_due() {
-            coord.remerge(&mut cluster, &mut order, &[]);
-        }
-        // The concurrent trainer: locality-biased batches through the
-        // cache, misses filled from the (mutating) store. The anchor is
-        // sticky for a few batches — a proximity-aware order revisits a
-        // neighborhood before moving on — so there is reuse for the cache
-        // to capture and for invalidation to disturb.
-        let total = cluster.total_nodes() as u32;
-        if step % 8 == 0 {
-            anchor = reader.random_range(0..total);
-        }
-        let batch: Vec<NodeId> = (0..8)
-            .map(|_| {
-                let lo = anchor.saturating_sub(16);
-                let hi = anchor.saturating_add(16).min(total - 1);
-                reader.random_range(lo..=hi)
-            })
-            .collect();
-        cache.fetch_batch(0, &batch, &mut |ids| {
-            let (rows, _) = cluster.fetch_features(ids, wl).expect("fill from store");
-            rows.to_vec()
-        });
-    }
-    let merged = coord
-        .remerge(&mut cluster, &mut order, &[])
-        .expect("in-process cluster yields merged graph");
-    let q = coord.quality(&merged, &scratch);
-    let report = coord.report();
-    let stats = *cache.stats();
-    let hits = stats.gpu_local_hits + stats.gpu_peer_hits + stats.cpu_hits;
-    let lookups = hits + stats.misses;
-    let mean_apply_ns = reg
-        .histograms()
-        .into_iter()
-        .find(|(name, _)| name == "ingest.apply_latency_ns")
-        .map(|(_, h)| h.mean())
-        .unwrap_or(0.0);
-    for dir in dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    ChurnRow {
-        churn_ops: ops,
-        remerge_period,
-        applied: report.applied,
-        rejected: report.rejected,
-        invalidations: report.invalidations,
-        reassignments: report.reassignments,
-        remerges: report.remerges,
-        online_cut: q.online_cut,
-        scratch_cut: q.scratch_cut,
-        online_balance: q.online_balance,
-        scratch_balance: q.scratch_balance,
-        cache_hit_ratio: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-        mean_apply_ns,
-    }
-}
-
-/// Render the churn sweep (`figures --churn`).
-pub fn render_churn(rows: &[ChurnRow]) -> String {
-    let mut t = TextTable::new(&[
-        "ops",
-        "merge-every",
-        "applied",
-        "rejected",
-        "invalidated",
-        "moved",
-        "merges",
-        "cut",
-        "scratch-cut",
-        "bal",
-        "scratch-bal",
-        "hit-ratio",
-        "apply-ns",
-    ]);
-    for r in rows {
-        t.row(&[
-            r.churn_ops.to_string(),
-            r.remerge_period.to_string(),
-            r.applied.to_string(),
-            r.rejected.to_string(),
-            r.invalidations.to_string(),
-            r.reassignments.to_string(),
-            r.remerges.to_string(),
-            format!("{:.3}", r.online_cut),
-            format!("{:.3}", r.scratch_cut),
-            format!("{:.2}", r.online_balance),
-            format!("{:.2}", r.scratch_balance),
-            format!("{:.2}", r.cache_hit_ratio),
-            format!("{:.0}", r.mean_apply_ns),
-        ]);
-    }
-    t.render()
-}
-
-/// One cell of the migration sweep (`figures --migrate`): the same seeded
-/// churn stream as the churn sweep, but with physical migration draining
-/// at a given per-period budget. Measures how closely the physical
-/// placement tracks the logical map (lag + the two edge cuts), what the
-/// movement cost (committed moves, copied bytes, invalidations), and that
-/// rebalancing never loses or double-owns a row.
-#[derive(Clone, Debug)]
-pub struct MigrateRow {
-    pub churn_ops: usize,
-    pub moves_per_period: usize,
-    pub planned: u64,
-    pub committed: u64,
-    pub aborted: u64,
-    pub repaired: u64,
-    pub skipped: u64,
-    pub backlog: usize,
-    pub copy_bytes: u64,
-    pub invalidations: u64,
-    /// Fraction of nodes whose physical owner still trails the logical
-    /// map when the stream ends (backlog the budget hasn't drained yet).
-    pub physical_lag: f64,
-    /// Edge-cut fraction of the logical (refined) map.
-    pub logical_cut: f64,
-    /// Edge-cut fraction of the *physical* owner map — what fetches
-    /// actually pay. Converges toward `logical_cut` as the budget grows.
-    pub physical_cut: f64,
-    /// Nodes no server serves (must be 0).
-    pub lost_rows: usize,
-    /// Nodes whose primary ownership is claimed by more than one server
-    /// (must be 0).
-    pub dup_rows: usize,
-}
-
-/// Run one migration cell: the churn-cell substrate (k-server in-process
-/// cluster, durable tiers, community graph, seeded churn + cache reader)
-/// with [`bgl_ingest::IngestConfig::moves_per_period`] set to `budget`,
-/// so each re-merge drains physical migrations behind the refinement
-/// pass.
-pub fn migrate_cell(n: usize, ops: usize, budget: usize) -> MigrateRow {
-    use bgl_cache::{FeatureCacheEngine, PolicyKind};
-    use bgl_graph::generate::{self, CommunityConfig};
-    use bgl_graph::{FeatureStore, NodeId};
-    use bgl_ingest::{ChurnPlan, IngestConfig, IngestCoordinator};
-    use bgl_partition::metrics::edge_cut_fraction;
-    use bgl_partition::{LdgPartitioner, Partition, Partitioner};
-    use bgl_store::{DiskTierConfig, DurableFeatures, InProcessTransport, StoreCluster};
-    use rand::prelude::*;
-    use std::sync::Arc;
-
-    const DIM: usize = 4;
-    const K: usize = 4;
-    const REMERGE_PERIOD: usize = 32;
-    let g = Arc::new(generate::community_graph(
-        CommunityConfig { n, communities: 8, intra: 6, inter: 1 },
-        13,
-    ));
-    let mut f = FeatureStore::zeros(n, DIM);
-    for v in 0..n as u32 {
-        f.row_mut(v)[0] = v as f32;
-    }
-    let f = Arc::new(f);
-    let scratch = LdgPartitioner::new(5);
-    let p = scratch.partition(&g, &[], K);
-    let owner = Arc::new(p.assignment.clone());
-    let transport = InProcessTransport::new(g.clone(), f.clone(), owner.clone(), K, 5);
-    let mut dirs = Vec::new();
-    for i in 0..K {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!(
-            "bgl-bench-migrate-{}-{}-{}-{}",
-            std::process::id(),
-            ops,
-            budget,
-            i
-        ));
-        let cfg = DiskTierConfig::default().with_page_size(256).with_pool_pages(16);
-        let tier = DurableFeatures::create(&dir, &f, cfg).expect("create migrate tier");
-        transport.server(i).unwrap().attach_disk_tier(tier);
-        dirs.push(dir);
-    }
-    let mut cluster = StoreCluster::with_transport(
-        Box::new(transport),
-        owner,
-        bgl_sim::network::NetworkModel::paper_fabric(),
-    );
-    let mut coord = IngestCoordinator::new(
-        &p,
-        IngestConfig {
-            remerge_period: REMERGE_PERIOD,
-            capacity_slack: 1.1,
-            moves_per_period: budget,
-        },
-    );
-    let mut cache = FeatureCacheEngine::new(1, DIM, (n / 4).max(64), 0, PolicyKind::Lru, &[]);
-    let wl = cluster.worker_location();
-
-    let schedule = ChurnPlan::new(4242).ops(ops).mix(5, 3, 2).schedule(n, DIM);
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut reader = StdRng::seed_from_u64(7);
-    let mut anchor = 0u32;
-    for (step, op) in schedule.iter().enumerate() {
-        coord
-            .apply(&mut cluster, Some(&mut cache), op)
-            .expect("churn op applies");
-        if coord.remerge_due() {
-            coord.remerge_with_cache(&mut cluster, Some(&mut cache), &mut order, &[]);
-        }
-        // The same locality-biased concurrent reader as the churn sweep:
-        // migrations must stay invisible to it beyond cache invalidations.
-        let total = cluster.total_nodes() as u32;
-        if step % 8 == 0 {
-            anchor = reader.random_range(0..total);
-        }
-        let batch: Vec<NodeId> = (0..8)
-            .map(|_| {
-                let lo = anchor.saturating_sub(16);
-                let hi = anchor.saturating_add(16).min(total - 1);
-                reader.random_range(lo..=hi)
-            })
-            .collect();
-        cache.fetch_batch(0, &batch, &mut |ids| {
-            let (rows, _) = cluster.fetch_features(ids, wl).expect("fill from store");
-            rows.to_vec()
-        });
-    }
-    let merged = coord
-        .remerge_with_cache(&mut cluster, Some(&mut cache), &mut order, &[])
-        .expect("in-process cluster yields merged graph");
-
-    // Physical owner map + the no-lost/no-dup sweep, straight from the
-    // servers' own views.
-    let total = cluster.total_nodes();
-    let mut physical = Vec::with_capacity(total);
-    let mut lost_rows = 0usize;
-    let mut dup_rows = 0usize;
-    let mut lag = 0usize;
-    for v in 0..total as u32 {
-        let primaries: Vec<u32> = (0..K as u32)
-            .filter(|&i| {
-                cluster
-                    .in_process_server(i as usize)
-                    .map(|s| s.owner_view(v) == Some(i) && s.serves(v))
-                    .unwrap_or(false)
-            })
-            .collect();
-        match primaries.len() {
-            0 => lost_rows += 1,
-            1 => {}
-            _ => dup_rows += 1,
-        }
-        let owner = primaries.first().copied().unwrap_or(0);
-        physical.push(owner);
-        if coord.assigner().part_of(v) != Some(owner) {
-            lag += 1;
-        }
-    }
-    let physical = Partition::new(K, physical);
-    let logical = coord.assigner().partition();
-    let report = coord.planner().report();
-    let backlog = coord.planner().backlog_len();
-    for dir in dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    MigrateRow {
-        churn_ops: ops,
-        moves_per_period: budget,
-        planned: report.planned,
-        committed: report.committed,
-        aborted: report.aborted,
-        repaired: report.repaired,
-        skipped: report.skipped,
-        backlog,
-        copy_bytes: report.copy_bytes,
-        invalidations: report.invalidations,
-        physical_lag: if total == 0 { 0.0 } else { lag as f64 / total as f64 },
-        logical_cut: edge_cut_fraction(&merged, &logical),
-        physical_cut: edge_cut_fraction(&merged, &physical),
-        lost_rows,
-        dup_rows,
-    }
-}
-
-/// Render the migration sweep (`figures --migrate`).
-pub fn render_migrate(rows: &[MigrateRow]) -> String {
-    let mut t = TextTable::new(&[
-        "ops",
-        "budget",
-        "planned",
-        "committed",
-        "aborted",
-        "repaired",
-        "backlog",
-        "copy-bytes",
-        "invalidated",
-        "lag",
-        "logical-cut",
-        "physical-cut",
-        "lost",
-        "dup",
-    ]);
-    for r in rows {
-        t.row(&[
-            r.churn_ops.to_string(),
-            r.moves_per_period.to_string(),
-            r.planned.to_string(),
-            r.committed.to_string(),
-            r.aborted.to_string(),
-            r.repaired.to_string(),
-            r.backlog.to_string(),
-            r.copy_bytes.to_string(),
-            r.invalidations.to_string(),
-            format!("{:.3}", r.physical_lag),
-            format!("{:.3}", r.logical_cut),
-            format!("{:.3}", r.physical_cut),
-            r.lost_rows.to_string(),
-            r.dup_rows.to_string(),
         ]);
     }
     t.render()
@@ -836,19 +324,45 @@ mod tests {
         assert!(s.contains("bgl"));
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
-    fn disk_panel_renders_published_counters() {
-        let reg = bgl_obs::Registry::enabled();
-        reg.counter("store.disk.hits").add(9);
-        reg.counter("store.disk.misses").add(1);
-        reg.counter("store.disk.wal_appends").add(3);
-        reg.histogram("store.disk.wal_fsync_ns").record(2_000);
-        let s = render_disk(&reg);
-        assert!(s.contains("pool hit ratio"));
-        assert!(s.contains("0.900"));
-        assert!(s.contains("wal appends"));
-        // An empty registry still renders (zeros, n/a ratio).
-        let s = render_disk(&bgl_obs::Registry::enabled());
-        assert!(s.contains("n/a"));
+    fn empty_args_mean_all() {
+        let f = parse_flags(&[]).unwrap();
+        assert!(f.named("all") && f.want("fig11") && !f.named("profile"));
+        assert!(!f.small && f.out.is_none());
+        // Modifiers alone still mean --all.
+        let f = parse_flags(&args(&["--small", "--out", "/tmp/x"])).unwrap();
+        assert!(f.small && f.want("tab3"));
+        assert_eq!(f.out, Some(PathBuf::from("/tmp/x")));
+    }
+
+    #[test]
+    fn named_modes_select_only_themselves() {
+        let f = parse_flags(&args(&["--fig5a", "--profile"])).unwrap();
+        assert!(f.want("fig5a") && f.named("profile"));
+        assert!(!f.want("fig5b") && !f.named("all"));
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_with_the_valid_list() {
+        for bad in ["--fig99", "fig2", "--", "-small"] {
+            let err = parse_flags(&args(&["--fig2", bad])).unwrap_err();
+            assert!(err.contains(bad) && err.contains("--fig5a") && err.contains("--out <dir>"));
+        }
+        assert!(parse_flags(&args(&["--out"])).unwrap_err().contains("directory"));
+    }
+
+    #[test]
+    fn retired_flag_points_at_bgl_bench() {
+        for flag in ["--disk", "--serve", "--churn", "--migrate"] {
+            let err = parse_flags(&args(&[flag, "--small"])).unwrap_err();
+            assert!(err.contains("moved to `bash crates/bgl-bench/run.sh --workload"), "{err}");
+            assert!(err.starts_with(flag), "{err}");
+        }
+        let err = parse_flags(&args(&["--serve"])).unwrap_err();
+        assert!(err.ends_with("--workload serve-sweep`"), "{err}");
     }
 }

@@ -1105,35 +1105,8 @@ impl ExperimentCtx {
 }
 
 // ---------------------------------------------------------------------
-// Serving — the `figures --serve` arrival-rate sweep (bgl-serve)
+// Serving — the online-inference stack (bgl-serve)
 // ---------------------------------------------------------------------
-
-/// One point of the open-loop serving sweep: an offered arrival rate
-/// against one front-end configuration.
-#[derive(Clone, Debug, Serialize)]
-pub struct ServeRateRow {
-    pub label: String,
-    pub rate_hz: f64,
-    pub max_batch: usize,
-    pub replication: usize,
-    pub offered: u64,
-    pub accepted: u64,
-    pub shed: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub throughput_rps: f64,
-    /// Exact quantiles by reference sort over every completed request's
-    /// front-end latency (microseconds).
-    pub p50_us: u64,
-    pub p99_us: u64,
-    pub p999_us: u64,
-    /// p99 re-read from the `serve.latency_us` log2 histogram. Bucketed
-    /// percentiles report the bucket's *upper bound*, so this must never
-    /// undercut the exact `p99_us` — the figures panel asserts it.
-    pub hist_p99_us: u64,
-    /// Mean micro-batch size the driver actually formed at this rate.
-    pub mean_batch: f64,
-}
 
 impl ExperimentCtx {
     /// Build the online-serving stack over the User-Item dataset (the
@@ -1192,68 +1165,5 @@ impl ExperimentCtx {
             self.seed,
         );
         (engine, users)
-    }
-
-    /// One sweep point: a fresh stack and a fresh enabled registry, one
-    /// seeded open-loop run at `rate_hz`, then the ledger read back from
-    /// both the exact report and the `serve.*` metrics.
-    pub fn serve_rate_point(
-        &self,
-        label: &str,
-        cfg: &bgl_serve::ServeConfig,
-        replication: usize,
-        plan: Option<FaultPlan>,
-        rate_hz: f64,
-        n: usize,
-    ) -> ServeRateRow {
-        let (engine, users) = self.serve_stack(replication, plan);
-        let reg = bgl_obs::Registry::enabled();
-        let mut fe = bgl_serve::ServeFrontend::new(engine, cfg.clone(), &reg);
-        fe.start();
-        let handle = fe.handle();
-        let report = bgl_serve::open_loop(&handle, &users, rate_hz, n, self.seed);
-        fe.shutdown();
-        ServeRateRow {
-            label: label.to_string(),
-            rate_hz,
-            max_batch: cfg.max_batch,
-            replication,
-            offered: report.offered,
-            accepted: report.accepted,
-            shed: report.shed,
-            completed: report.completed,
-            failed: report.failed(),
-            throughput_rps: report.throughput_rps(),
-            p50_us: report.percentile_us(0.50),
-            p99_us: report.percentile_us(0.99),
-            p999_us: report.percentile_us(0.999),
-            hist_p99_us: reg
-                .histogram("serve.latency_us")
-                .snapshot()
-                .percentile(0.99),
-            mean_batch: reg.histogram("serve.batch_size").snapshot().mean(),
-        }
-    }
-
-    /// The `figures --serve` sweep: at each offered rate, the default
-    /// micro-batching front-end vs the same front-end pinned to
-    /// `max_batch = 1`, plus a chaos leg where a seeded [`FaultPlan`]
-    /// crashes store server 0 mid-run under `replication = 2`. Batching
-    /// should push the saturation knee right; the chaos leg should bend
-    /// the latency curve without dropping accepted requests.
-    pub fn serve_sweep(&self, rates: &[f64], n: usize) -> Vec<ServeRateRow> {
-        let batched = bgl_serve::ServeConfig::default();
-        let serial = bgl_serve::ServeConfig { max_batch: 1, ..batched.clone() };
-        let mut rows = Vec::new();
-        for &rate in rates {
-            rows.push(self.serve_rate_point("batched", &batched, 1, None, rate, n));
-            rows.push(self.serve_rate_point("serial", &serial, 1, None, rate, n));
-            // Crash outlives the run: every request after the kill must be
-            // answered by the replica, not by the primary coming back.
-            let plan =
-                FaultPlan::new(self.seed).crash(0, (n as u64) / 4, 500 * MILLISECOND);
-            rows.push(self.serve_rate_point("chaos-r2", &batched, 2, Some(plan), rate, n));
-        }
-        rows
     }
 }

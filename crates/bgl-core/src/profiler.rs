@@ -297,9 +297,9 @@ impl ExperimentCtx {
 }
 
 impl MeasuredProfile {
-    /// Serialize for `results/BENCH_profile.json` — rendered through
-    /// [`bgl_obs::json`] so the artifact is identical under every build of
-    /// the workspace.
+    /// Serialize for `figures --profile` (`profile_stages.json`) —
+    /// rendered through [`bgl_obs::json`] so the artifact is identical
+    /// under every build of the workspace.
     pub fn to_json(&self) -> String {
         use bgl_obs::json::Json;
         let p = &self.profile;

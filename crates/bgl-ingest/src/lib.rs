@@ -57,10 +57,12 @@ mod tests {
     use bgl_cache::{FeatureCacheEngine, PolicyKind};
     use bgl_graph::generate::{self, CommunityConfig};
     use bgl_graph::{Csr, FeatureStore, NodeId};
-    use bgl_partition::{LdgPartitioner, Partitioner};
+    use bgl_partition::metrics::edge_cut_fraction;
+    use bgl_partition::{LdgPartitioner, Partition, Partitioner};
     use bgl_sampler::TrainOrdering;
     use bgl_sim::network::NetworkModel;
     use bgl_store::{DiskTierConfig, DurableFeatures, InProcessTransport, StoreCluster};
+    use rand::prelude::*;
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -107,6 +109,31 @@ mod tests {
         (g, cluster, coord, dirs)
     }
 
+    /// Apply `schedule`, re-merging (and draining migrations) whenever due
+    /// and once more at the end; returns the final merged graph.
+    fn stream(
+        cluster: &mut StoreCluster,
+        coord: &mut IngestCoordinator,
+        schedule: &[ChurnOp],
+    ) -> Arc<Csr> {
+        let mut order = Vec::new();
+        for op in schedule {
+            coord.apply(cluster, None, op).unwrap();
+            if coord.remerge_due() {
+                coord.remerge(cluster, &mut order, &[]);
+            }
+        }
+        coord.remerge(cluster, &mut order, &[]).expect("in-process cluster yields merged graph")
+    }
+
+    /// Fetch `ids` through `cache`, filling misses from the live store.
+    fn read_through(cache: &mut FeatureCacheEngine, cluster: &mut StoreCluster, ids: &[NodeId]) {
+        let w = cluster.worker_location();
+        cache.fetch_batch(0, ids, &mut |missing| {
+            cluster.fetch_features(missing, w).expect("fill from store").0.to_vec()
+        });
+    }
+
     fn cleanup(dirs: Vec<PathBuf>) {
         for dir in dirs {
             std::fs::remove_dir_all(dir).ok();
@@ -127,12 +154,30 @@ mod tests {
 
         let plan = ChurnPlan::new(21).ops(120).mix(5, 3, 2);
         let schedule = plan.schedule(cluster.total_nodes(), DIM);
-        let mut saw_update_of_7 = false;
-        for op in &schedule {
-            if matches!(op, ChurnOp::UpdateFeature { v: 7, .. }) {
-                saw_update_of_7 = true;
+        let mut updates = 0u64;
+        // The concurrent trainer: locality-biased batches through the
+        // cache, misses filled from the mutating store. The anchor is
+        // sticky for a few batches — a proximity-aware order revisits a
+        // neighborhood before moving on — so there is reuse for the cache
+        // to capture and for invalidation to disturb.
+        let mut reader = StdRng::seed_from_u64(7);
+        let mut anchor = 0u32;
+        for (step, op) in schedule.iter().enumerate() {
+            if let ChurnOp::UpdateFeature { v, .. } = op {
+                // The stale-read hazard: the trainer holds v's row at the
+                // moment its update commits.
+                read_through(&mut cache, &mut cluster, &[*v]);
+                updates += 1;
             }
             coord.apply(&mut cluster, Some(&mut cache), op).unwrap();
+            let total = cluster.total_nodes() as u32;
+            if step % 8 == 0 {
+                anchor = reader.random_range(0..total);
+            }
+            let lo = anchor.saturating_sub(16);
+            let hi = anchor.saturating_add(16).min(total - 1);
+            let batch: Vec<NodeId> = (0..8).map(|_| reader.random_range(lo..=hi)).collect();
+            read_through(&mut cache, &mut cluster, &batch);
         }
         let report = coord.report();
         assert!(report.applied > 100, "most ops must land: {:?}", report);
@@ -143,15 +188,20 @@ mod tests {
             "logical map tracks the store"
         );
 
-        // Cache coherence: a fresh fetch of any updated node returns the
+        // Cache coherence: every update found its row resident and dropped
+        // exactly it, and a fresh fetch of an updated node returns the
         // store's current row, not the warmed one.
-        if saw_update_of_7 {
-            assert!(report.invalidations > 0);
-        }
+        assert!(updates > 0, "the mix schedules feature updates");
+        assert_eq!(report.invalidations, updates);
         let (fresh, _) = cluster.fetch_features(&[7], w).unwrap();
         let store_row = fresh.to_vec();
         let res = cache.fetch_batch(0, &[7], &mut |_ids| store_row.clone());
         assert_eq!(res.features, store_row, "cache serves the committed row");
+
+        // Invalidation stays per-row: the reader keeps hitting through the
+        // churn.
+        let hit_ratio = cache.stats().hit_ratio();
+        assert!(hit_ratio >= 0.30, "invalidation churn sank the hit ratio to {hit_ratio:.2}");
 
         // Counters mirror the report.
         let counters: std::collections::BTreeMap<_, _> =
@@ -232,14 +282,7 @@ mod tests {
         // No feature updates in the mix: base rows keep their seeded
         // values, so a migrated row's bytes are checkable by eye.
         let schedule = ChurnPlan::new(51).ops(200).mix(5, 3, 0).schedule(400, DIM);
-        let mut order = Vec::new();
-        for op in &schedule {
-            coord.apply(&mut cluster, None, op).unwrap();
-            if coord.remerge_due() {
-                coord.remerge(&mut cluster, &mut order, &[]);
-            }
-        }
-        coord.remerge(&mut cluster, &mut order, &[]);
+        stream(&mut cluster, &mut coord, &schedule);
         let r = coord.planner().report();
         assert!(r.committed > 0, "refinement must drive physical moves: {r:?}");
         assert_eq!(r.aborted, 0, "no faults injected, so no aborts: {r:?}");
@@ -262,6 +305,45 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 50);
+        cleanup(dirs);
+    }
+
+    #[test]
+    fn partial_budget_keeps_the_physical_cut_near_the_logical_one() {
+        // A drain budget far below what refinement queues: placement trails
+        // the logical map, yet the cut fetches actually pay must stay within
+        // 0.10 of the logical one, and rebalancing must never lose a row or
+        // leave one claimed by two primaries.
+        const K: usize = 4;
+        let cfg = IngestConfig { remerge_period: 32, capacity_slack: 1.1, moves_per_period: 2 };
+        let (_, mut cluster, mut coord, dirs) = setup_cfg(K, "partial", cfg);
+        let schedule = ChurnPlan::new(4242).ops(160).mix(5, 3, 2).schedule(400, DIM);
+        let merged = stream(&mut cluster, &mut coord, &schedule);
+        let r = coord.planner().report();
+        assert!(r.committed > 0, "a non-zero budget must move bytes: {r:?}");
+        assert!(coord.planner().backlog_len() > 0, "budget 2 cannot drain the backlog: {r:?}");
+
+        // The physical owner map, straight from the servers' own views.
+        let (mut lost, mut dup) = (0, 0);
+        let physical: Vec<u32> = (0..cluster.total_nodes() as u32)
+            .map(|v| {
+                let mut primaries = (0..K as u32).filter(|&i| {
+                    let s = cluster.in_process_server(i as usize).unwrap();
+                    s.owner_view(v) == Some(i) && s.serves(v)
+                });
+                let owner = primaries.next();
+                lost += owner.is_none() as usize;
+                dup += primaries.next().is_some() as usize;
+                owner.unwrap_or(0)
+            })
+            .collect();
+        assert_eq!((lost, dup), (0, 0), "lost / doubly-owned rows");
+        let physical_cut = edge_cut_fraction(&merged, &Partition::new(K, physical));
+        let logical_cut = edge_cut_fraction(&merged, &coord.assigner().partition());
+        assert!(
+            physical_cut <= logical_cut + 0.10,
+            "physical cut {physical_cut:.3} trails logical {logical_cut:.3} + 0.10"
+        );
         cleanup(dirs);
     }
 

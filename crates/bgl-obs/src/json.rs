@@ -1,6 +1,6 @@
 //! Minimal dependency-free JSON value: render and parse.
 //!
-//! Used by the chrome-trace exporter and the `BENCH_profile.json` writer so
+//! Used by the chrome-trace exporter and the `figures --profile` writer so
 //! emitted artifacts are valid JSON regardless of how the surrounding build
 //! environment provides (or stubs) serde. The parser exists for validation:
 //! `parse(&rendered)` round-trips everything `render` can produce.

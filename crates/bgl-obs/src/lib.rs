@@ -11,8 +11,8 @@
 //! Design:
 //! - [`Registry`] is a cheap clonable handle. `Registry::disabled()` holds no
 //!   allocation at all; every handle minted from it is a `None` and each
-//!   `add`/`record` call is a branch on an `Option` (verified by the
-//!   `metrics_overhead` criterion bench).
+//!   `add`/`record` call is a branch on an `Option` (what leaving it
+//!   enabled costs is `trace.overhead_share` in `BENCHMARK.json`).
 //! - Handles ([`Counter`], [`Gauge`], [`Histogram`]) are resolved once by
 //!   name and then updated lock-free via atomics; the registry's name maps
 //!   are only locked at registration and export time.

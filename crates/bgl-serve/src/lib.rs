@@ -21,7 +21,7 @@
 //!   with the typed, retryable [`ServeError::Overloaded`] instead of
 //!   queueing without bound — `bgl-exec`'s bounded-channel discipline
 //!   applied at the request edge.
-//! * **SLO accounting** ([`frontend`], rendered by `figures --serve`):
+//! * **SLO accounting** ([`frontend`]):
 //!   per-request latency lands in the `serve.latency_us` log2 histogram
 //!   (p50/p99/p999 via [`bgl_obs::HistogramSnapshot::percentile`]) and
 //!   the `serve.*` counters form a ledger — `accepted = completed +
@@ -31,8 +31,8 @@
 //! [`net`] exposes the same front-end over TCP as a frame handler on
 //! `bgl-net`'s connection runtime (`Query`/`QueryOk`/`QueryErr` frames)
 //! plus a typed client over its dialer, and [`loadgen`] provides the
-//! seeded open-loop load generator (Poisson arrivals) that drives the
-//! throughput/latency knee sweep in `results/BENCH_serve.json`.
+//! seeded open-loop load generator (Poisson arrivals) the serving tests
+//! drive it with.
 
 pub mod engine;
 pub mod frontend;

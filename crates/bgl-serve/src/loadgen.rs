@@ -12,8 +12,8 @@
 //!
 //! The report keeps *exact* sorted latencies; [`LoadReport::percentile_us`]
 //! is a reference-sort quantile, deliberately independent of the
-//! `serve.latency_us` log2 histogram so the two estimates cross-check in
-//! the figures panel.
+//! `serve.latency_us` log2 histogram so the two estimates cross-check
+//! (`latency_histogram_percentiles_upper_bound_the_exact_sort`).
 
 use crate::frontend::{ServeHandle, Ticket};
 use bgl_net::query::QueryError;
@@ -59,15 +59,6 @@ impl LoadReport {
         let p = p.clamp(0.0, 1.0);
         let rank = ((p * self.latencies_us.len() as f64).ceil() as usize).max(1);
         self.latencies_us[rank - 1]
-    }
-
-    /// Completed requests per second of wall time.
-    pub fn throughput_rps(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.completed as f64 / secs
     }
 }
 

@@ -28,10 +28,10 @@
 //! file at a deterministic byte and the whole recovery path can be proven
 //! bitwise-faithful (see `tests/disk_recovery.rs`).
 
-use crate::bufpool::{BufPoolStats, BufferPool, DiskPolicyKind};
+use crate::bufpool::{BufferPool, DiskPolicyKind};
 use crate::obs::DiskMetrics;
 use crate::pager::{
-    BackingFile, DiskError, FaultFile, IoFaultInjector, IoFaultPlan, Pager, PagerStats, RealFile,
+    BackingFile, DiskError, FaultFile, IoFaultInjector, IoFaultPlan, Pager, RealFile,
     ShadowFile,
 };
 use crate::wal::{Wal, WalRecord, WalStats};
@@ -461,16 +461,8 @@ impl DurableFeatures {
         Ok(())
     }
 
-    pub fn pool_stats(&self) -> BufPoolStats {
-        self.pool.stats
-    }
-
     pub fn wal_stats(&self) -> WalStats {
         self.wal.stats
-    }
-
-    pub fn pager_stats(&self) -> PagerStats {
-        self.pool.pager().stats
     }
 
     /// Mirror the tier's counters into its registry (delta-published).

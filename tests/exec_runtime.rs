@@ -17,7 +17,6 @@
 mod common;
 
 use bgl_exec::{run, run_serial, spawn, ExecConfig};
-use bgl_obs::json::Json;
 use bgl_obs::Registry;
 use bgl_sim::MILLISECOND;
 use bgl_store::{FaultPlan, RetryPolicy};
@@ -73,7 +72,7 @@ fn threaded_matches_serial_bitwise() {
 }
 
 /// Satellite 2: simulator-vs-executor validation plus the pipelining
-/// speedup, both recorded in `results/BENCH_exec.json`.
+/// speedup.
 ///
 /// Synthetic per-stage service floors (milliseconds, far above debug-build
 /// noise) pin the stage times; the run then *measures* them and feeds the
@@ -157,33 +156,6 @@ fn simulator_predicts_measured_throughput() {
         }
     }
 
-    // Record both sides of the comparison (acceptance artifact).
-    let stages: Vec<Json> = bgl_exec::STAGE_NAMES
-        .iter()
-        .zip(threaded.mean_service_ns().iter())
-        .zip(workers.iter())
-        .map(|((name, &ns), &w)| {
-            Json::Obj(vec![
-                ("stage".to_string(), Json::Str(name.to_string())),
-                ("workers".to_string(), Json::U64(w as u64)),
-                ("mean_service_ns".to_string(), Json::U64(ns)),
-            ])
-        })
-        .collect();
-    let doc = Json::Obj(vec![
-        ("batches".to_string(), Json::U64(threaded.batches_trained as u64)),
-        ("batch_size".to_string(), Json::U64(BATCH as u64)),
-        ("measured_throughput".to_string(), Json::F64(measured)),
-        ("serial_throughput".to_string(), Json::F64(serial.throughput())),
-        ("predicted_throughput".to_string(), Json::F64(predicted.throughput())),
-        ("predicted_over_measured".to_string(), Json::F64(ratio)),
-        ("speedup_over_serial".to_string(), Json::F64(speedup)),
-        ("host_cores".to_string(), Json::U64(cores as u64)),
-        ("stages".to_string(), Json::Arr(stages)),
-    ]);
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(dir.join("BENCH_exec.json"), doc.render()).expect("write BENCH_exec.json");
 }
 
 /// Satellite 3a: a primary server crash mid-epoch under r=2 replication

@@ -11,7 +11,8 @@
 //! 3. **Robustness** — killing a TCP store server mid-load under r=2
 //!    leaves no request hanging: every accepted query completes via
 //!    failover or fails typed-retryable, and the `serve.*` /
-//!    `net.reconnects` counters reconcile with the load report.
+//!    `net.reconnects` counters reconcile with the load report; an
+//!    in-process crash under r=2 fails no accepted query at all.
 //! 4. **SLO accounting** — the `serve.latency_us` log2 histogram's
 //!    percentile (upper-bound-of-bucket semantics) never undercuts the
 //!    exact reference sort over the same latencies.
@@ -27,7 +28,8 @@ use bgl_serve::{
     open_loop, spawn_serve_server, ServeClient, ServeConfig, ServeEngine, ServeFrontend,
 };
 use bgl_sim::network::NetworkModel;
-use bgl_store::{RetryPolicy, StoreCluster};
+use bgl_sim::MILLISECOND;
+use bgl_store::{FaultPlan, RetryPolicy, StoreCluster};
 use std::time::{Duration, Instant};
 
 fn counter(reg: &Registry, name: &str) -> u64 {
@@ -262,6 +264,31 @@ fn latency_histogram_percentiles_upper_bound_the_exact_sort() {
             report.percentile_us(p)
         );
     }
+}
+
+/// Claim 3, in-process: a seeded [`FaultPlan`] crashes store server 0 a
+/// quarter of the way into the run and the outage outlives it, so under
+/// r=2 every later request must be answered by the replica — failover,
+/// not failure: no accepted query may fail.
+#[test]
+fn store_crash_under_replication_fails_no_accepted_query() {
+    let ctx = ExperimentCtx::small();
+    let n = 200;
+    let plan = FaultPlan::new(ctx.seed).crash(0, n as u64 / 4, 500 * MILLISECOND);
+    let (mut engine, users) = ctx.serve_stack(2, Some(plan));
+    let reg = Registry::enabled();
+    engine.cluster_mut().attach_metrics(&reg);
+    let mut fe = ServeFrontend::new(engine, ServeConfig::default(), &reg);
+    fe.start();
+    let handle = fe.handle();
+    let report = open_loop(&handle, &users, 2_000.0, n, 0xC4A05);
+    fe.shutdown();
+
+    assert_eq!(report.offered, n as u64);
+    assert_eq!(report.offered, report.accepted + report.shed);
+    assert_eq!(report.failed(), 0, "r=2 must fail over, not fail requests: {:?}", report.failures);
+    assert_eq!(report.accepted, report.completed);
+    assert!(counter(&reg, "store.failovers") > 0, "the crash must have fired");
 }
 
 /// Claim 3: the chaos leg. The engine's store transport runs over real
