@@ -18,10 +18,10 @@
 //! slow miss resolution never blocks reading the other shards'
 //! already-computed replies.
 
-use crate::metrics::{CacheMetricSet, MetricsPublisher};
 use crate::policy::PolicyKind;
-use crate::stats::{AtomicCacheStats, CacheStats};
+use crate::stats::CacheStats;
 use bgl_graph::NodeId;
+use bgl_obs::{AtomicLedger, Mirror};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -109,15 +109,15 @@ pub struct QueueShardedCache {
     handles: Vec<JoinHandle<()>>,
     num_shards: usize,
     dim: usize,
-    shared: Arc<AtomicCacheStats>,
-    metrics: Mutex<MetricsPublisher>,
+    shared: Arc<AtomicLedger<CacheStats>>,
+    metrics: Mutex<Mirror<CacheStats>>,
 }
 
 impl QueueShardedCache {
     /// Spawn `num_shards` owner threads, each with `capacity` slots.
     pub fn new(num_shards: usize, dim: usize, capacity: usize, kind: PolicyKind) -> Self {
         assert!(num_shards >= 1 && dim >= 1);
-        let shared = Arc::new(AtomicCacheStats::default());
+        let shared = Arc::new(AtomicLedger::<CacheStats>::default());
         let mut senders = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
         for _ in 0..num_shards {
@@ -180,13 +180,13 @@ impl QueueShardedCache {
             num_shards,
             dim,
             shared,
-            metrics: Mutex::new(MetricsPublisher::default()),
+            metrics: Mutex::new(Mirror::default()),
         }
     }
 
     /// Mirror this cache's counters into `reg` under `cache.queue.*`.
     pub fn attach_metrics(&self, reg: &bgl_obs::Registry) {
-        *lock(&self.metrics) = MetricsPublisher::new(CacheMetricSet::attach(reg, "cache.queue"));
+        *lock(&self.metrics) = Mirror::attach(reg, "cache.queue");
     }
 
     fn publish_metrics(&self) {
@@ -338,8 +338,8 @@ impl ShardedCache for QueueShardedCache {
 pub struct MutexShardedCache {
     shards: Vec<Arc<Mutex<Shard>>>,
     dim: usize,
-    shared: AtomicCacheStats,
-    metrics: Mutex<MetricsPublisher>,
+    shared: AtomicLedger<CacheStats>,
+    metrics: Mutex<Mirror<CacheStats>>,
 }
 
 impl MutexShardedCache {
@@ -350,14 +350,14 @@ impl MutexShardedCache {
         MutexShardedCache {
             shards,
             dim,
-            shared: AtomicCacheStats::default(),
-            metrics: Mutex::new(MetricsPublisher::default()),
+            shared: AtomicLedger::default(),
+            metrics: Mutex::new(Mirror::default()),
         }
     }
 
     /// Mirror this cache's counters into `reg` under `cache.mutex.*`.
     pub fn attach_metrics(&self, reg: &bgl_obs::Registry) {
-        *lock(&self.metrics) = MetricsPublisher::new(CacheMetricSet::attach(reg, "cache.mutex"));
+        *lock(&self.metrics) = Mirror::attach(reg, "cache.mutex");
     }
 }
 
@@ -433,6 +433,7 @@ impl ShardedCache for MutexShardedCache {
 mod tests {
     use super::*;
     use bgl_graph::FeatureStore;
+    use bgl_obs::Ledger;
 
     fn features(n: usize, dim: usize) -> FeatureStore {
         let mut f = FeatureStore::zeros(n, dim);
@@ -603,33 +604,27 @@ mod tests {
     }
 
     #[test]
-    fn queue_invalidate_mirrors_metrics() {
+    fn attached_registry_mirrors_every_stats_field() {
         let f = features(64, 2);
         let reg = bgl_obs::Registry::enabled();
-        let cache = QueueShardedCache::new(2, 2, 16, PolicyKind::Lru);
-        cache.attach_metrics(&reg);
-        let mut src = |ids: &[NodeId]| f.gather(ids);
-        cache.fetch_batch(&[1, 2, 3, 4], &mut src);
-        assert_eq!(cache.invalidate(&[2, 4, 50]), 2);
-        let stats = cache.shutdown();
-        assert_eq!(stats.invalidations, 2);
+        let queue = QueueShardedCache::new(2, 2, 16, PolicyKind::Fifo);
+        queue.attach_metrics(&reg);
+        let mutex = MutexShardedCache::new(2, 2, 16, PolicyKind::Fifo);
+        mutex.attach_metrics(&reg);
+        for cache in [&queue as &dyn ShardedCache, &mutex as &dyn ShardedCache] {
+            let mut src = |ids: &[NodeId]| f.gather(ids);
+            cache.fetch_batch(&[1, 2, 3, 4], &mut src);
+            cache.fetch_batch(&[1, 2, 3], &mut src);
+            assert_eq!(cache.invalidate(&[2, 4, 50]), 2);
+        }
+        let mutex_stats = mutex.stats();
+        let queue_stats = queue.shutdown();
+        assert!(queue_stats.misses > 0 && queue_stats.gpu_local_hits > 0);
         let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        assert_eq!(counters["cache.queue.invalidations"], 2);
-    }
-
-    #[test]
-    fn metrics_mirror_stats() {
-        let f = features(64, 2);
-        let reg = bgl_obs::Registry::enabled();
-        let cache = QueueShardedCache::new(2, 2, 16, PolicyKind::Fifo);
-        cache.attach_metrics(&reg);
-        let mut src = |ids: &[NodeId]| f.gather(ids);
-        cache.fetch_batch(&[1, 2, 3], &mut src);
-        cache.fetch_batch(&[1, 2, 3], &mut src);
-        let stats = cache.shutdown();
-        let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        assert_eq!(counters["cache.queue.misses"], stats.misses);
-        assert_eq!(counters["cache.queue.gpu_local_hits"], stats.gpu_local_hits);
-        assert_eq!(counters["cache.queue.batches"], 2);
+        for (prefix, stats) in [("cache.queue", queue_stats), ("cache.mutex", mutex_stats)] {
+            for (field, value) in CacheStats::FIELDS.iter().zip(stats.to_array()) {
+                assert_eq!(counters[&format!("{prefix}.{field}")], value, "{prefix}.{field}");
+            }
+        }
     }
 }

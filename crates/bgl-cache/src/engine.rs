@@ -8,11 +8,11 @@
 //! sits a CPU cache running the same policy; below it, the graph store.
 
 use crate::cost::CacheCostModel;
-use crate::metrics::CacheMetricSet;
 use crate::policy::{make_policy, CachePolicy, PolicyKind};
 use crate::stats::CacheStats;
 use bgl_graph::half::{f16_bits_to_f32, f32_to_f16_bits};
 use bgl_graph::{FeatureBlock, FeaturePrecision, FeatureStore, NodeId};
+use bgl_obs::{Ledger, Mirror};
 use std::collections::HashMap;
 
 /// Slot storage at the shard's configured precision. f16 slots hold the
@@ -151,9 +151,8 @@ pub struct FeatureCacheEngine {
     cpu_shard: Option<Shard>,
     gpu_cost: CacheCostModel,
     totals: CacheStats,
-    kind: PolicyKind,
     precision: FeaturePrecision,
-    metrics: CacheMetricSet,
+    metrics: Mirror<CacheStats>,
 }
 
 impl FeatureCacheEngine {
@@ -219,16 +218,15 @@ impl FeatureCacheEngine {
             cpu_shard,
             gpu_cost: CacheCostModel::for_policy(kind),
             totals: CacheStats::default(),
-            kind,
             precision,
-            metrics: CacheMetricSet::default(),
+            metrics: Mirror::default(),
         }
     }
 
     /// Mirror this engine's per-batch stats into `reg` under
     /// `cache.engine.*` counters.
     pub fn attach_metrics(&mut self, reg: &bgl_obs::Registry) {
-        self.metrics = CacheMetricSet::attach(reg, "cache.engine");
+        self.metrics = Mirror::attach(reg, "cache.engine");
     }
 
     /// Load the features of every statically resident key (no-op for the
@@ -251,11 +249,6 @@ impl FeatureCacheEngine {
                 }
             }
         }
-    }
-
-    /// Policy kind this engine runs.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.kind
     }
 
     /// Slot storage precision.
@@ -583,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mirror_batch_stats() {
+    fn attached_registry_mirrors_every_stats_field() {
         let f = features(100, 4);
         let reg = bgl_obs::Registry::enabled();
         let mut eng = FeatureCacheEngine::new(2, 4, 10, 0, PolicyKind::Fifo, &[]);
@@ -591,13 +584,12 @@ mod tests {
         let mut src = store_source(&f);
         eng.fetch_batch(0, &[3, 7, 42], &mut src);
         eng.fetch_batch(0, &[3, 7, 42], &mut src);
+        eng.invalidate(&[7]);
+        assert!(eng.stats().misses > 0 && eng.stats().invalidations > 0);
         let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        assert_eq!(counters["cache.engine.misses"], eng.stats().misses);
-        assert_eq!(
-            counters["cache.engine.gpu_local_hits"] + counters["cache.engine.gpu_peer_hits"],
-            eng.stats().gpu_local_hits + eng.stats().gpu_peer_hits
-        );
-        assert_eq!(counters["cache.engine.batches"], 2);
+        for (field, value) in CacheStats::FIELDS.iter().zip(eng.stats().to_array()) {
+            assert_eq!(counters[&format!("cache.engine.{field}")], value, "{field}");
+        }
     }
 
     #[test]

@@ -19,17 +19,18 @@
 //! * [`cost`] — a GPU-side cost model for cache operations, calibrated to
 //!   the per-batch overheads the paper reports (FIFO < 20 ms, LRU/LFU
 //!   ≈ 80 ms at 10% cache on Ogbn-papers), so the Fig. 5a trade-off can be
-//!   regenerated without CUDA.
+//!   regenerated without CUDA;
+//! * [`stats`] — [`CacheStats`], the one ledger all three front-ends keep
+//!   and callers read; `attach_metrics` on each mirrors it into the
+//!   registry under `cache.{engine,queue,mutex}.*` through `bgl_obs::Mirror`.
 
 pub mod concurrent;
 pub mod cost;
 pub mod engine;
-pub mod metrics;
 pub mod policy;
 pub mod stats;
 
 pub use concurrent::{MutexShardedCache, QueueShardedCache, ShardedCache};
 pub use engine::{FeatureCacheEngine, FetchResult, PendingFetch};
-pub use metrics::CacheMetricSet;
 pub use policy::{CachePolicy, Fifo, LfuO1, LruO1, PolicyKind, StaticDegree};
-pub use stats::{AtomicCacheStats, CacheStats};
+pub use stats::CacheStats;

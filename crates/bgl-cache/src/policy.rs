@@ -405,14 +405,6 @@ impl StaticDegree {
             .collect();
         StaticDegree { map, capacity }
     }
-
-    /// The set of pre-filled keys (for warm-up feature loading).
-    pub fn resident_keys(&self) -> Vec<NodeId> {
-        let mut keys: Vec<(u32, NodeId)> =
-            self.map.iter().map(|(&k, &s)| (s, k)).collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|(_, k)| k).collect()
-    }
 }
 
 impl CachePolicy for StaticDegree {

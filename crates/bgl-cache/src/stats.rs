@@ -1,7 +1,13 @@
 //! Cache statistics: hit ratios and amortized overhead.
+//!
+//! [`CacheStats`] is the cache's ledger — the front-ends bump it and every
+//! caller (the executor's report, `bgl-bench`, the figures) reads it. Its
+//! field table below is the only other place the fields are spelled:
+//! merging, deltas, the shard threads' `AtomicLedger<CacheStats>` and the
+//! `cache.*` registry mirror all derive from it.
 
+use bgl_obs::Ledger;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative counters for the two-level cache engine.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -58,79 +64,25 @@ impl CacheStats {
         self.overhead_ns as f64 / self.batches as f64 / 1e6
     }
 
-    /// Fold another counter set into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.gpu_local_hits += other.gpu_local_hits;
-        self.gpu_peer_hits += other.gpu_peer_hits;
-        self.cpu_hits += other.cpu_hits;
-        self.misses += other.misses;
-        self.miss_bytes += other.miss_bytes;
-        self.overhead_ns += other.overhead_ns;
-        self.batches += other.batches;
-        self.invalidations += other.invalidations;
-    }
-
-    /// Field-wise `self - earlier` (saturating), for delta publication of
-    /// monotonic counters.
+    /// Field-wise `self - earlier` (saturating): what accumulated between
+    /// two snapshots of the monotonic totals. Inherent so callers need not
+    /// import [`Ledger`] (`bgl-bench` calls it without).
     pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            gpu_local_hits: self.gpu_local_hits.saturating_sub(earlier.gpu_local_hits),
-            gpu_peer_hits: self.gpu_peer_hits.saturating_sub(earlier.gpu_peer_hits),
-            cpu_hits: self.cpu_hits.saturating_sub(earlier.cpu_hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            miss_bytes: self.miss_bytes.saturating_sub(earlier.miss_bytes),
-            overhead_ns: self.overhead_ns.saturating_sub(earlier.overhead_ns),
-            batches: self.batches.saturating_sub(earlier.batches),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-        }
+        Ledger::delta_since(self, earlier)
     }
 }
 
-/// Shared-memory variant of [`CacheStats`]: shard threads and concurrent
-/// callers accumulate into the same counters lock-free.
-#[derive(Debug, Default)]
-pub struct AtomicCacheStats {
-    gpu_local_hits: AtomicU64,
-    gpu_peer_hits: AtomicU64,
-    cpu_hits: AtomicU64,
-    misses: AtomicU64,
-    miss_bytes: AtomicU64,
-    overhead_ns: AtomicU64,
-    batches: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl AtomicCacheStats {
-    /// Fold a counter delta into the shared totals.
-    pub fn add(&self, delta: &CacheStats) {
-        self.gpu_local_hits
-            .fetch_add(delta.gpu_local_hits, Ordering::Relaxed);
-        self.gpu_peer_hits
-            .fetch_add(delta.gpu_peer_hits, Ordering::Relaxed);
-        self.cpu_hits.fetch_add(delta.cpu_hits, Ordering::Relaxed);
-        self.misses.fetch_add(delta.misses, Ordering::Relaxed);
-        self.miss_bytes.fetch_add(delta.miss_bytes, Ordering::Relaxed);
-        self.overhead_ns
-            .fetch_add(delta.overhead_ns, Ordering::Relaxed);
-        self.batches.fetch_add(delta.batches, Ordering::Relaxed);
-        self.invalidations
-            .fetch_add(delta.invalidations, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of the totals.
-    pub fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            gpu_local_hits: self.gpu_local_hits.load(Ordering::Relaxed),
-            gpu_peer_hits: self.gpu_peer_hits.load(Ordering::Relaxed),
-            cpu_hits: self.cpu_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            miss_bytes: self.miss_bytes.load(Ordering::Relaxed),
-            overhead_ns: self.overhead_ns.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
-    }
-}
+// Registered as `cache.{engine,queue,mutex}.*` by the three front-ends.
+bgl_obs::ledger!(CacheStats {
+    gpu_local_hits,
+    gpu_peer_hits,
+    cpu_hits,
+    misses,
+    miss_bytes,
+    overhead_ns,
+    batches,
+    invalidations,
+});
 
 #[cfg(test)]
 mod tests {
@@ -154,17 +106,6 @@ mod tests {
         let s = CacheStats::default();
         assert_eq!(s.hit_ratio(), 0.0);
         assert_eq!(s.overhead_ms_per_batch(), 0.0);
-    }
-
-    #[test]
-    fn atomic_stats_round_trip() {
-        let shared = AtomicCacheStats::default();
-        shared.add(&CacheStats { misses: 2, batches: 1, ..Default::default() });
-        shared.add(&CacheStats { gpu_local_hits: 5, ..Default::default() });
-        let snap = shared.snapshot();
-        assert_eq!(snap.misses, 2);
-        assert_eq!(snap.gpu_local_hits, 5);
-        assert_eq!(snap.batches, 1);
     }
 
     #[test]

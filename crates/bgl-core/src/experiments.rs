@@ -9,6 +9,7 @@ use crate::measure::{measure_data_path, DataPathTrace, MeasuredSystem};
 use crate::systems::SystemKind;
 use bgl_cache::{FeatureCacheEngine, PolicyKind};
 use bgl_graph::{Dataset, DatasetSpec, NodeId};
+use bgl_obs::Ledger;
 use bgl_sampler::{NeighborSampler, ProximityAware, RandomShuffle, TrainOrdering};
 use bgl_sim::devices::MachineSpec;
 use bgl_sim::network::{NetworkModel, RobustnessStats};

@@ -770,13 +770,9 @@ fn finish(
         .unwrap_or(TrainOut { params: Vec::new(), losses: Vec::new(), order: Vec::new() });
     let robustness = sh.lock_cluster().robustness;
     let cache = *sh.lock_cache().stats();
-    // Surface the store's degraded-mode / reliability counters through the
-    // executor's own namespace (satellite: PR 1 counters under `exec.*`).
-    sh.obs.counter("exec.store.retries").add(robustness.retries);
-    sh.obs.counter("exec.store.failovers").add(robustness.failovers);
-    sh.obs.counter("exec.store.degraded_batches").add(robustness.degraded_batches);
-    sh.obs.counter("exec.store.degraded_rows").add(robustness.degraded_rows);
-    sh.obs.counter("exec.store.breaker_opens").add(robustness.breaker_opens);
+    // Surface the store's reliability ledger through the executor's own
+    // namespace at join.
+    bgl_obs::Mirror::attach(&sh.obs, "exec.store").publish(&robustness);
     let report = ExecReport {
         batches_requested,
         batches_trained: train.order.len(),

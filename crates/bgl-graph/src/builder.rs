@@ -49,11 +49,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of arcs accumulated so far (before dedup).
-    pub fn num_arcs(&self) -> usize {
-        self.arcs.len()
-    }
-
     /// Add the directed arc `u -> v`.
     ///
     /// # Panics

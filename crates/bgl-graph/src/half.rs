@@ -42,15 +42,6 @@ impl FeaturePrecision {
             FeaturePrecision::F16 => 1,
         }
     }
-
-    /// Inverse of [`FeaturePrecision::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(FeaturePrecision::F32),
-            1 => Some(FeaturePrecision::F16),
-            _ => None,
-        }
-    }
 }
 
 /// Narrow an `f32` to binary16 bits, rounding to nearest-even.

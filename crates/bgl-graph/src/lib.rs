@@ -53,6 +53,3 @@ pub use subgraph::{khop_neighborhood, InducedSubgraph};
 /// Node identifier. `u32` keeps adjacency arrays compact while still
 /// addressing the billion-node graphs the paper targets.
 pub type NodeId = u32;
-
-/// Edge identifier (index into the CSR target array).
-pub type EdgeId = u64;

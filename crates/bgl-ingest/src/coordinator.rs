@@ -30,7 +30,7 @@ use crate::migrate::MigrationPlanner;
 use crate::reorder::incremental_po_reorder;
 use bgl_cache::FeatureCacheEngine;
 use bgl_graph::{Csr, NodeId};
-use bgl_obs::{Counter, Histogram, Registry};
+use bgl_obs::{Histogram, Mirror, Registry};
 use bgl_partition::metrics::{balance_ratio, edge_cut_fraction};
 use bgl_partition::{Partition, Partitioner};
 use bgl_store::{StoreCluster, StoreError};
@@ -57,33 +57,8 @@ impl Default for IngestConfig {
     }
 }
 
-/// `ingest.*` observability: counters plus the apply-latency histogram
-/// (simulated nanoseconds per applied op, as reported by the store's
-/// network model). Inert by default, like every other metric set.
-#[derive(Clone, Debug, Default)]
-struct IngestMetricSet {
-    applied: Counter,
-    rejected: Counter,
-    invalidations: Counter,
-    reassignments: Counter,
-    remerges: Counter,
-    apply_latency_ns: Histogram,
-}
-
-impl IngestMetricSet {
-    fn attach(reg: &Registry) -> Self {
-        IngestMetricSet {
-            applied: reg.counter("ingest.applied"),
-            rejected: reg.counter("ingest.rejected"),
-            invalidations: reg.counter("ingest.invalidations"),
-            reassignments: reg.counter("ingest.reassignments"),
-            remerges: reg.counter("ingest.remerges"),
-            apply_latency_ns: reg.histogram("ingest.apply_latency_ns"),
-        }
-    }
-}
-
-/// Plain-value mirror of the counters, for reports and assertions.
+/// What the coordinator did, counted here; `attach_metrics` mirrors it
+/// into `ingest.*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Mutations the store acked (edges inserted, nodes appended, rows
@@ -98,6 +73,8 @@ pub struct IngestReport {
     /// Re-merge passes run.
     pub remerges: u64,
 }
+
+bgl_obs::ledger!(IngestReport { applied, rejected, invalidations, reassignments, remerges });
 
 /// Post-churn partition quality, measured against a from-scratch
 /// repartition of the same merged graph.
@@ -120,8 +97,11 @@ pub struct IngestCoordinator {
     planner: MigrationPlanner,
     config: IngestConfig,
     applied_since_merge: usize,
-    metrics: IngestMetricSet,
     report: IngestReport,
+    mirror: Mirror<IngestReport>,
+    /// Simulated nanoseconds per applied op, as reported by the store's
+    /// network model (`ingest.apply_latency_ns`).
+    apply_latency_ns: Histogram,
 }
 
 impl IngestCoordinator {
@@ -132,14 +112,16 @@ impl IngestCoordinator {
             planner: MigrationPlanner::new(config.moves_per_period),
             config,
             applied_since_merge: 0,
-            metrics: IngestMetricSet::default(),
             report: IngestReport::default(),
+            mirror: Mirror::default(),
+            apply_latency_ns: Histogram::noop(),
         }
     }
 
     /// Mirror the `ingest.*` and `migrate.*` counters into `reg`.
     pub fn attach_metrics(&mut self, reg: &Registry) {
-        self.metrics = IngestMetricSet::attach(reg);
+        self.mirror = Mirror::attach(reg, "ingest");
+        self.apply_latency_ns = reg.histogram("ingest.apply_latency_ns");
         self.planner.attach_metrics(reg);
     }
 
@@ -174,12 +156,12 @@ impl IngestCoordinator {
         op: &ChurnOp,
     ) -> Result<u64, StoreError> {
         let from = cluster.worker_location();
-        match op {
+        let applied = match op {
             ChurnOp::AddEdge { u, v } => {
                 let (applied, rejected, elapsed) =
                     cluster.ingest_add_edges(&[(*u, *v)], from)?;
                 self.record(applied as u64, rejected as u64, elapsed);
-                Ok(applied as u64)
+                applied as u64
             }
             ChurnOp::AddNode { neighbors, row } => {
                 // Score first, commit after the broadcast acked — a failed
@@ -199,29 +181,27 @@ impl IngestCoordinator {
                     total_elapsed += e2;
                 }
                 self.record(applied, rejected, total_elapsed);
-                Ok(applied)
+                applied
             }
             ChurnOp::UpdateFeature { v, row } => {
                 let (applied, elapsed) = cluster.update_features(&[*v], row, from)?;
                 self.record(applied as u64, 0, elapsed);
                 if let Some(cache) = cache {
-                    let dropped = cache.invalidate(&[*v]);
-                    self.report.invalidations += dropped;
-                    self.metrics.invalidations.add(dropped);
+                    self.report.invalidations += cache.invalidate(&[*v]);
                 }
-                Ok(applied as u64)
+                applied as u64
             }
-        }
+        };
+        self.mirror.publish(&self.report);
+        Ok(applied)
     }
 
     fn record(&mut self, applied: u64, rejected: u64, elapsed: bgl_sim::SimTime) {
         self.report.applied += applied;
         self.report.rejected += rejected;
-        self.metrics.applied.add(applied);
-        self.metrics.rejected.add(rejected);
         if applied > 0 {
             self.applied_since_merge += 1;
-            self.metrics.apply_latency_ns.record(elapsed);
+            self.apply_latency_ns.record(elapsed);
         }
     }
 
@@ -273,16 +253,16 @@ impl IngestCoordinator {
         }
         self.applied_since_merge = 0;
         self.report.remerges += 1;
-        self.metrics.remerges.incr();
-        let g = merged.as_ref()?;
-        let moves = self.assigner.refine_moves(g, &dirty);
-        self.report.reassignments += moves.len() as u64;
-        self.metrics.reassignments.add(moves.len() as u64);
-        incremental_po_reorder(g, train_order, &dirty, added_train);
-        // The logical map moved; now the bytes follow, rate-limited so
-        // rebalance traffic stays a bounded tax on the period.
-        self.planner.plan(&moves);
-        self.planner.drain(cluster, cache);
+        if let Some(g) = &merged {
+            let moves = self.assigner.refine_moves(g, &dirty);
+            self.report.reassignments += moves.len() as u64;
+            incremental_po_reorder(g, train_order, &dirty, added_train);
+            // The logical map moved; now the bytes follow, rate-limited so
+            // rebalance traffic stays a bounded tax on the period.
+            self.planner.plan(&moves);
+            self.planner.drain(cluster, cache);
+        }
+        self.mirror.publish(&self.report);
         merged
     }
 

@@ -40,22 +40,14 @@
 
 use bgl_cache::FeatureCacheEngine;
 use bgl_graph::NodeId;
-use bgl_obs::{Counter, Histogram, Registry};
+use bgl_obs::{Histogram, Mirror, Registry};
 use bgl_store::{Migration, StoreCluster};
 use std::collections::VecDeque;
 
-/// `migrate.*` observability. Inert by default, like every other metric
-/// set in the repo.
+/// `migrate.*_ns`: per-phase simulated latencies of committed moves. Inert
+/// by default, like every other metric set in the repo.
 #[derive(Clone, Debug, Default)]
 struct MigrateMetricSet {
-    planned: Counter,
-    committed: Counter,
-    aborted: Counter,
-    repaired: Counter,
-    requeued: Counter,
-    skipped: Counter,
-    copy_bytes: Counter,
-    invalidations: Counter,
     prepare_ns: Histogram,
     copy_ns: Histogram,
     commit_ns: Histogram,
@@ -66,14 +58,6 @@ struct MigrateMetricSet {
 impl MigrateMetricSet {
     fn attach(reg: &Registry) -> Self {
         MigrateMetricSet {
-            planned: reg.counter("migrate.planned"),
-            committed: reg.counter("migrate.committed"),
-            aborted: reg.counter("migrate.aborted"),
-            repaired: reg.counter("migrate.repaired"),
-            requeued: reg.counter("migrate.requeued"),
-            skipped: reg.counter("migrate.skipped"),
-            copy_bytes: reg.counter("migrate.copy_bytes"),
-            invalidations: reg.counter("migrate.invalidations"),
             prepare_ns: reg.histogram("migrate.prepare_ns"),
             copy_ns: reg.histogram("migrate.copy_ns"),
             commit_ns: reg.histogram("migrate.commit_ns"),
@@ -83,8 +67,8 @@ impl MigrateMetricSet {
     }
 }
 
-/// Plain-value mirror of the `migrate.*` counters, for reports and
-/// assertions.
+/// What the planner did, counted here; `attach_metrics` mirrors it into
+/// `migrate.*` at the end of each [`MigrationPlanner::drain`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MigrateReport {
     /// Moves the refinement pass queued on the backlog.
@@ -112,6 +96,17 @@ pub struct MigrateReport {
     pub invalidations: u64,
 }
 
+bgl_obs::ledger!(MigrateReport {
+    planned,
+    committed,
+    aborted,
+    repaired,
+    requeued,
+    skipped,
+    copy_bytes,
+    invalidations,
+});
+
 /// Queues the refinement pass's logical moves and drains a bounded number
 /// of them per re-merge period through the store's crash-safe migration
 /// protocol. Owned by the [`crate::IngestCoordinator`]; usable standalone
@@ -127,6 +122,7 @@ pub struct MigrationPlanner {
     moves_per_period: usize,
     metrics: MigrateMetricSet,
     report: MigrateReport,
+    mirror: Mirror<MigrateReport>,
 }
 
 impl MigrationPlanner {
@@ -137,12 +133,14 @@ impl MigrationPlanner {
             moves_per_period,
             metrics: MigrateMetricSet::default(),
             report: MigrateReport::default(),
+            mirror: Mirror::default(),
         }
     }
 
     /// Mirror the `migrate.*` counters and histograms into `reg`.
     pub fn attach_metrics(&mut self, reg: &Registry) {
         self.metrics = MigrateMetricSet::attach(reg);
+        self.mirror = Mirror::attach(reg, "migrate");
     }
 
     pub fn report(&self) -> MigrateReport {
@@ -172,7 +170,6 @@ impl MigrationPlanner {
         }
         self.backlog.extend(moves.iter().copied());
         self.report.planned += moves.len() as u64;
-        self.metrics.planned.add(moves.len() as u64);
     }
 
     /// Drain up to `moves_per_period` backlog entries through the
@@ -206,10 +203,7 @@ impl MigrationPlanner {
                     committed += 1;
                     self.invalidate(node, &mut cache);
                 }
-                Ok(false) => {
-                    self.report.aborted += 1;
-                    self.metrics.aborted.incr();
-                }
+                Ok(false) => self.report.aborted += 1,
                 Err(_) => self.requeue(node, source, to),
             }
         }
@@ -249,7 +243,6 @@ impl MigrationPlanner {
                     // refinement pass re-plans it if it still pays.
                     Ok(false) => {
                         self.report.aborted += 1;
-                        self.metrics.aborted.incr();
                         false
                     }
                     // Ambiguous: the repair RPC itself failed, so the
@@ -270,35 +263,29 @@ impl MigrationPlanner {
                 self.invalidate(node, &mut cache);
             }
         }
+        self.mirror.publish(&self.report);
         committed
     }
 
     fn repair_committed(&mut self) {
         self.report.repaired += 1;
-        self.metrics.repaired.incr();
         self.report.committed += 1;
-        self.metrics.committed.incr();
     }
 
     fn requeue(&mut self, node: NodeId, source: u32, to: u32) {
         self.repairs.push_back((node, source, to));
         self.report.requeued += 1;
-        self.metrics.requeued.incr();
     }
 
     fn invalidate(&mut self, node: NodeId, cache: &mut Option<&mut FeatureCacheEngine>) {
         if let Some(cache) = cache.as_deref_mut() {
-            let dropped = cache.invalidate(&[node]);
-            self.report.invalidations += dropped;
-            self.metrics.invalidations.add(dropped);
+            self.report.invalidations += cache.invalidate(&[node]);
         }
     }
 
     fn commit(&mut self, m: &Migration) {
         self.report.committed += 1;
-        self.metrics.committed.incr();
         self.report.copy_bytes += m.copy_bytes;
-        self.metrics.copy_bytes.add(m.copy_bytes);
         self.metrics.prepare_ns.record(m.phase_times[0]);
         self.metrics.copy_ns.record(m.phase_times[1]);
         self.metrics.commit_ns.record(m.phase_times[2]);
@@ -308,7 +295,6 @@ impl MigrationPlanner {
 
     fn skip(&mut self) {
         self.report.skipped += 1;
-        self.metrics.skipped.incr();
     }
 }
 
@@ -317,6 +303,7 @@ mod tests {
     use super::*;
     use bgl_cache::{FeatureCacheEngine, PolicyKind};
     use bgl_graph::FeatureStore;
+    use bgl_obs::Ledger;
     use bgl_partition::{Partitioner, RoundRobinPartitioner};
     use bgl_sim::network::NetworkModel;
     use std::sync::Arc;
@@ -377,13 +364,13 @@ mod tests {
         let (fresh, _) = cluster.fetch_features(&[v], w).unwrap();
         assert_eq!(fresh.to_vec(), vec![3.0, 3.5]);
 
-        // Counters and histograms mirror the report.
+        // The drain published the whole report; each phase recorded once.
+        assert!(r.planned == 1 && r.copy_bytes > 0);
         let counters: std::collections::BTreeMap<_, _> =
             reg.counters().into_iter().collect();
-        assert_eq!(counters["migrate.planned"], 1);
-        assert_eq!(counters["migrate.committed"], 1);
-        assert_eq!(counters["migrate.invalidations"], 1);
-        assert_eq!(counters["migrate.copy_bytes"], r.copy_bytes);
+        for (field, value) in MigrateReport::FIELDS.iter().zip(r.to_array()) {
+            assert_eq!(counters[&format!("migrate.{field}")], value, "{field}");
+        }
         let hists: std::collections::BTreeMap<_, _> =
             reg.histograms().into_iter().collect();
         for h in ["migrate.prepare_ns", "migrate.copy_ns", "migrate.commit_ns", "migrate.tombstone_ns", "migrate.total_ns"] {

@@ -16,6 +16,12 @@
 //! - Handles ([`Counter`], [`Gauge`], [`Histogram`]) are resolved once by
 //!   name and then updated lock-free via atomics; the registry's name maps
 //!   are only locked at registration and export time.
+//! - The typed `*Stats` / `*Report` structs the layers keep are the source
+//!   of truth — they count with tracing off, which is how every timed
+//!   benchmark run executes. Each names its fields once ([`Ledger`], via
+//!   [`ledger!`]); [`Mirror`] copies one into `{prefix}.{field}` counters at
+//!   the end of an operation and [`AtomicLedger`] is its shared-memory
+//!   accumulator. The registry is the mirror, never the ledger.
 //! - [`Span`] is an RAII timer: it captures `Instant::now()` on creation and
 //!   pushes a [`SpanRecord`] on drop. Disabled registries never touch the
 //!   clock.
@@ -29,9 +35,11 @@
 //! build environments where serde is stubbed out.
 
 pub mod json;
+mod ledger;
 mod metrics;
 mod span;
 mod trace;
 
+pub use ledger::{AtomicLedger, Ledger, Mirror};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use span::{Span, SpanRecord};

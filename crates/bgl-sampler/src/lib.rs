@@ -23,5 +23,5 @@ pub mod ordering;
 pub mod shuffle_error;
 pub mod walk;
 
-pub use neighbor::{LayerBlock, MiniBatch, NeighborSampler};
+pub use neighbor::{pick, LayerBlock, MiniBatch, NeighborSampler};
 pub use ordering::{BfsOrder, ProximityAware, RandomShuffle, TrainOrdering};

@@ -1,11 +1,9 @@
-//! # bgl-sim — discrete-event simulation core and hardware device models
+//! # bgl-sim — pipeline simulation and hardware device models
 //!
 //! The paper's testbed (8×V100 over NVLink, PCIe 3.0, 100 Gbps NICs) is not
 //! available here, so throughput experiments run on *virtual time*: this
 //! crate provides
 //!
-//! * [`engine::Simulator`] — a generic discrete-event engine (event heap,
-//!   deterministic tie-breaking by schedule order);
 //! * [`pipeline::TandemPipeline`] — a finite-buffer tandem-queue simulator
 //!   modelling the paper's 8-stage asynchronous training pipeline (Fig. 10):
 //!   per-stage service times, bounded inter-stage buffers, backpressure,
@@ -22,7 +20,6 @@
 //! deterministic.
 
 pub mod devices;
-pub mod engine;
 pub mod network;
 pub mod pipeline;
 

@@ -19,15 +19,6 @@ pub struct TrafficStats {
     pub wire_time: SimTime,
 }
 
-impl TrafficStats {
-    /// Fold another counter into this one.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-        self.wire_time += other.wire_time;
-    }
-}
-
 /// A network model: one link spec per locality class.
 ///
 /// * `local` — sampler colocated with the store server (intra-process);
@@ -94,23 +85,24 @@ pub struct RobustnessStats {
     pub recovery_time: SimTime,
 }
 
-impl RobustnessStats {
-    /// Fold another counter set into this one.
-    pub fn merge(&mut self, other: &RobustnessStats) {
-        self.retries += other.retries;
-        self.failovers += other.failovers;
-        self.drops += other.drops;
-        self.corrupt_frames += other.corrupt_frames;
-        self.deadline_misses += other.deadline_misses;
-        self.breaker_opens += other.breaker_opens;
-        self.breaker_probes += other.breaker_probes;
-        self.degraded_batches += other.degraded_batches;
-        self.degraded_rows += other.degraded_rows;
-        self.redirects += other.redirects;
-        self.backoff_time += other.backoff_time;
-        self.recovery_time += other.recovery_time;
-    }
+// Registered as `store.*` by the cluster and as `exec.store.*` by the
+// executor at join; the two simulated-time fields publish as nanoseconds.
+bgl_obs::ledger!(RobustnessStats {
+    retries,
+    failovers,
+    drops,
+    corrupt_frames,
+    deadline_misses,
+    breaker_opens,
+    breaker_probes,
+    degraded_batches,
+    degraded_rows,
+    redirects,
+    backoff_time = "backoff_ns",
+    recovery_time = "recovery_ns",
+});
 
+impl RobustnessStats {
     /// Whether any fault was observed at all.
     pub fn any_faults(&self) -> bool {
         *self != RobustnessStats::default()
@@ -130,6 +122,15 @@ pub struct TrafficLedger {
     pub local: TrafficStats,
     pub remote: TrafficStats,
 }
+
+// Registered as `store.wire.*` by the cluster. Simulated `wire_time` is
+// charged to the clock by the caller and is not a published counter.
+bgl_obs::ledger!(TrafficLedger {
+    local.bytes = "wire.local_bytes",
+    local.messages = "wire.local_messages",
+    remote.bytes = "wire.remote_bytes",
+    remote.messages = "wire.remote_messages",
+});
 
 impl TrafficLedger {
     /// Record one message and return its simulated wire time.
@@ -182,6 +183,7 @@ impl TrafficLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgl_obs::Ledger;
 
     #[test]
     fn local_is_cheaper_than_remote() {
@@ -248,15 +250,5 @@ mod tests {
         assert_eq!(a.failovers, 2);
         assert_eq!(a.backoff_time, 200);
         assert!(a.any_faults());
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = TrafficStats { messages: 1, bytes: 10, wire_time: 5 };
-        let b = TrafficStats { messages: 2, bytes: 20, wire_time: 7 };
-        a.merge(&b);
-        assert_eq!(a.messages, 3);
-        assert_eq!(a.bytes, 30);
-        assert_eq!(a.wire_time, 12);
     }
 }

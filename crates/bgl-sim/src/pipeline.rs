@@ -221,11 +221,6 @@ impl TandemPipeline {
         TandemPipeline::with_uniform_buffers(stages, cap)
     }
 
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Simulate `num_batches` flowing through the pipeline.
     pub fn run(&self, num_batches: usize) -> PipelineReport {
         let k = self.stages.len();

@@ -2,12 +2,9 @@
 //! monotonicity laws of the tandem pipeline and device models.
 
 use bgl_sim::devices::{CpuPoolSpec, GpuSpec, LinkSpec};
-use bgl_sim::engine::Simulator;
 use bgl_sim::pipeline::{StageSpec, TandemPipeline};
 use bgl_sim::MICROSECOND;
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 proptest! {
     /// All injected batches complete, in order, and the makespan is at
@@ -81,26 +78,5 @@ proptest! {
         let t1 = pool.time(units, cores);
         let t2 = pool.time(units, cores * 2);
         prop_assert!(t2 <= t1);
-    }
-
-    /// The event engine executes exactly the scheduled (non-cancelled)
-    /// events, in non-decreasing time order.
-    #[test]
-    fn engine_executes_all_events(delays in proptest::collection::vec(0u64..1000, 1..50)) {
-        let mut sim = Simulator::new();
-        let fired: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        for &d in &delays {
-            let fired = fired.clone();
-            sim.schedule(d, move |s| fired.borrow_mut().push(s.now()));
-        }
-        sim.run();
-        let fired = fired.borrow();
-        prop_assert_eq!(fired.len(), delays.len());
-        for w in fired.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
-        let mut expect = delays.clone();
-        expect.sort_unstable();
-        prop_assert_eq!(&*fired, &expect);
     }
 }

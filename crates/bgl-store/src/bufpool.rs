@@ -230,6 +230,8 @@ impl BufPoolStats {
     }
 }
 
+bgl_obs::ledger!(BufPoolStats { hits, misses, evictions, writebacks, eio_retries });
+
 struct Frame {
     pid: u64,
     page: PageBuf,

@@ -225,18 +225,13 @@ impl StoreCluster {
         self
     }
 
-    /// Choose the wire precision of feature rows (builder form).
-    pub fn with_feature_precision(mut self, precision: FeaturePrecision) -> Self {
-        self.feature_precision = precision;
-        self
-    }
-
     /// Choose the wire precision of feature rows. With
     /// [`FeaturePrecision::F16`], feature responses carry binary16 rows —
     /// half the bytes per row on the wire and in the ledger — widened back
     /// to f32 on receipt.
-    pub fn set_feature_precision(&mut self, precision: FeaturePrecision) {
+    pub fn with_feature_precision(mut self, precision: FeaturePrecision) -> Self {
         self.feature_precision = precision;
+        self
     }
 
     /// Wire precision currently in effect for feature fetches.
@@ -852,7 +847,10 @@ impl StoreCluster {
             }
             timing.per_hop.push(hop_elapsed);
             timing.elapsed += hop_elapsed;
-            blocks_rev.push(build_block(&dst, &lists));
+            let edges = lists.iter().map(Vec::len).sum();
+            blocks_rev.push(LayerBlock::from_lists(&dst, edges, |d, out| {
+                out.extend_from_slice(&lists[d])
+            }));
             dst = blocks_rev.last().unwrap().src_nodes.clone();
         }
         blocks_rev.reverse();
@@ -966,28 +964,6 @@ fn degradable(e: &StoreError) -> bool {
         )
 }
 
-/// Assemble a [`LayerBlock`] from per-dst sampled neighbor lists.
-fn build_block(dst: &[NodeId], lists: &[Vec<NodeId>]) -> LayerBlock {
-    let mut src_nodes: Vec<NodeId> = dst.to_vec();
-    let mut local_of: HashMap<NodeId, u32> =
-        dst.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
-    let mut offsets = Vec::with_capacity(dst.len() + 1);
-    offsets.push(0usize);
-    let mut srcs: Vec<u32> = Vec::new();
-    for list in lists {
-        for &u in list {
-            let next_id = src_nodes.len() as u32;
-            let id = *local_of.entry(u).or_insert_with(|| {
-                src_nodes.push(u);
-                next_id
-            });
-            srcs.push(id);
-        }
-        offsets.push(srcs.len());
-    }
-    LayerBlock { dst_nodes: dst.to_vec(), src_nodes, offsets, srcs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1049,22 +1025,20 @@ mod tests {
 
     #[test]
     fn attached_metrics_mirror_ledger_and_spans() {
+        use bgl_obs::Ledger;
         let (_, mut cluster) = setup(4);
         let reg = bgl_obs::Registry::enabled();
         cluster.attach_metrics(&reg);
         cluster.sample_batch(&[3, 2], &[0, 1, 2], 0).unwrap();
         let nodes: Vec<NodeId> = (0..8).collect();
         cluster.fetch_features(&nodes, cluster.worker_location()).unwrap();
+        assert!(cluster.ledger.remote.bytes > 0);
         let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        assert_eq!(
-            counters["store.wire.remote_bytes"],
-            cluster.ledger.remote.bytes
-        );
-        assert_eq!(
-            counters["store.wire.remote_messages"],
-            cluster.ledger.remote.messages
-        );
-        assert_eq!(counters["store.retries"], 0);
+        let mirrored = (RobustnessStats::FIELDS.iter().zip(cluster.robustness.to_array()))
+            .chain(TrafficLedger::FIELDS.iter().zip(cluster.ledger.to_array()));
+        for (field, value) in mirrored {
+            assert_eq!(counters[&format!("store.{field}")], value, "{field}");
+        }
         let names: Vec<String> = reg.spans().iter().map(|s| s.name.to_string()).collect();
         assert!(names.contains(&"store.sample_batch".to_string()));
         assert!(names.contains(&"store.fetch_features".to_string()));
@@ -1574,6 +1548,8 @@ mod tests {
     #[test]
     fn stale_owner_map_redirects_instead_of_hanging() {
         let (_, mut cluster) = setup(2);
+        let reg = bgl_obs::Registry::enabled();
+        cluster.attach_metrics(&reg);
         let v: NodeId = 1; // round-robin: owned by server 1
         // Flip ownership behind the cluster's back (as a peer planner
         // would): both servers commit v → server 0, this cluster's map
@@ -1602,6 +1578,8 @@ mod tests {
         let (mb, _) = cluster.sample_batch(&[2], &[3], 0).unwrap();
         assert_eq!(mb.seeds, vec![3]);
         assert_eq!(cluster.robustness.redirects, 2);
+        // An operator watching the registry sees the stale map being chased.
+        assert_eq!(reg.counter("store.redirects").get(), 2);
     }
 
     #[test]

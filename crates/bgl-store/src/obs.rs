@@ -1,58 +1,33 @@
-//! bgl-obs bindings for the store cluster.
+//! bgl-obs bindings for the store cluster and its disk tier.
 //!
-//! [`StoreMetrics`] mirrors the cluster's cumulative [`RobustnessStats`]
-//! and [`TrafficLedger`] into registry counters under `store.*`, publishing
-//! deltas against the last published snapshot so repeated publishes never
-//! double-count. A default (unattached) instance is inert.
+//! The typed ledgers stay where they are counted and read — the cluster's
+//! [`RobustnessStats`] and [`TrafficLedger`], the tier's [`BufPoolStats`],
+//! [`WalStats`] and [`PagerStats`]; each names its fields once beside its
+//! declaration. The two bundles here only hold one [`Mirror`] per ledger
+//! plus what has no ledger behind it: the registry handle for spans, the
+//! recovery event counter and the WAL fsync histogram. A default
+//! (unattached) bundle is inert.
 
 use crate::bufpool::BufPoolStats;
 use crate::pager::PagerStats;
 use crate::wal::WalStats;
-use bgl_obs::{Counter, Histogram, Registry};
+use bgl_obs::{Counter, Histogram, Mirror, Registry};
 use bgl_sim::network::{RobustnessStats, TrafficLedger};
 
+/// `store.*` and `store.wire.*`: the cluster's two ledgers.
 #[derive(Debug, Default)]
 pub struct StoreMetrics {
     obs: Registry,
-    retries: Counter,
-    failovers: Counter,
-    drops: Counter,
-    corrupt_frames: Counter,
-    deadline_misses: Counter,
-    breaker_opens: Counter,
-    breaker_probes: Counter,
-    degraded_batches: Counter,
-    degraded_rows: Counter,
-    local_bytes: Counter,
-    local_messages: Counter,
-    remote_bytes: Counter,
-    remote_messages: Counter,
-    last_rob: RobustnessStats,
-    last_local: (u64, u64),
-    last_remote: (u64, u64),
+    robustness: Mirror<RobustnessStats>,
+    wire: Mirror<TrafficLedger>,
 }
 
 impl StoreMetrics {
     pub fn attach(reg: &Registry) -> Self {
-        let c = |field: &str| reg.counter(&format!("store.{field}"));
         StoreMetrics {
             obs: reg.clone(),
-            retries: c("retries"),
-            failovers: c("failovers"),
-            drops: c("drops"),
-            corrupt_frames: c("corrupt_frames"),
-            deadline_misses: c("deadline_misses"),
-            breaker_opens: c("breaker_opens"),
-            breaker_probes: c("breaker_probes"),
-            degraded_batches: c("degraded_batches"),
-            degraded_rows: c("degraded_rows"),
-            local_bytes: c("wire.local_bytes"),
-            local_messages: c("wire.local_messages"),
-            remote_bytes: c("wire.remote_bytes"),
-            remote_messages: c("wire.remote_messages"),
-            last_rob: RobustnessStats::default(),
-            last_local: (0, 0),
-            last_remote: (0, 0),
+            robustness: Mirror::attach(reg, "store"),
+            wire: Mirror::attach(reg, "store"),
         }
     }
 
@@ -63,88 +38,30 @@ impl StoreMetrics {
 
     /// Publish whatever accumulated since the previous call.
     pub fn publish(&mut self, rob: &RobustnessStats, ledger: &TrafficLedger) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        self.retries.add(rob.retries.saturating_sub(self.last_rob.retries));
-        self.failovers
-            .add(rob.failovers.saturating_sub(self.last_rob.failovers));
-        self.drops.add(rob.drops.saturating_sub(self.last_rob.drops));
-        self.corrupt_frames
-            .add(rob.corrupt_frames.saturating_sub(self.last_rob.corrupt_frames));
-        self.deadline_misses
-            .add(rob.deadline_misses.saturating_sub(self.last_rob.deadline_misses));
-        self.breaker_opens
-            .add(rob.breaker_opens.saturating_sub(self.last_rob.breaker_opens));
-        self.breaker_probes
-            .add(rob.breaker_probes.saturating_sub(self.last_rob.breaker_probes));
-        self.degraded_batches
-            .add(rob.degraded_batches.saturating_sub(self.last_rob.degraded_batches));
-        self.degraded_rows
-            .add(rob.degraded_rows.saturating_sub(self.last_rob.degraded_rows));
-        self.last_rob = *rob;
-
-        let local = (ledger.local.bytes, ledger.local.messages);
-        let remote = (ledger.remote.bytes, ledger.remote.messages);
-        self.local_bytes.add(local.0.saturating_sub(self.last_local.0));
-        self.local_messages.add(local.1.saturating_sub(self.last_local.1));
-        self.remote_bytes.add(remote.0.saturating_sub(self.last_remote.0));
-        self.remote_messages
-            .add(remote.1.saturating_sub(self.last_remote.1));
-        self.last_local = local;
-        self.last_remote = remote;
+        self.robustness.publish(rob);
+        self.wire.publish(ledger);
     }
 }
 
-/// bgl-obs bindings for the durable disk tier: `store.disk.*` counters plus
-/// the WAL fsync-latency histogram. Same delta-publish discipline as
-/// [`StoreMetrics`].
+/// `store.disk.*`: the tier's three ledgers, the recovery event counter
+/// and the WAL fsync-latency histogram.
 #[derive(Debug, Default)]
 pub struct DiskMetrics {
-    obs: Registry,
-    page_reads: Counter,
-    page_writes: Counter,
-    dw_redos: Counter,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    writebacks: Counter,
-    eio_retries: Counter,
-    wal_appends: Counter,
-    wal_syncs: Counter,
-    wal_resets: Counter,
-    wal_replayed: Counter,
-    wal_torn_truncations: Counter,
+    pool: Mirror<BufPoolStats>,
+    wal: Mirror<WalStats>,
+    pager: Mirror<PagerStats>,
     recoveries: Counter,
     fsync_ns: Histogram,
-    last_pool: BufPoolStats,
-    last_wal: WalStats,
-    last_pager: PagerStats,
 }
 
 impl DiskMetrics {
     pub fn attach(reg: &Registry) -> Self {
-        let c = |field: &str| reg.counter(&format!("store.disk.{field}"));
         DiskMetrics {
-            obs: reg.clone(),
-            page_reads: c("page_reads"),
-            page_writes: c("page_writes"),
-            dw_redos: c("dw_redos"),
-            hits: c("hits"),
-            misses: c("misses"),
-            evictions: c("evictions"),
-            writebacks: c("writebacks"),
-            eio_retries: c("eio_retries"),
-            wal_appends: c("wal_appends"),
-            wal_syncs: c("wal_syncs"),
-            wal_resets: c("wal_resets"),
-            wal_replayed: c("wal_replayed"),
-            wal_torn_truncations: c("wal_torn_truncations"),
-            recoveries: c("recoveries"),
+            pool: Mirror::attach(reg, "store.disk"),
+            wal: Mirror::attach(reg, "store.disk"),
+            pager: Mirror::attach(reg, "store.disk"),
+            recoveries: reg.counter("store.disk.recoveries"),
             fsync_ns: reg.histogram("store.disk.wal_fsync_ns"),
-            last_pool: BufPoolStats::default(),
-            last_wal: WalStats::default(),
-            last_pager: PagerStats::default(),
         }
     }
 
@@ -160,89 +77,8 @@ impl DiskMetrics {
 
     /// Publish whatever accumulated since the previous call.
     pub fn publish(&mut self, pool: &BufPoolStats, wal: &WalStats, pager: &PagerStats) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        self.page_reads
-            .add(pager.page_reads.saturating_sub(self.last_pager.page_reads));
-        self.page_writes
-            .add(pager.page_writes.saturating_sub(self.last_pager.page_writes));
-        self.dw_redos.add(pager.dw_redo.saturating_sub(self.last_pager.dw_redo));
-        self.last_pager = *pager;
-
-        self.hits.add(pool.hits.saturating_sub(self.last_pool.hits));
-        self.misses.add(pool.misses.saturating_sub(self.last_pool.misses));
-        self.evictions
-            .add(pool.evictions.saturating_sub(self.last_pool.evictions));
-        self.writebacks
-            .add(pool.writebacks.saturating_sub(self.last_pool.writebacks));
-        self.eio_retries
-            .add(pool.eio_retries.saturating_sub(self.last_pool.eio_retries));
-        self.last_pool = *pool;
-
-        self.wal_appends
-            .add(wal.appends.saturating_sub(self.last_wal.appends));
-        self.wal_syncs.add(wal.syncs.saturating_sub(self.last_wal.syncs));
-        self.wal_resets.add(wal.resets.saturating_sub(self.last_wal.resets));
-        self.wal_replayed
-            .add(wal.replayed.saturating_sub(self.last_wal.replayed));
-        self.wal_torn_truncations
-            .add(wal.torn_truncations.saturating_sub(self.last_wal.torn_truncations));
-        self.last_wal = *wal;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_inert() {
-        let mut m = StoreMetrics::default();
-        m.publish(
-            &RobustnessStats { retries: 4, ..Default::default() },
-            &TrafficLedger::default(),
-        );
-        assert!(!m.registry().is_enabled());
-    }
-
-    #[test]
-    fn publish_emits_deltas_not_totals() {
-        let reg = Registry::enabled();
-        let mut m = StoreMetrics::attach(&reg);
-        let mut rob = RobustnessStats { retries: 3, failovers: 1, ..Default::default() };
-        let mut ledger = TrafficLedger::default();
-        ledger.remote.bytes = 100;
-        ledger.remote.messages = 2;
-        m.publish(&rob, &ledger);
-        m.publish(&rob, &ledger); // unchanged: no double-count
-        rob.retries = 5;
-        ledger.remote.bytes = 250;
-        m.publish(&rob, &ledger);
-        let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        assert_eq!(counters["store.retries"], 5);
-        assert_eq!(counters["store.failovers"], 1);
-        assert_eq!(counters["store.wire.remote_bytes"], 250);
-        assert_eq!(counters["store.wire.remote_messages"], 2);
-    }
-
-    #[test]
-    fn disk_metrics_publish_emits_deltas() {
-        let reg = Registry::enabled();
-        let mut m = DiskMetrics::attach(&reg);
-        let mut pool = BufPoolStats { hits: 10, misses: 4, ..Default::default() };
-        let wal = WalStats { appends: 6, syncs: 6, ..Default::default() };
-        let pager = PagerStats { page_reads: 4, ..Default::default() };
-        m.publish(&pool, &wal, &pager);
-        m.publish(&pool, &wal, &pager); // unchanged: no double-count
-        pool.hits = 15;
-        m.publish(&pool, &wal, &pager);
-        m.count_recovery();
-        let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        assert_eq!(counters["store.disk.hits"], 15);
-        assert_eq!(counters["store.disk.misses"], 4);
-        assert_eq!(counters["store.disk.wal_appends"], 6);
-        assert_eq!(counters["store.disk.page_reads"], 4);
-        assert_eq!(counters["store.disk.recoveries"], 1);
+        self.pool.publish(pool);
+        self.wal.publish(wal);
+        self.pager.publish(pager);
     }
 }

@@ -516,6 +516,8 @@ pub struct PagerStats {
     pub dw_redo: u64,
 }
 
+bgl_obs::ledger!(PagerStats { page_reads, page_writes, dw_redo = "dw_redos" });
+
 /// One decoded page: `rows_per_page × dim` feature values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PageBuf {

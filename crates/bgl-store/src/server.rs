@@ -660,20 +660,8 @@ impl GraphStoreServer {
                 scratch
             }
         };
-        if nbrs.len() <= fanout {
-            return nbrs.to_vec();
-        }
-        // Floyd's algorithm: fanout distinct picks.
-        let mut chosen = std::collections::HashSet::with_capacity(fanout);
-        let mut out = Vec::with_capacity(fanout);
-        for j in (nbrs.len() - fanout)..nbrs.len() {
-            let t = rng.random_range(0..=j);
-            let pick = if chosen.insert(t) { t } else { j };
-            if pick != t {
-                chosen.insert(pick);
-            }
-            out.push(nbrs[pick]);
-        }
+        let mut out = Vec::with_capacity(fanout.min(nbrs.len()));
+        bgl_sampler::pick(nbrs, fanout, rng, &mut out);
         out
     }
 }

@@ -34,7 +34,7 @@ use crate::pager::{
     BackingFile, DiskError, FaultFile, IoFaultInjector, IoFaultPlan, Pager, RealFile,
     ShadowFile,
 };
-use crate::wal::{Wal, WalRecord, WalStats};
+use crate::wal::{Wal, WalRecord};
 use bgl_graph::{FeaturePrecision, FeatureStore};
 use bgl_obs::Registry;
 use std::path::{Path, PathBuf};
@@ -419,16 +419,6 @@ impl DurableFeatures {
         Ok(())
     }
 
-    /// Materialize the full feature matrix (e.g. to seed an in-RAM store
-    /// after recovery).
-    pub fn to_feature_store(&mut self) -> Result<FeatureStore, DiskError> {
-        let mut data = Vec::with_capacity(self.num_nodes as usize * self.dim);
-        for v in 0..self.num_nodes as u32 {
-            self.read_row_into(v, &mut data)?;
-        }
-        Ok(FeatureStore::from_raw(self.dim, data))
-    }
-
     /// Verify every page checksum without touching the pool. Returns the
     /// number of pages scanned.
     pub fn scrub(&mut self) -> Result<u64, DiskError> {
@@ -461,16 +451,9 @@ impl DurableFeatures {
         Ok(())
     }
 
-    pub fn wal_stats(&self) -> WalStats {
-        self.wal.stats
-    }
-
     /// Mirror the tier's counters into its registry (delta-published).
     pub fn publish_metrics(&mut self) {
-        let pool = self.pool.stats;
-        let wal = self.wal.stats;
-        let pager = self.pool.pager().stats;
-        self.metrics.publish(&pool, &wal, &pager);
+        self.metrics.publish(&self.pool.stats, &self.wal.stats, &self.pool.pager().stats);
     }
 }
 
@@ -685,24 +668,39 @@ mod tests {
     }
 
     #[test]
-    fn metrics_flow_into_the_registry() {
+    fn attached_registry_mirrors_every_disk_ledger_field() {
+        use crate::bufpool::BufPoolStats;
+        use crate::pager::PagerStats;
+        use crate::wal::WalStats;
+        use bgl_obs::Ledger;
         let dir = tmp_dir("metrics");
         let reg = Registry::enabled();
         let cfg = small_cfg().with_registry(&reg);
-        let mut t = DurableFeatures::create(&dir, &features(40, 2), cfg).unwrap();
+        let mut t = DurableFeatures::create(&dir, &features(40, 2), cfg.clone()).unwrap();
         t.update_row(0, &[1.0, 2.0]).unwrap();
         let mut out = Vec::new();
         t.read_row_into(0, &mut out).unwrap();
         t.publish_metrics();
+        let (pool, wal, pager) = (t.pool.stats, t.wal.stats, t.pool.pager().stats);
+        assert!(pool.misses >= 1 && wal.appends == 1 && pager.page_reads >= 1);
         let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        assert_eq!(counters["store.disk.wal_appends"], 1);
-        assert!(counters["store.disk.misses"] >= 1);
+        let mirrored = (BufPoolStats::FIELDS.iter().zip(pool.to_array()))
+            .chain(WalStats::FIELDS.iter().zip(wal.to_array()))
+            .chain(PagerStats::FIELDS.iter().zip(pager.to_array()));
+        for (field, value) in mirrored {
+            assert_eq!(counters[&format!("store.disk.{field}")], value, "{field}");
+        }
         let (_, fsync) = reg
             .histograms()
             .into_iter()
             .find(|(n, _)| n == "store.disk.wal_fsync_ns")
             .expect("fsync histogram registered");
         assert_eq!(fsync.count, 1);
+        // Reopening is the one event with no ledger behind it.
+        assert_eq!(counters["store.disk.recoveries"], 0);
+        drop(t);
+        DurableFeatures::open(&dir, cfg).unwrap();
+        assert_eq!(reg.counter("store.disk.recoveries").get(), 1);
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -200,6 +200,14 @@ pub struct WalStats {
     pub torn_truncations: u64,
 }
 
+bgl_obs::ledger!(WalStats {
+    appends = "wal_appends",
+    syncs = "wal_syncs",
+    resets = "wal_resets",
+    replayed = "wal_replayed",
+    torn_truncations = "wal_torn_truncations",
+});
+
 /// What replay found at open.
 #[derive(Clone, Debug, Default)]
 pub struct WalRecovery {

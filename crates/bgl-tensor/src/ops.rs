@@ -26,17 +26,6 @@ pub fn leaky_relu(x: &Matrix, alpha: f32) -> Matrix {
     x.map(|v| if v > 0.0 { v } else { alpha * v })
 }
 
-/// LeakyReLU backward.
-pub fn leaky_relu_backward(x: &Matrix, grad_out: &Matrix, alpha: f32) -> Matrix {
-    let data = x
-        .raw()
-        .iter()
-        .zip(grad_out.raw())
-        .map(|(&xv, &g)| if xv > 0.0 { g } else { alpha * g })
-        .collect();
-    Matrix::from_vec(x.rows(), x.cols(), data)
-}
-
 /// Row-wise softmax (numerically stabilized).
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();

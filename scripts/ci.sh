@@ -6,6 +6,13 @@ cd "$(dirname "$0")/.."
 # Manifests first: a dependency no .rs file names fails here, before
 # anything is compiled.
 scripts/check_deps.sh
+# Ledgers reach the registry through bgl_obs::Mirror; a hand-written
+# `now - self.last_*` delta mirror outside bgl-obs fails here. (`if`, not a
+# bare `! grep`: `set -e` ignores a status inverted with `!`.)
+if grep -rnE 'saturating_sub\(self\.last' crates --include='*.rs' | grep -v '^crates/bgl-obs/'; then
+    echo "hand-written delta mirror: publish through bgl_obs::Mirror instead" >&2
+    exit 1
+fi
 
 cargo build --release
 cargo test -q
@@ -47,6 +54,8 @@ debug,release  -p bgl --test disk_recovery
 debug,release  -p bgl-ingest
 # owner migration: kills at every (phase, victim) cell, WAL replay, bitwise post-migration epoch
 debug,release  -p bgl --test migrate
+# registry counter names: every ledger attach site against the pinned literal list
+debug          -p bgl --test metric_names
 EOF
 
 # The one harness that times the system: every workload once at smoke scale,

@@ -17,7 +17,8 @@
 mod common;
 
 use bgl_exec::{run, run_serial, spawn, ExecConfig};
-use bgl_obs::Registry;
+use bgl_obs::{Ledger, Registry};
+use bgl_sim::network::RobustnessStats;
 use bgl_sim::MILLISECOND;
 use bgl_store::{FaultPlan, RetryPolicy};
 use common::{EpochRig, RigSpec};
@@ -182,11 +183,10 @@ fn epoch_survives_primary_crash() {
     let r = &report.robustness;
     let recovery = r.retries + r.failovers + r.degraded_batches + r.degraded_rows;
     assert!(recovery > 0, "the fault plan must have made the store work for it: {r:?}");
-    // The exec.* namespace mirrors the store's counters.
-    assert_eq!(counter(&reg, "exec.store.retries"), r.retries);
-    assert_eq!(counter(&reg, "exec.store.failovers"), r.failovers);
-    assert_eq!(counter(&reg, "exec.store.degraded_batches"), r.degraded_batches);
-    assert_eq!(counter(&reg, "exec.store.degraded_rows"), r.degraded_rows);
+    // The exec.* namespace mirrors the store's whole reliability ledger.
+    for (field, value) in RobustnessStats::FIELDS.iter().zip(r.to_array()) {
+        assert_eq!(counter(&reg, &format!("exec.store.{field}")), value, "{field}");
+    }
     assert_eq!(
         counter(&reg, "exec.batches.trained"),
         report.batches_trained as u64
