@@ -7,16 +7,15 @@
 //! only code that ever touches the shard's map and buffer. This module
 //! implements exactly that with `std::sync::mpsc` channels — every queue
 //! has one consumer, the shard's owner thread, which is all mpsc offers
-//! and all the design needs — plus a `std::sync::Mutex`-per-shard
-//! variant so the benches can measure the difference on real threads.
+//! and all the design needs.
 //!
-//! Both variants implement [`ShardedCache`] with *identical accounting*:
-//! each batch deduplicates its keys first, so every unique key counts as
+//! Each batch deduplicates its keys first, so every unique key counts as
 //! exactly one hit or one miss and `source` is called once per unique
-//! missing key (the §3.2.3 ablation compares like with like). The queue
-//! variant collects every shard's reply before resolving any miss, so one
-//! slow miss resolution never blocks reading the other shards'
-//! already-computed replies.
+//! missing key. Every shard's reply is collected before any miss is
+//! resolved, so one slow miss resolution never blocks reading the other
+//! shards' already-computed replies. The single-threaded
+//! [`crate::FeatureCacheEngine`] over the same [`Shard`]s is the reference
+//! the tests below hold rows, misses and invalidations against.
 
 use crate::policy::PolicyKind;
 use crate::stats::CacheStats;
@@ -31,30 +30,7 @@ use std::time::Instant;
 use crate::engine::Shard;
 use bgl_graph::FeaturePrecision;
 
-/// Common front-end of the queue and mutex sharded caches, so the §3.2.3
-/// ablation (and tests) can drive both through one interface.
-pub trait ShardedCache {
-    /// Fetch features for `nodes` (duplicates allowed); misses are resolved
-    /// through `source` — called once per unique missing key — and the
-    /// fetched rows are inserted back.
-    fn fetch_batch(
-        &self,
-        nodes: &[NodeId],
-        source: &mut dyn FnMut(&[NodeId]) -> Vec<f32>,
-    ) -> Vec<f32>;
-
-    /// Point-in-time counters (safe to call mid-run).
-    fn stats(&self) -> CacheStats;
-
-    /// Drop `keys` from their owning shards (ingest-driven coherence).
-    /// Returns the number of resident rows actually dropped; both variants
-    /// count the same `invalidations` delta into their stats, so the
-    /// parity contract extends to invalidation.
-    fn invalidate(&self, keys: &[NodeId]) -> u64;
-}
-
-/// Lock a shard or a metrics publisher. A holder that panicked may have
-/// left a slot half-admitted, so poison is fatal here, not recovered.
+/// Lock the metrics publisher; poison means a publishing thread panicked.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("a thread panicked while holding this cache lock")
 }
@@ -205,11 +181,12 @@ impl QueueShardedCache {
         lock(&self.metrics).publish(&total);
         total
     }
-}
 
-impl ShardedCache for QueueShardedCache {
-    /// Safe to call from multiple threads concurrently.
-    fn fetch_batch(
+    /// Fetch features for `nodes` (duplicates allowed); misses are resolved
+    /// through `source` — called once per batch with every unique missing
+    /// key — and the fetched rows are inserted back. Safe to call from
+    /// multiple threads concurrently.
+    pub fn fetch_batch(
         &self,
         nodes: &[NodeId],
         source: &mut dyn FnMut(&[NodeId]) -> Vec<f32>,
@@ -304,11 +281,15 @@ impl ShardedCache for QueueShardedCache {
         out
     }
 
-    fn stats(&self) -> CacheStats {
+    /// Point-in-time counters (safe to call mid-run).
+    pub fn stats(&self) -> CacheStats {
         self.shared.snapshot()
     }
 
-    fn invalidate(&self, keys: &[NodeId]) -> u64 {
+    /// Drop `keys` from their owning shards (ingest-driven coherence).
+    /// Returns the number of resident rows actually dropped, which is also
+    /// the `invalidations` delta folded into the stats.
+    pub fn invalidate(&self, keys: &[NodeId]) -> u64 {
         // Fan keys out to their owner threads; the op runs in queue order,
         // so an invalidate enqueued after an insert is guaranteed to see
         // it (the ordering the ingest path relies on).
@@ -333,105 +314,10 @@ impl ShardedCache for QueueShardedCache {
     }
 }
 
-/// Mutex-per-shard variant — the "naive solution" §3.2.3 rejects. Kept for
-/// the ablation bench that reproduces the 8x claim qualitatively.
-pub struct MutexShardedCache {
-    shards: Vec<Arc<Mutex<Shard>>>,
-    dim: usize,
-    shared: AtomicLedger<CacheStats>,
-    metrics: Mutex<Mirror<CacheStats>>,
-}
-
-impl MutexShardedCache {
-    pub fn new(num_shards: usize, dim: usize, capacity: usize, kind: PolicyKind) -> Self {
-        let shards = (0..num_shards)
-            .map(|_| Arc::new(Mutex::new(Shard::new(kind, capacity, dim, &[], FeaturePrecision::F32))))
-            .collect();
-        MutexShardedCache {
-            shards,
-            dim,
-            shared: AtomicLedger::default(),
-            metrics: Mutex::new(Mirror::default()),
-        }
-    }
-
-    /// Mirror this cache's counters into `reg` under `cache.mutex.*`.
-    pub fn attach_metrics(&self, reg: &bgl_obs::Registry) {
-        *lock(&self.metrics) = Mirror::attach(reg, "cache.mutex");
-    }
-}
-
-impl ShardedCache for MutexShardedCache {
-    /// Same semantics and accounting as [`QueueShardedCache::fetch_batch`],
-    /// but every operation takes the shard lock.
-    fn fetch_batch(
-        &self,
-        nodes: &[NodeId],
-        source: &mut dyn FnMut(&[NodeId]) -> Vec<f32>,
-    ) -> Vec<f32> {
-        let start = Instant::now();
-        let dim = self.dim;
-        let mut out = vec![0.0f32; nodes.len() * dim];
-        let (keys, positions) = dedup_keys(nodes);
-        let mut delta = CacheStats { batches: 1, ..Default::default() };
-        let mut missing: Vec<(usize, NodeId)> = Vec::new();
-        for (u, &v) in keys.iter().enumerate() {
-            let s = (v as usize) % self.shards.len();
-            let mut shard = lock(&self.shards[s]);
-            match shard.policy.lookup(v) {
-                Some(slot) => {
-                    delta.gpu_local_hits += 1;
-                    for &pos in &positions[u] {
-                        shard.read_slot_into(slot, &mut out[pos * dim..(pos + 1) * dim]);
-                    }
-                }
-                None => {
-                    delta.misses += 1;
-                    missing.push((u, v));
-                }
-            }
-        }
-        if !missing.is_empty() {
-            let miss_keys: Vec<NodeId> = missing.iter().map(|&(_, v)| v).collect();
-            let rows = source(&miss_keys);
-            assert_eq!(rows.len(), miss_keys.len() * dim);
-            delta.miss_bytes = (rows.len() * std::mem::size_of::<f32>()) as u64;
-            for (j, &(u, v)) in missing.iter().enumerate() {
-                let row = &rows[j * dim..(j + 1) * dim];
-                for &pos in &positions[u] {
-                    out[pos * dim..(pos + 1) * dim].copy_from_slice(row);
-                }
-                let s = (v as usize) % self.shards.len();
-                lock(&self.shards[s]).admit(v, row);
-            }
-        }
-        delta.overhead_ns = start.elapsed().as_nanos() as u64;
-        self.shared.add(&delta);
-        lock(&self.metrics).publish(&self.shared.snapshot());
-        out
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.shared.snapshot()
-    }
-
-    fn invalidate(&self, keys: &[NodeId]) -> u64 {
-        let mut dropped = 0u64;
-        for &v in keys {
-            let s = (v as usize) % self.shards.len();
-            if lock(&self.shards[s]).policy.remove(v).is_some() {
-                dropped += 1;
-            }
-        }
-        self.shared.add(&CacheStats { invalidations: dropped, ..Default::default() });
-        lock(&self.metrics).publish(&self.shared.snapshot());
-        dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FeatureCacheEngine;
     use bgl_graph::FeatureStore;
     use bgl_obs::Ledger;
 
@@ -443,6 +329,12 @@ mod tests {
             }
         }
         f
+    }
+
+    /// The reference: the single-threaded engine over the same `Shard`s —
+    /// one GPU shard per queue shard, no CPU level.
+    fn reference(shards: usize, dim: usize, capacity: usize) -> FeatureCacheEngine {
+        FeatureCacheEngine::new(shards, dim, capacity, 0, PolicyKind::Fifo, &[])
     }
 
     #[test]
@@ -500,107 +392,90 @@ mod tests {
     }
 
     #[test]
-    fn mutex_cache_round_trip() {
-        let f = features(64, 3);
-        let cache = MutexShardedCache::new(2, 3, 16, PolicyKind::Lru);
-        let mut src = |ids: &[NodeId]| f.gather(ids);
-        let out = cache.fetch_batch(&[5, 6], &mut src);
-        assert_eq!(&out[0..3], f.row(5));
-        let out2 = cache.fetch_batch(&[5, 6], &mut src);
-        assert_eq!(out, out2);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.gpu_local_hits, 2);
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.miss_bytes, 2 * 3 * 4);
-    }
-
-    #[test]
     fn duplicate_keys_fetch_source_once_per_unique_key() {
         let f = features(64, 2);
-        // One front-end at a time; same batch with heavy duplication.
+        // Same batch with heavy duplication.
         let batch: Vec<NodeId> = vec![7, 7, 9, 7, 9, 12];
-
-        let queue = QueueShardedCache::new(2, 2, 16, PolicyKind::Fifo);
-        let mutex = MutexShardedCache::new(2, 2, 16, PolicyKind::Fifo);
-        for cache in [&queue as &dyn ShardedCache, &mutex as &dyn ShardedCache] {
-            let mut fetched: Vec<NodeId> = Vec::new();
-            let mut src = |ids: &[NodeId]| {
-                fetched.extend_from_slice(ids);
-                f.gather(ids)
-            };
-            let out = cache.fetch_batch(&batch, &mut src);
-            // Every position filled with the right row, duplicates included.
-            for (i, &v) in batch.iter().enumerate() {
-                assert_eq!(&out[i * 2..(i + 1) * 2], f.row(v));
-            }
-            fetched.sort_unstable();
-            assert_eq!(fetched, vec![7, 9, 12], "one source fetch per unique key");
-            let stats = cache.stats();
-            assert_eq!(stats.misses, 3, "misses counted once per unique key");
-            assert_eq!(stats.miss_bytes, 3 * 2 * 4);
+        let cache = QueueShardedCache::new(2, 2, 16, PolicyKind::Fifo);
+        let mut fetched: Vec<NodeId> = Vec::new();
+        let mut src = |ids: &[NodeId]| {
+            fetched.extend_from_slice(ids);
+            f.gather(ids)
+        };
+        let out = cache.fetch_batch(&batch, &mut src);
+        // Every position filled with the right row, duplicates included.
+        for (i, &v) in batch.iter().enumerate() {
+            assert_eq!(&out[i * 2..(i + 1) * 2], f.row(v));
         }
+        fetched.sort_unstable();
+        assert_eq!(fetched, vec![7, 9, 12], "one source fetch per unique key");
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 3, "misses counted once per unique key");
+        assert_eq!(stats.miss_bytes, 3 * 2 * 4);
     }
 
     #[test]
-    fn queue_and_mutex_agree_on_identical_trace() {
+    fn queue_agrees_with_the_engine_on_identical_trace() {
         let f = features(128, 2);
         let queue = QueueShardedCache::new(4, 2, 8, PolicyKind::Fifo);
-        let mutex = MutexShardedCache::new(4, 2, 8, PolicyKind::Fifo);
+        let mut engine = reference(4, 2, 8);
         // Single-threaded replay of the same batch sequence (with repeats
-        // and duplicates) through both variants.
+        // and duplicates) through both. The engine counts a hit per
+        // position and the queue per unique key, so duplicates here fall
+        // only on keys that miss — both ledgers then agree exactly.
         let trace: Vec<Vec<NodeId>> = vec![
             (0..32).collect(),
             (16..48).collect(),
-            vec![1, 1, 2, 3, 5, 8, 13, 21, 34, 34],
+            vec![1, 1, 2, 3, 5, 8, 13, 13, 21, 34],
             (0..32).collect(),
             (100..120).chain(100..110).collect(),
         ];
         for batch in &trace {
-            let mut src_q = |ids: &[NodeId]| f.gather(ids);
-            let out_q = queue.fetch_batch(batch, &mut src_q);
-            let mut src_m = |ids: &[NodeId]| f.gather(ids);
-            let out_m = mutex.fetch_batch(batch, &mut src_m);
-            assert_eq!(out_q, out_m);
+            let mut src = |ids: &[NodeId]| f.gather(ids);
+            let out_q = queue.fetch_batch(batch, &mut src);
+            let out_e = engine.fetch_batch(0, batch, &mut src).features;
+            assert_eq!(out_q, out_e);
         }
         let sq = queue.stats();
-        let sm = mutex.stats();
-        assert_eq!(sq.misses, sm.misses, "miss totals must match");
+        let se = engine.stats();
+        assert_eq!(sq.misses, se.misses, "miss totals must match");
         assert_eq!(
-            sq.gpu_local_hits, sm.gpu_local_hits,
+            sq.gpu_local_hits,
+            se.gpu_local_hits + se.gpu_peer_hits,
             "hit totals must match"
         );
-        assert_eq!(sq.miss_bytes, sm.miss_bytes);
-        assert_eq!(sq.batches, sm.batches);
+        assert_eq!(sq.miss_bytes, se.miss_bytes);
+        assert_eq!(sq.batches, se.batches);
         assert!(sq.misses > 0 && sq.gpu_local_hits > 0, "trace exercises both");
     }
 
     #[test]
-    fn invalidate_updates_stats_identically_on_both_variants() {
+    fn invalidate_updates_stats_like_the_engine() {
         let f = features(128, 2);
         let queue = QueueShardedCache::new(4, 2, 32, PolicyKind::Fifo);
-        let mutex = MutexShardedCache::new(4, 2, 32, PolicyKind::Fifo);
+        let mut engine = reference(4, 2, 32);
         // Same trace through both: load, invalidate (resident, absent and
         // duplicate keys mixed), then refetch the invalidated keys.
         let load: Vec<NodeId> = (0..24).collect();
         let kill: Vec<NodeId> = vec![3, 3, 7, 11, 200, 201];
-        for cache in [&queue as &dyn ShardedCache, &mutex as &dyn ShardedCache] {
-            let mut src = |ids: &[NodeId]| f.gather(ids);
-            cache.fetch_batch(&load, &mut src);
-            // 3 drops twice? No — the second 3 is already gone, so exactly
-            // three resident keys drop; absent keys are no-ops.
-            assert_eq!(cache.invalidate(&kill), 3);
-            let out = cache.fetch_batch(&[3, 7, 11], &mut src);
-            assert_eq!(&out[0..2], f.row(3), "fresh fetch after invalidate");
-        }
+        let mut src = |ids: &[NodeId]| f.gather(ids);
+        queue.fetch_batch(&load, &mut src);
+        engine.fetch_batch(0, &load, &mut src);
+        // 3 drops twice? No — the second 3 is already gone, so exactly
+        // three resident keys drop; absent keys are no-ops.
+        assert_eq!(queue.invalidate(&kill), 3);
+        assert_eq!(engine.invalidate(&kill), 3);
+        let out = queue.fetch_batch(&[3, 7, 11], &mut src);
+        assert_eq!(&out[0..2], f.row(3), "fresh fetch after invalidate");
+        assert_eq!(out, engine.fetch_batch(0, &[3, 7, 11], &mut src).features);
         let sq = queue.stats();
-        let sm = mutex.stats();
+        let se = engine.stats();
         assert_eq!(sq.invalidations, 3);
-        assert_eq!(sq.invalidations, sm.invalidations, "invalidation parity");
-        assert_eq!(sq.misses, sm.misses, "invalidated keys re-miss identically");
-        assert_eq!(sq.gpu_local_hits, sm.gpu_local_hits);
-        assert_eq!(sq.miss_bytes, sm.miss_bytes);
-        assert_eq!(sq.batches, sm.batches);
+        assert_eq!(sq.invalidations, se.invalidations, "invalidation parity");
+        assert_eq!(sq.misses, se.misses, "invalidated keys re-miss identically");
+        assert_eq!(sq.gpu_local_hits, se.gpu_local_hits + se.gpu_peer_hits);
+        assert_eq!(sq.miss_bytes, se.miss_bytes);
+        assert_eq!(sq.batches, se.batches);
     }
 
     #[test]
@@ -609,22 +484,15 @@ mod tests {
         let reg = bgl_obs::Registry::enabled();
         let queue = QueueShardedCache::new(2, 2, 16, PolicyKind::Fifo);
         queue.attach_metrics(&reg);
-        let mutex = MutexShardedCache::new(2, 2, 16, PolicyKind::Fifo);
-        mutex.attach_metrics(&reg);
-        for cache in [&queue as &dyn ShardedCache, &mutex as &dyn ShardedCache] {
-            let mut src = |ids: &[NodeId]| f.gather(ids);
-            cache.fetch_batch(&[1, 2, 3, 4], &mut src);
-            cache.fetch_batch(&[1, 2, 3], &mut src);
-            assert_eq!(cache.invalidate(&[2, 4, 50]), 2);
-        }
-        let mutex_stats = mutex.stats();
-        let queue_stats = queue.shutdown();
-        assert!(queue_stats.misses > 0 && queue_stats.gpu_local_hits > 0);
+        let mut src = |ids: &[NodeId]| f.gather(ids);
+        queue.fetch_batch(&[1, 2, 3, 4], &mut src);
+        queue.fetch_batch(&[1, 2, 3], &mut src);
+        assert_eq!(queue.invalidate(&[2, 4, 50]), 2);
+        let stats = queue.shutdown();
+        assert!(stats.misses > 0 && stats.gpu_local_hits > 0);
         let counters: std::collections::BTreeMap<_, _> = reg.counters().into_iter().collect();
-        for (prefix, stats) in [("cache.queue", queue_stats), ("cache.mutex", mutex_stats)] {
-            for (field, value) in CacheStats::FIELDS.iter().zip(stats.to_array()) {
-                assert_eq!(counters[&format!("{prefix}.{field}")], value, "{prefix}.{field}");
-            }
+        for (field, value) in CacheStats::FIELDS.iter().zip(stats.to_array()) {
+            assert_eq!(counters[&format!("cache.queue.{field}")], value, "cache.queue.{field}");
         }
     }
 }

@@ -14,15 +14,14 @@
 //!   NVLink, a CPU cache level above, and miss fetches from the graph
 //!   store;
 //! * [`concurrent`] — the lock-free consistency design of §3.2.3: one
-//!   processing thread per GPU shard polling an operation queue, compared
-//!   against a mutex-per-shard variant;
+//!   processing thread per GPU shard polling an operation queue;
 //! * [`cost`] — a GPU-side cost model for cache operations, calibrated to
 //!   the per-batch overheads the paper reports (FIFO < 20 ms, LRU/LFU
 //!   ≈ 80 ms at 10% cache on Ogbn-papers), so the Fig. 5a trade-off can be
 //!   regenerated without CUDA;
-//! * [`stats`] — [`CacheStats`], the one ledger all three front-ends keep
-//!   and callers read; `attach_metrics` on each mirrors it into the
-//!   registry under `cache.{engine,queue,mutex}.*` through `bgl_obs::Mirror`.
+//! * [`stats`] — [`CacheStats`], the one ledger both front-ends keep and
+//!   callers read; `attach_metrics` on each mirrors it into the registry
+//!   under `cache.{engine,queue}.*` through `bgl_obs::Mirror`.
 
 pub mod concurrent;
 pub mod cost;
@@ -30,7 +29,7 @@ pub mod engine;
 pub mod policy;
 pub mod stats;
 
-pub use concurrent::{MutexShardedCache, QueueShardedCache, ShardedCache};
+pub use concurrent::QueueShardedCache;
 pub use engine::{FeatureCacheEngine, FetchResult, PendingFetch};
 pub use policy::{CachePolicy, Fifo, LfuO1, LruO1, PolicyKind, StaticDegree};
 pub use stats::CacheStats;

@@ -72,7 +72,7 @@ impl CacheStats {
     }
 }
 
-// Registered as `cache.{engine,queue,mutex}.*` by the three front-ends.
+// Registered as `cache.{engine,queue}.*` by the two front-ends.
 bgl_obs::ledger!(CacheStats {
     gpu_local_hits,
     gpu_peer_hits,

@@ -142,15 +142,9 @@ pub fn measure_data_path(
         // per-owner sub-batches proceed in parallel. This is where
         // partition locality pays — a seed whose multi-hop neighborhood
         // stays on its own server samples without touching the network.
-        // BTreeMap keeps the per-owner issue order deterministic, so the
-        // servers' sampling RNG streams (and thus the measured batches)
-        // reproduce run to run.
-        let mut by_owner: std::collections::BTreeMap<usize, Vec<NodeId>> =
-            std::collections::BTreeMap::new();
-        for &v in seeds.iter() {
-            let home = cluster.owner_of(v).expect("seed inside partition map");
-            by_owner.entry(home).or_default().push(v);
-        }
+        // Owner-ascending issue order keeps the servers' sampling RNG
+        // streams (and thus the measured batches) reproducible run to run.
+        let by_owner = cluster.group_by_owner(seeds).expect("seed inside partition map");
         let mut input_nodes: Vec<NodeId> = Vec::new();
         let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
         let mut sampled_nodes = 0usize;
@@ -159,7 +153,7 @@ pub fn measure_data_path(
         let mut sample_wire: SimTime = 0;
         let mut sample_remote_requests = 0u64;
         let mut flops = [0.0f64; 3];
-        for (home, group) in by_owner {
+        for (home, (_, group)) in by_owner {
             let (mb, timing) = cluster
                 .sample_batch(fanouts, &group, home)
                 .expect("no failure injection during measurement");

@@ -16,7 +16,7 @@
 use crate::experiments::{DatasetId, ExperimentCtx};
 use crate::measure::{make_ordering, make_partitioner};
 use crate::systems::SystemKind;
-use bgl_cache::{CacheStats, PolicyKind, QueueShardedCache, ShardedCache};
+use bgl_cache::{CacheStats, PolicyKind, QueueShardedCache};
 use bgl_exec::StageProfile;
 use bgl_graph::{InducedSubgraph, NodeId};
 use bgl_sim::as_secs;
@@ -157,19 +157,14 @@ impl ExperimentCtx {
         let mut streams: Vec<Vec<NodeId>> = Vec::new();
         for seeds in seed_batches.iter().take(self.num_batches) {
             let _batch_span = obs.span("profile.batch");
-            let mut by_owner: std::collections::BTreeMap<usize, Vec<NodeId>> =
-                std::collections::BTreeMap::new();
-            for &v in seeds.iter() {
-                let home = cluster.owner_of(v).expect("seed inside partition map");
-                by_owner.entry(home).or_default().push(v);
-            }
+            let by_owner = cluster.group_by_owner(seeds).expect("seed inside partition map");
 
             let span1 = obs.span("profile.sample");
             let s1 = Instant::now();
             let mut input_nodes: Vec<NodeId> = Vec::new();
             let mut seen: std::collections::HashSet<NodeId> =
                 std::collections::HashSet::new();
-            for (home, group) in by_owner {
+            for (home, (_, group)) in by_owner {
                 let (mb, _timing) = cluster
                     .sample_batch(&self.fanouts, &group, home)
                     .expect("no failure injection while profiling");

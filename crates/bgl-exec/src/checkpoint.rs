@@ -41,6 +41,7 @@
 //!   step counter — restoring params alone silently changes the
 //!   trajectory; see `bgl_tensor::optim`'s divergence regression test).
 
+use bgl_graph::hash::{fnv1a_64, mix64, Fnv1a};
 use bgl_graph::NodeId;
 use bgl_tensor::{Adam, Matrix};
 use std::fs::{self, File};
@@ -109,40 +110,22 @@ impl From<io::Error> for CkptError {
 }
 
 // ---------------------------------------------------------------------------
-// FNV-1a 64 (same family as MiniBatch::digest) and the batch fingerprint
+// The batch fingerprint (FNV-1a 64, like MiniBatch::digest)
 // ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Order-sensitive fingerprint of an epoch's seed batches (the
 /// training-node ordering). Two orderings that differ in any batch
 /// boundary, node, or position fingerprint differently.
 pub fn fingerprint_batches(batches: &[Vec<NodeId>]) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(batches.len() as u64);
+    let mut h = Fnv1a::default();
+    h.word(batches.len() as u64);
     for batch in batches {
-        eat(batch.len() as u64);
+        h.word(batch.len() as u64);
         for &n in batch {
-            eat(n as u64);
+            h.word(n as u64);
         }
     }
-    h
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +328,7 @@ impl Checkpoint {
         out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
         out.extend_from_slice(&(p.len() as u64).to_le_bytes());
         out.extend_from_slice(&p);
-        let sum = fnv1a(&out);
+        let sum = fnv1a_64(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -381,7 +364,7 @@ impl Checkpoint {
                 bytes.len() - total
             )));
         }
-        let expected = fnv1a(&bytes[..total - CHECKSUM_LEN]);
+        let expected = fnv1a_64(&bytes[..total - CHECKSUM_LEN]);
         let found = u64::from_le_bytes(bytes[total - CHECKSUM_LEN..].try_into().unwrap());
         if expected != found {
             return Err(CkptError::ChecksumMismatch { expected, found });
@@ -636,14 +619,6 @@ impl CheckpointStore {
 // Executor fault plan (PR 1's seeded chaos, extended to the trainer)
 // ---------------------------------------------------------------------------
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A seeded, declarative fault schedule for the *executor* — the trainer-
 /// side counterpart of `bgl_store::FaultPlan`. The same plan over the same
 /// workload kills, tears, and panics at exactly the same points, so every
@@ -675,7 +650,7 @@ impl ExecFaultPlan {
     /// deterministically from the plan seed in `[lo, hi)`.
     pub fn kill_at_seeded_batch(self, lo: usize, hi: usize) -> Self {
         assert!(lo < hi);
-        let k = lo + (splitmix64(self.seed) as usize) % (hi - lo);
+        let k = lo + (mix64(self.seed, 0) as usize) % (hi - lo);
         self.kill_at_trained(k)
     }
 
@@ -709,7 +684,7 @@ impl ExecFaultPlan {
     pub fn torn_keep_bytes(&self, nth: usize, len: usize) -> Option<usize> {
         match self.tear_checkpoint {
             Some(n) if n == nth && len > 0 => {
-                Some((splitmix64(self.seed ^ (nth as u64 + 1)) as usize) % len)
+                Some((mix64(self.seed, nth as u64 + 1) as usize) % len)
             }
             _ => None,
         }
@@ -755,7 +730,7 @@ mod tests {
             },
             losses: (0..cursor).map(|i| i as f32 * 0.5).collect(),
             train_order: (0..cursor).collect(),
-            digests: (0..cursor).map(splitmix64).collect(),
+            digests: (0..cursor).map(|i| mix64(0, i)).collect(),
         }
     }
 
@@ -830,7 +805,7 @@ mod tests {
         // Version bytes are inside the checksummed region, so recompute the
         // trailer to isolate the version check from the checksum check.
         let len = wrong_version.len();
-        let sum = fnv1a(&wrong_version[..len - CHECKSUM_LEN]);
+        let sum = fnv1a_64(&wrong_version[..len - CHECKSUM_LEN]);
         wrong_version[len - CHECKSUM_LEN..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             Checkpoint::decode(&wrong_version),

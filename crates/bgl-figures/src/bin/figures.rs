@@ -1,15 +1,15 @@
 //! Regenerate every table and figure from the paper's evaluation section.
 //!
 //! ```text
-//! cargo run --release -p bench --bin figures -- --all
-//! cargo run --release -p bench --bin figures -- --fig5a --fig5b --small
+//! cargo run --release -p bgl-figures --bin figures -- --all
+//! cargo run --release -p bgl-figures --bin figures -- --fig5a --fig5b --small
 //! ```
 //!
 //! Flags: `--fig2 --fig3 --fig5a --fig5b --fig11 --fig12 --fig13 --fig14
 //! --fig15 --fig16 --tab3 --tab4 --tab5 --ablate --recovery --profile
 //! --all`, plus `--small` (test-scale datasets) and `--out <dir>` (JSON
 //! output directory, default `results/`). No flag means `--all`; anything
-//! else exits non-zero (see [`bench::parse_flags`]). Nothing here times the
+//! else exits non-zero (see [`bgl_figures::parse_flags`]). Nothing here times the
 //! running system: that is `bash crates/bgl-bench/run.sh`.
 //!
 //! `--profile` (not part of `--all`) closes the §3.4 loop: it runs the
@@ -20,7 +20,7 @@
 //! explicit `--out` it also writes the run's chrome-trace timeline
 //! (`profile_trace.json`, loadable in Perfetto / `about:tracing`) there.
 
-use bench::*;
+use bgl_figures::*;
 use bgl::config::GnnModelKind;
 use bgl::experiments::{DatasetId, ExperimentCtx};
 use bgl::report::to_json;

@@ -23,6 +23,8 @@
 //!   BFS-coarsening partitioner (§3.3).
 //! * [`half`] / [`FeaturePrecision`] — IEEE 754 binary16 row storage, which
 //!   halves feature bytes on the wire, in caches and on disk.
+//! * [`hash`] — the one FNV-1a-64 checksum and the one `mix64` integer
+//!   mixer every durable format, digest and seeded draw shares.
 //! * [`FeatureBlock`] — arena-backed feature rows: decoded fetch buffers are
 //!   adopted as segments and referenced through to the minibatch instead of
 //!   being re-copied at every hop.
@@ -38,6 +40,7 @@ pub mod dynamic;
 pub mod features;
 pub mod generate;
 pub mod half;
+pub mod hash;
 pub mod subgraph;
 pub mod traversal;
 

@@ -2,7 +2,7 @@
 //! derived state honest.
 //!
 //! One [`IngestCoordinator::apply`] call drives a single [`ChurnOp`]
-//! end-to-end through the ordering the design doc (§17) pins down:
+//! end-to-end through the ordering the design doc (§10) pins down:
 //!
 //! 1. **Store first.** The mutation is broadcast write-all through
 //!    [`StoreCluster`], which journals WAL-first on every server. Nothing
@@ -21,7 +21,7 @@
 //! dirty nodes, repair the proximity-aware training order incrementally,
 //! and drain up to [`IngestConfig::moves_per_period`] of the refinement's
 //! moves through the store's crash-safe migration protocol so the physical
-//! placement follows the logical map (DESIGN.md §18). Everything is
+//! placement follows the logical map (DESIGN.md §10). Everything is
 //! counted in `ingest.*` and `migrate.*` metric sets.
 
 use crate::assign::OnlineAssigner;

@@ -27,7 +27,7 @@
 //!   forever. Repairs are idempotent, so retrying until the fault clears
 //!   is always safe.
 //!
-//! Cache invalidation is **commit-first** (DESIGN.md §18): the migrated
+//! Cache invalidation is **commit-first** (DESIGN.md §10): the migrated
 //! node's cache entry is dropped only after the protocol reports the new
 //! owner authoritative. Right up to the commit the cached bytes are valid
 //! — source and destination hold identical rows — so invalidating earlier

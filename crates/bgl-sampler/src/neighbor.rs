@@ -155,34 +155,26 @@ impl MiniBatch {
     /// — what the executor's differential test compares across the threaded
     /// and serial paths without shipping whole batches around.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = bgl_graph::hash::Fnv1a::default();
         for &s in &self.seeds {
-            eat(s as u64);
+            h.word(s as u64);
         }
         for b in &self.blocks {
-            eat(b.dst_nodes.len() as u64);
+            h.word(b.dst_nodes.len() as u64);
             for &v in &b.dst_nodes {
-                eat(v as u64);
+                h.word(v as u64);
             }
             for &v in &b.src_nodes {
-                eat(v as u64);
+                h.word(v as u64);
             }
             for &o in &b.offsets {
-                eat(o as u64);
+                h.word(o as u64);
             }
             for &s in &b.srcs {
-                eat(s as u64);
+                h.word(s as u64);
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -40,6 +40,7 @@ use bgl_partition::Partition;
 use bgl_sampler::neighbor::{LayerBlock, MiniBatch};
 use bgl_sim::network::{NetworkModel, RobustnessStats, TrafficLedger};
 use bgl_sim::SimTime;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -64,6 +65,19 @@ pub struct SampleTiming {
 /// batch is small; the cap only exists to turn a routing contradiction
 /// (a server redirecting in a cycle) into an error instead of a hang.
 const MAX_REDIRECTS: u32 = 16;
+
+/// `owner → (positions in the input, node ids)`. A `BTreeMap`, because
+/// requests must issue in a deterministic (owner-ascending) order or the
+/// fault injector's per-request decisions — and thus the recovery trace
+/// and the servers' sampling streams — would vary run to run.
+pub type OwnerGroups = BTreeMap<usize, (Vec<usize>, Vec<NodeId>)>;
+
+/// The per-target call of a [`StoreCluster::fan_out`]: either
+/// [`StoreCluster::rpc_robust`] (reads: retry ladder, breakers, failover
+/// along the replica chain) or [`StoreCluster::rpc_retrying`] (writes: the
+/// ladder on the named server only).
+pub(crate) type Rpc =
+    fn(&mut StoreCluster, usize, usize, &Message) -> Result<(Message, SimTime), StoreError>;
 
 /// A distributed graph store: one server per partition, reached through a
 /// [`StoreTransport`] (in-process by default, TCP via `bgl-net`).
@@ -321,35 +335,80 @@ impl StoreCluster {
         self.events.push(RobustEvent::Redirected { node, owner });
     }
 
-    /// Run `op`, chasing `NotOwner` redirects: each hint teaches the
-    /// cluster one node's post-migration owner, then the whole operation
-    /// retries against the corrected map. Bounded by [`MAX_REDIRECTS`] so
-    /// a contradictory redirect cycle errors instead of hanging.
-    fn redirecting<T>(
+    /// The envelope of every public operation: a span named `name` around
+    /// `body`, then the robustness counters and wire ledger mirrored into
+    /// the attached registry (no-op when none is attached).
+    pub(crate) fn traced<T>(
         &mut self,
-        mut op: impl FnMut(&mut Self) -> Result<T, StoreError>,
+        name: &'static str,
+        body: impl FnOnce(&mut Self) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
-        let mut redirects = 0u32;
-        loop {
-            match op(self) {
-                Err(StoreError::NotOwner { node, owner }) if redirects < MAX_REDIRECTS => {
-                    self.learn_owner(node, owner);
-                    redirects += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Observability seam for sibling modules (the migration driver).
-    pub(crate) fn obs(&self) -> &StoreMetrics {
-        &self.metrics
-    }
-
-    /// Mirror the robustness counters and wire ledger into the attached
-    /// registry (no-op when none is attached).
-    pub(crate) fn publish_metrics(&mut self) {
+        let span = self.metrics.registry().span(name);
+        let result = body(self);
         self.metrics.publish(&self.robustness, &self.ledger);
+        span.end();
+        result
+    }
+
+    /// [`StoreCluster::traced`], chasing `NotOwner` redirects: each hint
+    /// teaches the cluster one node's post-migration owner, then the whole
+    /// `body` retries against the corrected map. Bounded by
+    /// [`MAX_REDIRECTS`] so a contradictory redirect cycle errors instead
+    /// of hanging.
+    fn op<T>(
+        &mut self,
+        name: &'static str,
+        mut body: impl FnMut(&mut Self) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        self.traced(name, |c| {
+            let mut redirects = 0u32;
+            loop {
+                match body(c) {
+                    Err(StoreError::NotOwner { node, owner }) if redirects < MAX_REDIRECTS => {
+                        c.learn_owner(node, owner);
+                        redirects += 1;
+                    }
+                    other => return other,
+                }
+            }
+        })
+    }
+
+    /// Group `nodes` by primary owner, keeping each node's position.
+    pub fn group_by_owner(&self, nodes: &[NodeId]) -> Result<OwnerGroups, StoreError> {
+        let mut groups = OwnerGroups::new();
+        for (i, &v) in nodes.iter().enumerate() {
+            let entry = groups.entry(self.owner_of(v)?).or_default();
+            entry.0.push(i);
+            entry.1.push(v);
+        }
+        Ok(groups)
+    }
+
+    /// The one place a logical operation becomes per-server requests: each
+    /// `(server, request, context)` target is sent through `rpc` and its
+    /// outcome handed to `on_reply` with its context. Requests are
+    /// *modelled* as parallel — the returned elapsed is the max over
+    /// targets — but *issued* one at a time in iteration order, and the
+    /// first error `on_reply` returns stops the fan-out: the fault
+    /// injector's request counter, the sequential clock and the event
+    /// trace all depend on that order.
+    pub(crate) fn fan_out<R: Borrow<Message>, T>(
+        &mut self,
+        from: usize,
+        rpc: Rpc,
+        targets: impl IntoIterator<Item = (usize, R, T)>,
+        mut on_reply: impl FnMut(T, Result<Message, StoreError>) -> Result<(), StoreError>,
+    ) -> Result<SimTime, StoreError> {
+        let mut elapsed: SimTime = 0;
+        for (server, req, ctx) in targets {
+            let resp = rpc(self, from, server, req.borrow()).map(|(resp, t)| {
+                elapsed = elapsed.max(t);
+                resp
+            });
+            on_reply(ctx, resp)?;
+        }
+        Ok(elapsed)
     }
 
     /// One request attempt from location `from` to server `to`: the fault
@@ -548,11 +607,7 @@ impl StoreCluster {
         rows: &[f32],
         from: usize,
     ) -> Result<(u32, SimTime), StoreError> {
-        let span = self.metrics.registry().span("store.update_features");
-        let result = self.redirecting(|c| c.update_features_inner(nodes, rows, from));
-        self.metrics.publish(&self.robustness, &self.ledger);
-        span.end();
-        result
+        self.op("store.update_features", |c| c.update_features_inner(nodes, rows, from))
     }
 
     fn update_features_inner(
@@ -568,40 +623,32 @@ impl StoreCluster {
         if dim == 0 || rows.len() != nodes.len() * dim {
             return Err(StoreError::Malformed("update rows mismatch count×dim"));
         }
-        let mut groups: BTreeMap<usize, (Vec<NodeId>, Vec<f32>)> = BTreeMap::new();
-        for (i, &v) in nodes.iter().enumerate() {
-            let o = self.owner_of(v)?;
-            let entry = groups.entry(o).or_default();
-            entry.0.push(v);
-            entry.1.extend_from_slice(&rows[i * dim..(i + 1) * dim]);
-        }
-        let mut applied = 0u32;
-        let mut elapsed: SimTime = 0;
-        for (primary, (ids, group_rows)) in groups {
-            let req = Message::FeatureUpdateReq {
-                dim: dim as u32,
-                nodes: ids.clone(),
-                rows: group_rows,
+        // One request per owner group, sent to every replica of its chain.
+        let reqs: Vec<(usize, usize, Message)> = self
+            .group_by_owner(nodes)?
+            .into_iter()
+            .map(|(primary, (positions, ids))| {
+                let rows = positions.iter().flat_map(|&i| &rows[i * dim..(i + 1) * dim]);
+                let rows = rows.copied().collect();
+                (primary, ids.len(), Message::FeatureUpdateReq { dim: dim as u32, nodes: ids, rows })
+            })
+            .collect();
+        let targets: Vec<(usize, &Message, usize)> = reqs
+            .iter()
+            .flat_map(|(primary, n, req)| {
+                self.replica_chain(*primary).into_iter().map(move |srv| (srv, req, *n))
+            })
+            .collect();
+        let elapsed = self.fan_out(from, Self::rpc_retrying, targets, |n, resp| {
+            let Message::FeatureUpdateResp { applied } = resp? else {
+                return Err(Message::unexpected());
             };
-            // Replica writes fan out in parallel, so the group's elapsed is
-            // the max over the chain.
-            let mut group_elapsed: SimTime = 0;
-            for srv in self.replica_chain(primary) {
-                let (resp, t) = self.rpc_retrying(from, srv, &req)?;
-                group_elapsed = group_elapsed.max(t);
-                match resp {
-                    Message::FeatureUpdateResp { applied: a } => {
-                        if a as usize != ids.len() {
-                            return Err(StoreError::Malformed("partial update ack"));
-                        }
-                    }
-                    _ => return Err(StoreError::Malformed("unexpected response")),
-                }
+            if applied as usize != n {
+                return Err(StoreError::Malformed("partial update ack"));
             }
-            applied += ids.len() as u32;
-            elapsed = elapsed.max(group_elapsed);
-        }
-        Ok((applied, elapsed))
+            Ok(())
+        })?;
+        Ok((nodes.len() as u32, elapsed))
     }
 
     /// Ingest a batch of undirected edges into the live graph on behalf of
@@ -636,11 +683,7 @@ impl StoreCluster {
         edges: &[(NodeId, NodeId)],
         from: usize,
     ) -> Result<(u32, u32, SimTime), StoreError> {
-        let span = self.metrics.registry().span("store.ingest_add_edges");
-        let result = self.ingest_add_edges_inner(edges, from);
-        self.metrics.publish(&self.robustness, &self.ledger);
-        span.end();
-        result
+        self.op("store.ingest_add_edges", |c| c.ingest_add_edges_inner(edges, from))
     }
 
     fn ingest_add_edges_inner(
@@ -669,22 +712,19 @@ impl StoreCluster {
             }
         }
         let req = Message::AddEdgeReq { edges: edges.to_vec() };
-        let mut elapsed: SimTime = 0;
         let mut first: Option<(u32, u32)> = None;
-        for srv in 0..k {
-            let (resp, t) = self.rpc_retrying(from, srv, &req)?;
-            elapsed = elapsed.max(t);
-            match resp {
-                Message::AddEdgeResp { applied, rejected } => {
-                    if applied as usize + rejected as usize != edges.len() {
-                        return Err(StoreError::Malformed("partial edge ack"));
-                    }
-                    first.get_or_insert((applied, rejected));
-                }
-                _ => return Err(StoreError::Malformed("unexpected response")),
+        let broadcast = (0..k).map(|srv| (srv, &req, ()));
+        let elapsed = self.fan_out(from, Self::rpc_retrying, broadcast, |(), resp| {
+            let Message::AddEdgeResp { applied, rejected } = resp? else {
+                return Err(Message::unexpected());
+            };
+            if applied as usize + rejected as usize != edges.len() {
+                return Err(StoreError::Malformed("partial edge ack"));
             }
-        }
-        let (applied, rejected) = first.unwrap();
+            first.get_or_insert((applied, rejected));
+            Ok(())
+        })?;
+        let (applied, rejected) = first.expect("k > 0 servers acked");
         Ok((applied, rejected, elapsed))
     }
 
@@ -701,11 +741,7 @@ impl StoreCluster {
         row: &[f32],
         from: usize,
     ) -> Result<(NodeId, SimTime), StoreError> {
-        let span = self.metrics.registry().span("store.ingest_add_node");
-        let result = self.ingest_add_node_inner(owner, row, from);
-        self.metrics.publish(&self.robustness, &self.ledger);
-        span.end();
-        result
+        self.op("store.ingest_add_node", |c| c.ingest_add_node_inner(owner, row, from))
     }
 
     fn ingest_add_node_inner(
@@ -728,19 +764,16 @@ impl StoreCluster {
         let id = u32::try_from(self.total_nodes())
             .map_err(|_| StoreError::TooLarge("node id space"))?;
         let req = Message::AddNodeReq { id, owner, row: row.to_vec() };
-        let mut elapsed: SimTime = 0;
-        for srv in 0..k {
-            let (resp, t) = self.rpc_retrying(from, srv, &req)?;
-            elapsed = elapsed.max(t);
-            match resp {
-                Message::AddNodeResp { id: got } => {
-                    if got != id {
-                        return Err(StoreError::Malformed("node append ack mismatch"));
-                    }
-                }
-                _ => return Err(StoreError::Malformed("unexpected response")),
+        let broadcast = (0..k).map(|srv| (srv, &req, ()));
+        let elapsed = self.fan_out(from, Self::rpc_retrying, broadcast, |(), resp| {
+            let Message::AddNodeResp { id: got } = resp? else {
+                return Err(Message::unexpected());
+            };
+            if got != id {
+                return Err(StoreError::Malformed("node append ack mismatch"));
             }
-        }
+            Ok(())
+        })?;
         self.owner_ext.push(owner);
         Ok((id, elapsed))
     }
@@ -760,11 +793,7 @@ impl StoreCluster {
         seeds: &[NodeId],
         home: usize,
     ) -> Result<(MiniBatch, SampleTiming), StoreError> {
-        let span = self.metrics.registry().span("store.sample_batch");
-        let result = self.redirecting(|c| c.sample_batch_inner(fanouts, seeds, home, None));
-        self.metrics.publish(&self.robustness, &self.ledger);
-        span.end();
-        result
+        self.op("store.sample_batch", |c| c.sample_batch_inner(fanouts, seeds, home, None))
     }
 
     /// Like [`StoreCluster::sample_batch`], but every node's fanout picks
@@ -780,11 +809,7 @@ impl StoreCluster {
         home: usize,
         salt: u64,
     ) -> Result<(MiniBatch, SampleTiming), StoreError> {
-        let span = self.metrics.registry().span("store.sample_batch");
-        let result = self.redirecting(|c| c.sample_batch_inner(fanouts, seeds, home, Some(salt)));
-        self.metrics.publish(&self.robustness, &self.ledger);
-        span.end();
-        result
+        self.op("store.sample_batch", |c| c.sample_batch_inner(fanouts, seeds, home, Some(salt)))
     }
 
     fn sample_batch_inner(
@@ -801,20 +826,7 @@ impl StoreCluster {
         let mut blocks_rev: Vec<LayerBlock> = Vec::with_capacity(fanouts.len());
         let mut dst: Vec<NodeId> = seeds.to_vec();
         for (hop, &fanout) in fanouts.iter().enumerate() {
-            // Group dst nodes by owning server, preserving positions.
-            // BTreeMap: requests must issue in a deterministic order or the
-            // fault injector's per-request decisions (and thus the recovery
-            // trace) would vary run to run.
-            let mut groups: BTreeMap<usize, (Vec<usize>, Vec<NodeId>)> = BTreeMap::new();
-            for (i, &v) in dst.iter().enumerate() {
-                let o = self.owner_of(v)?;
-                let entry = groups.entry(o).or_default();
-                entry.0.push(i);
-                entry.1.push(v);
-            }
-            let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); dst.len()];
-            let mut hop_elapsed: SimTime = 0;
-            for (server, (positions, nodes)) in groups {
+            let groups = self.group_by_owner(&dst)?.into_iter().map(|(server, (positions, nodes))| {
                 if server == home {
                     timing.local_requests += 1;
                 } else {
@@ -831,20 +843,21 @@ impl StoreCluster {
                     },
                     None => Message::NeighborReq { fanout: fanout as u32, nodes },
                 };
-                let (resp, t) = self.rpc_robust(home, server, &req)?;
-                hop_elapsed = hop_elapsed.max(t);
-                match resp {
-                    Message::NeighborResp { lists: got } => {
-                        if got.len() != positions.len() {
-                            return Err(StoreError::Malformed("wrong list count"));
-                        }
-                        for (list, &pos) in got.into_iter().zip(&positions) {
-                            lists[pos] = list;
-                        }
-                    }
-                    _ => return Err(StoreError::Malformed("unexpected response")),
+                (server, req, positions)
+            });
+            let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); dst.len()];
+            let hop_elapsed = self.fan_out(home, Self::rpc_robust, groups, |positions, resp| {
+                let Message::NeighborResp { lists: got } = resp? else {
+                    return Err(Message::unexpected());
+                };
+                if got.len() != positions.len() {
+                    return Err(StoreError::Malformed("wrong list count"));
                 }
-            }
+                for (list, pos) in got.into_iter().zip(positions) {
+                    lists[pos] = list;
+                }
+                Ok(())
+            })?;
             timing.per_hop.push(hop_elapsed);
             timing.elapsed += hop_elapsed;
             let edges = lists.iter().map(Vec::len).sum();
@@ -877,11 +890,7 @@ impl StoreCluster {
         nodes: &[NodeId],
         from: usize,
     ) -> Result<(FeatureBlock, SimTime), StoreError> {
-        let span = self.metrics.registry().span("store.fetch_features");
-        let result = self.redirecting(|c| c.fetch_features_inner(nodes, from));
-        self.metrics.publish(&self.robustness, &self.ledger);
-        span.end();
-        result
+        self.op("store.fetch_features", |c| c.fetch_features_inner(nodes, from))
     }
 
     fn fetch_features_inner(
@@ -893,61 +902,51 @@ impl StoreCluster {
         if nodes.is_empty() {
             return Ok((FeatureBlock::new(dim, 0), 0));
         }
+        let (degrade, precision) = (self.degrade_features, self.feature_precision);
         let mut out = FeatureBlock::new(dim, nodes.len());
-        let mut groups: BTreeMap<usize, (Vec<usize>, Vec<NodeId>)> = BTreeMap::new();
-        for (i, &v) in nodes.iter().enumerate() {
-            let o = self.owner_of(v)?;
-            let entry = groups.entry(o).or_default();
-            entry.0.push(i);
-            entry.1.push(v);
-        }
-        let mut elapsed: SimTime = 0;
-        let mut batch_degraded = false;
-        for (server, (positions, ids)) in groups {
-            let req = match self.feature_precision {
+        // Degradation is tallied here and committed only by the pass that
+        // returns: a later group's `NotOwner` re-runs this whole function,
+        // and the rows must not be counted once per pass.
+        let mut degraded: Vec<(usize, u64)> = Vec::new();
+        let groups = self.group_by_owner(nodes)?.into_iter().map(|(server, (positions, ids))| {
+            let req = match precision {
                 FeaturePrecision::F32 => Message::FeatureReq { nodes: ids },
                 FeaturePrecision::F16 => Message::FeatureReqF16 { nodes: ids },
             };
-            let (resp, t) = match self.rpc_robust(from, server, &req) {
-                Ok(ok) => ok,
-                Err(e) if self.degrade_features && degradable(&e) => {
-                    // Every replica failed within budget: leave this group's
-                    // positions unplaced (zero rows) rather than stalling
-                    // the training step.
-                    let rows = positions.len() as u64;
-                    self.robustness.degraded_rows += rows;
-                    batch_degraded = true;
-                    self.events.push(RobustEvent::Degraded { server, rows });
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            elapsed = elapsed.max(t);
+            (server, req, (server, positions))
+        });
+        let elapsed = self.fan_out(from, Self::rpc_robust, groups, |(server, positions), resp| {
             // Widen f16 payloads once (the decode copy), then adopt the
             // buffer into the block; f32 payloads are adopted as-is. Either
             // way, no per-row reassembly copy happens here.
-            let rows = match resp {
-                Message::FeatureResp { dim: d, rows } => {
-                    if d as usize != dim || rows.len() != positions.len() * dim {
-                        return Err(StoreError::Malformed("bad feature payload"));
-                    }
-                    rows
+            let (d, rows) = match resp {
+                Ok(Message::FeatureResp { dim, rows }) => (dim, rows),
+                Ok(Message::FeatureRespF16 { dim, rows }) => (dim, Message::decode_f16_rows(&rows)),
+                Ok(_) => return Err(Message::unexpected()),
+                Err(e) if degrade && degradable(&e) => {
+                    // Every replica failed within budget: leave this group's
+                    // positions unplaced (zero rows) rather than stalling
+                    // the training step.
+                    degraded.push((server, positions.len() as u64));
+                    return Ok(());
                 }
-                Message::FeatureRespF16 { dim: d, rows } => {
-                    if d as usize != dim || rows.len() != positions.len() * dim {
-                        return Err(StoreError::Malformed("bad feature payload"));
-                    }
-                    Message::decode_f16_rows(&rows)
-                }
-                _ => return Err(StoreError::Malformed("unexpected response")),
+                Err(e) => return Err(e),
             };
+            if d as usize != dim || rows.len() != positions.len() * dim {
+                return Err(StoreError::Malformed("bad feature payload"));
+            }
             let seg = out.adopt_segment(rows);
             for (j, &pos) in positions.iter().enumerate() {
                 out.place(pos, seg, j);
             }
-        }
-        if batch_degraded {
+            Ok(())
+        })?;
+        if !degraded.is_empty() {
             self.robustness.degraded_batches += 1;
+        }
+        for (server, rows) in degraded {
+            self.robustness.degraded_rows += rows;
+            self.events.push(RobustEvent::Degraded { server, rows });
         }
         Ok((out, elapsed))
     }
@@ -1580,6 +1579,32 @@ mod tests {
         assert_eq!(cluster.robustness.redirects, 2);
         // An operator watching the registry sees the stale map being chased.
         assert_eq!(reg.counter("store.redirects").get(), 2);
+    }
+
+    #[test]
+    fn degraded_rows_count_once_when_a_later_group_redirects() {
+        let (_, cluster) = setup(3);
+        let mut cluster = cluster.with_degraded_features(true);
+        // Node 1 moves 1 -> 2 behind the cluster's back, then server 0 dies:
+        // group 0 degrades *before* group 1 answers `NotOwner`, and the
+        // redirect re-runs the whole fetch.
+        let commit = Message::CommitMigrateReq { node: 1, owner: 2 }.encode().unwrap();
+        for i in 0..3 {
+            cluster.in_process_server(i).unwrap().handle(commit.clone()).unwrap();
+        }
+        cluster.set_server_down(0, true).unwrap();
+        let w = cluster.worker_location();
+        let (rows, _) = cluster.fetch_features(&[0, 3, 1], w).unwrap();
+        assert!(rows.row(0).iter().chain(rows.row(1)).all(|&x| x == 0.0));
+        assert_eq!(cluster.robustness.redirects, 1);
+        assert_eq!(cluster.robustness.degraded_rows, 2, "the dead group's rows, once");
+        assert_eq!(cluster.robustness.degraded_batches, 1);
+        let degraded: Vec<_> = cluster
+            .events
+            .iter()
+            .filter(|e| matches!(e, RobustEvent::Degraded { .. }))
+            .collect();
+        assert_eq!(degraded, vec![&RobustEvent::Degraded { server: 0, rows: 2 }]);
     }
 
     #[test]

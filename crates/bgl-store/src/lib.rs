@@ -29,8 +29,8 @@
 //! * [`disk`] — on-disk persistence of graphs and partitions (the paper's
 //!   "one-time cost, saved to HDFS" step, §3.1), checksummed end to end;
 //! * [`pager`] / [`bufpool`] / [`wal`] / [`tier`] — the durable disk tier
-//!   (DESIGN.md §14): fixed-size checksummed pages behind a pin/unpin
-//!   buffer pool (SIEVE / CLOCK / LRU replacement), a write-ahead log with
+//!   (DESIGN.md §11): fixed-size checksummed pages behind a pin/unpin
+//!   buffer pool (SIEVE replacement), a write-ahead log with
 //!   fsync-to-ack discipline, and deterministic I/O fault injection
 //!   ([`pager::IoFaultPlan`]) proving crash-consistent recovery.
 //!
@@ -54,7 +54,7 @@ pub mod transport;
 pub mod wal;
 pub mod wire;
 
-pub use bufpool::{BufPoolStats, BufferPool, DiskPolicyKind, Replacer};
+pub use bufpool::{BufPoolStats, BufferPool};
 pub use cluster::{SampleTiming, StoreCluster};
 pub use fault::{FaultInjector, FaultPlan, RobustEvent};
 pub use health::{BreakerState, CircuitBreaker};

@@ -98,18 +98,14 @@ impl Migration {
         let from = cluster.worker_location();
         let req = Message::PrepareMigrateReq { node: self.node, dest: self.dest };
         let (resp, t) = cluster.rpc_retrying(from, self.source as usize, &req)?;
-        match resp {
-            Message::PrepareMigrateResp { node, owner, row, neighbors }
-                if node == self.node && owner == self.source =>
-            {
-                self.row = row;
-                self.neighbors = neighbors;
-            }
-            Message::PrepareMigrateResp { .. } => {
-                return Err(StoreError::Malformed("migrate prepare ack mismatch"));
-            }
-            _ => return Err(StoreError::Malformed("unexpected response")),
+        let Message::PrepareMigrateResp { node, owner, row, neighbors } = resp else {
+            return Err(Message::unexpected());
+        };
+        if (node, owner) != (self.node, self.source) {
+            return Err(StoreError::Malformed("migrate prepare ack mismatch"));
         }
+        self.row = row;
+        self.neighbors = neighbors;
         self.phase_times[0] = t;
         self.phase = MigratePhase::Copy;
         Ok(())
@@ -129,21 +125,17 @@ impl Migration {
             neighbors: self.neighbors.clone(),
         };
         let payload = req.encoded_len() as u64;
-        let mut elapsed: SimTime = 0;
-        for srv in cluster.replica_chain(self.dest as usize) {
-            let (resp, t) = cluster.rpc_retrying(from, srv, &req)?;
-            elapsed = elapsed.max(t);
-            match resp {
-                Message::MigrateCopyResp { node } if node == self.node => {}
-                Message::MigrateCopyResp { .. } => {
-                    return Err(StoreError::Malformed("migrate copy ack mismatch"));
-                }
-                _ => return Err(StoreError::Malformed("unexpected response")),
+        let chain = cluster.replica_chain(self.dest as usize).into_iter().map(|srv| (srv, &req, ()));
+        self.phase_times[1] = cluster.fan_out(from, StoreCluster::rpc_retrying, chain, |(), resp| {
+            let Message::MigrateCopyResp { node } = resp? else {
+                return Err(Message::unexpected());
+            };
+            if node != self.node {
+                return Err(StoreError::Malformed("migrate copy ack mismatch"));
             }
             self.copy_bytes += payload;
-        }
-        // Chain writes fan out in parallel, so the phase costs the max.
-        self.phase_times[1] = elapsed;
+            Ok(())
+        })?;
         self.phase = MigratePhase::Commit;
         Ok(())
     }
@@ -156,18 +148,16 @@ impl Migration {
         let from = cluster.worker_location();
         let req = Message::CommitMigrateReq { node: self.node, owner: self.dest };
         let (resp, t) = cluster.rpc_retrying(from, self.source as usize, &req)?;
-        check_commit_ack(&resp, self.node, self.dest)?;
+        check_commit_ack(resp, self.node, self.dest)?;
         // Commit point reached: from here the migration only completes
         // (possibly via repair) — it can no longer abort.
         cluster.hint_owner(self.node, self.dest);
-        let mut elapsed = t;
-        let k = cluster.num_servers();
-        for srv in (0..k).filter(|&s| s != self.source as usize) {
-            let (resp, t) = cluster.rpc_retrying(from, srv, &req)?;
-            elapsed = elapsed.max(t);
-            check_commit_ack(&resp, self.node, self.dest)?;
-        }
-        self.phase_times[2] = elapsed;
+        let others = (0..cluster.num_servers()).filter(|&s| s != self.source as usize);
+        let others = others.map(|srv| (srv, &req, ()));
+        let broadcast = cluster.fan_out(from, StoreCluster::rpc_retrying, others, |(), resp| {
+            check_commit_ack(resp?, self.node, self.dest)
+        })?;
+        self.phase_times[2] = t.max(broadcast);
         self.phase = MigratePhase::Tombstone;
         Ok(())
     }
@@ -179,13 +169,7 @@ impl Migration {
         let from = cluster.worker_location();
         let req = Message::TombstoneReq { node: self.node, old_owner: self.source };
         let (resp, t) = cluster.rpc_retrying(from, self.source as usize, &req)?;
-        match resp {
-            Message::TombstoneResp { node } if node == self.node => {}
-            Message::TombstoneResp { .. } => {
-                return Err(StoreError::Malformed("migrate tombstone ack mismatch"));
-            }
-            _ => return Err(StoreError::Malformed("unexpected response")),
-        }
+        check_tombstone_ack(resp, self.node)?;
         self.phase_times[3] = t;
         self.phase = MigratePhase::Done;
         Ok(())
@@ -204,14 +188,24 @@ impl Migration {
     }
 }
 
-fn check_commit_ack(resp: &Message, node: NodeId, owner: u32) -> Result<(), StoreError> {
-    match resp {
-        Message::CommitMigrateResp { node: n, owner: o } if *n == node && *o == owner => Ok(()),
-        Message::CommitMigrateResp { .. } => {
-            Err(StoreError::Malformed("migrate commit ack mismatch"))
-        }
-        _ => Err(StoreError::Malformed("unexpected response")),
+fn check_commit_ack(resp: Message, node: NodeId, owner: u32) -> Result<(), StoreError> {
+    let Message::CommitMigrateResp { node: n, owner: o } = resp else {
+        return Err(Message::unexpected());
+    };
+    if (n, o) != (node, owner) {
+        return Err(StoreError::Malformed("migrate commit ack mismatch"));
     }
+    Ok(())
+}
+
+fn check_tombstone_ack(resp: Message, node: NodeId) -> Result<(), StoreError> {
+    let Message::TombstoneResp { node: n } = resp else {
+        return Err(Message::unexpected());
+    };
+    if n != node {
+        return Err(StoreError::Malformed("migrate tombstone ack mismatch"));
+    }
+    Ok(())
 }
 
 impl StoreCluster {
@@ -252,20 +246,16 @@ impl StoreCluster {
     /// authoritative — because the commit point is the very first
     /// owner-visible write.
     pub fn migrate_node(&mut self, node: NodeId, dest: u32) -> Result<Migration, StoreError> {
-        let span = self.obs().registry().span("store.migrate_node");
-        let result = self.migrate_node_inner(node, dest);
-        self.publish_metrics();
-        span.end();
-        result
-    }
-
-    fn migrate_node_inner(&mut self, node: NodeId, dest: u32) -> Result<Migration, StoreError> {
-        let mut m = self.begin_migration(node, dest)?;
-        m.step_prepare(self)?;
-        m.step_copy(self)?;
-        m.step_commit(self)?;
-        m.step_tombstone(self)?;
-        Ok(m)
+        // No redirect chase here: a `NotOwner` from the source means this
+        // cluster's map was stale, which the caller settles through repair.
+        self.traced("store.migrate_node", |c| {
+            let mut m = c.begin_migration(node, dest)?;
+            m.step_prepare(c)?;
+            m.step_copy(c)?;
+            m.step_commit(c)?;
+            m.step_tombstone(c)?;
+            Ok(m)
+        })
     }
 
     /// Converge after a failed [`StoreCluster::migrate_node`]: ask the
@@ -285,13 +275,12 @@ impl StoreCluster {
         let from = self.worker_location();
         let req = Message::OwnerReq { node };
         let (resp, _) = self.rpc_robust(from, source as usize, &req)?;
-        let owner = match resp {
-            Message::OwnerResp { node: n, owner } if n == node => owner,
-            Message::OwnerResp { .. } => {
-                return Err(StoreError::Malformed("migrate owner ack mismatch"));
-            }
-            _ => return Err(StoreError::Malformed("unexpected response")),
+        let Message::OwnerResp { node: n, owner } = resp else {
+            return Err(Message::unexpected());
         };
+        if n != node {
+            return Err(StoreError::Malformed("migrate owner ack mismatch"));
+        }
         // Whatever the authoritative chain says is what we route by —
         // including a pre-commit abort, where the answer is the owner the
         // node had before this migration began (not necessarily the base
@@ -301,19 +290,14 @@ impl StoreCluster {
             return Ok(false);
         }
         let commit = Message::CommitMigrateReq { node, owner: dest };
-        for srv in 0..self.num_servers() {
-            let (resp, _) = self.rpc_retrying(from, srv, &commit)?;
-            check_commit_ack(&resp, node, dest)?;
-        }
+        let broadcast = (0..self.num_servers()).map(|srv| (srv, &commit, ()));
+        self.fan_out(from, Self::rpc_retrying, broadcast, |(), resp| {
+            check_commit_ack(resp?, node, dest)
+        })?;
         let tomb = Message::TombstoneReq { node, old_owner: source };
         let (resp, _) = self.rpc_retrying(from, source as usize, &tomb)?;
-        match resp {
-            Message::TombstoneResp { node: n } if n == node => Ok(true),
-            Message::TombstoneResp { .. } => {
-                Err(StoreError::Malformed("migrate tombstone ack mismatch"))
-            }
-            _ => Err(StoreError::Malformed("unexpected response")),
-        }
+        check_tombstone_ack(resp, node)?;
+        Ok(true)
     }
 }
 

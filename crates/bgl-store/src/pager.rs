@@ -41,6 +41,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use bgl_graph::half::{f16_bits_to_f32, f32_to_f16_bits};
+use bgl_graph::hash::mix64;
 use bgl_graph::FeaturePrecision;
 
 pub const PAGE_MAGIC: &[u8; 8] = b"BGLPAGE1";
@@ -110,23 +111,9 @@ impl fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
-/// fnv1a-64 over `bytes` — the checksum used by every durable format in
-/// this crate (pages, WAL records, and the `disk` format footers).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The checksum of every durable format in this crate (pages, WAL records,
+/// the `disk` format footers).
+pub use bgl_graph::hash::fnv1a_64;
 
 // ======================== backing-file abstraction ========================
 
@@ -390,7 +377,7 @@ impl IoFaultInjector {
         }
         if self.plan.short_reads.contains(&n) && buf_len > 1 {
             self.short_injected += 1;
-            let keep = 1 + (splitmix64(self.plan.seed ^ n) as usize) % (buf_len - 1);
+            let keep = 1 + (mix64(self.plan.seed, n) as usize) % (buf_len - 1);
             return Some(IoFault::ShortRead { keep });
         }
         None
@@ -417,7 +404,7 @@ impl IoFaultInjector {
         if pending == 0 {
             return 0;
         }
-        (splitmix64(self.plan.seed ^ (0xC4A5 + self.crashes)) as usize) % (pending + 1)
+        (mix64(self.plan.seed, 0xC4A5 + self.crashes) as usize) % (pending + 1)
     }
 
     /// Override-free accessors for tests.

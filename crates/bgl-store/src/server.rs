@@ -58,7 +58,7 @@ pub struct GraphStoreServer {
     /// Nodes sampled locally by this server's colocated sampler.
     nodes_sampled: AtomicU64,
     /// Optional durable disk tier. When attached, feature reads go through
-    /// its buffer pool and feature updates go WAL-first (DESIGN.md §14).
+    /// its buffer pool and feature updates go WAL-first (DESIGN.md §11).
     disk: Mutex<Option<DurableFeatures>>,
     /// Committed migration owner flips, overriding the shared base map
     /// (and `owner_ext`). Consulted *first* by [`owner_primary`], so

@@ -1,6 +1,6 @@
 //! The durable feature tier: buffer pool + WAL composed into one
 //! crash-consistent store, the third level under the GPU/CPU feature
-//! caches (DESIGN.md §14).
+//! caches (DESIGN.md §11).
 //!
 //! ## Update protocol
 //!
@@ -28,7 +28,7 @@
 //! file at a deterministic byte and the whole recovery path can be proven
 //! bitwise-faithful (see `tests/disk_recovery.rs`).
 
-use crate::bufpool::{BufferPool, DiskPolicyKind};
+use crate::bufpool::BufferPool;
 use crate::obs::DiskMetrics;
 use crate::pager::{
     BackingFile, DiskError, FaultFile, IoFaultInjector, IoFaultPlan, Pager, RealFile,
@@ -49,7 +49,6 @@ const OPEN_RETRIES: u32 = 3;
 pub struct DiskTierConfig {
     pub page_size: u32,
     pub pool_pages: usize,
-    pub policy: DiskPolicyKind,
     pub registry: Registry,
     pub fault_plan: Option<IoFaultPlan>,
     /// On-disk scalar encoding for feature pages (`create` only; `open`
@@ -62,7 +61,6 @@ impl Default for DiskTierConfig {
         DiskTierConfig {
             page_size: 4096,
             pool_pages: 64,
-            policy: DiskPolicyKind::Sieve,
             registry: Registry::default(),
             fault_plan: None,
             precision: FeaturePrecision::F32,
@@ -78,11 +76,6 @@ impl DiskTierConfig {
 
     pub fn with_pool_pages(mut self, pool_pages: usize) -> Self {
         self.pool_pages = pool_pages;
-        self
-    }
-
-    pub fn with_policy(mut self, policy: DiskPolicyKind) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -192,7 +185,7 @@ impl DurableFeatures {
             dir: dir.to_path_buf(),
             dim: pager.dim(),
             num_nodes: pager.num_nodes(),
-            pool: BufferPool::new(pager, cfg.pool_pages, cfg.policy),
+            pool: BufferPool::new(pager, cfg.pool_pages),
             wal,
             pending_edges: Vec::new(),
             pending_nodes: Vec::new(),
@@ -242,7 +235,7 @@ impl DurableFeatures {
             dir: dir.to_path_buf(),
             dim: pager.dim(),
             num_nodes: pager.num_nodes(),
-            pool: BufferPool::new(pager, cfg.pool_pages, cfg.policy),
+            pool: BufferPool::new(pager, cfg.pool_pages),
             wal,
             pending_edges: Vec::new(),
             pending_nodes: Vec::new(),
@@ -289,10 +282,6 @@ impl DurableFeatures {
 
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    pub fn policy(&self) -> DiskPolicyKind {
-        self.pool.policy()
     }
 
     /// Append node `v`'s feature row to `out`.

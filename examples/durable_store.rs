@@ -1,7 +1,7 @@
 //! Durable disk tier: WAL-acked feature updates that survive a torn crash.
 //!
 //! Walks the third storage level under the GPU/CPU feature caches
-//! (DESIGN.md §14): a checksummed paged file behind a buffer pool, with a
+//! (DESIGN.md §11): a checksummed paged file behind a buffer pool, with a
 //! write-ahead log making every acked update crash-consistent. The crash
 //! here is simulated — the tier's files sit on shadow files behind a
 //! seeded fault injector, and `crash()` tears the un-fsynced write stream
@@ -14,7 +14,7 @@
 
 use bgl_graph::DatasetSpec;
 use bgl_obs::Registry;
-use bgl_store::{DiskPolicyKind, DiskTierConfig, DurableFeatures, IoFaultPlan};
+use bgl_store::{DiskTierConfig, DurableFeatures, IoFaultPlan};
 
 const UPDATES: usize = 48;
 const SEED: u64 = 0xD15C;
@@ -31,15 +31,13 @@ fn main() {
     let dim = ds.features.dim();
     let cfg = DiskTierConfig::default()
         .with_pool_pages(32)
-        .with_policy(DiskPolicyKind::Sieve)
         .with_registry(&reg)
         .with_fault_plan(IoFaultPlan::new(SEED));
     let mut tier = DurableFeatures::create(&dir, &ds.features, cfg).expect("create tier");
     println!(
-        "tier: {} nodes x dim {}, {} policy, pool of 32 pages\n  at {}",
+        "tier: {} nodes x dim {}, SIEVE pool of 32 pages\n  at {}",
         tier.num_nodes(),
         tier.dim(),
-        tier.policy().name(),
         tier.dir().display()
     );
 

@@ -1,7 +1,7 @@
 //! Quickstart: build a synthetic power-law graph, partition it with the
 //! BGL partitioner, train GraphSAGE for a few epochs through the full BGL
 //! data path, and report throughput and accuracy — then demonstrate
-//! crash-and-resume through the checkpointing executor (DESIGN.md §13).
+//! crash-and-resume through the checkpointing executor (DESIGN.md §9).
 //!
 //! ```text
 //! cargo run --release -p bgl --example quickstart

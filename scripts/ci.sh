@@ -6,11 +6,25 @@ cd "$(dirname "$0")/.."
 # Manifests first: a dependency no .rs file names fails here, before
 # anything is compiled.
 scripts/check_deps.sh
+# The code-size number simplicity PRs are held to, in every CI log.
+scripts/loc.sh
 # Ledgers reach the registry through bgl_obs::Mirror; a hand-written
 # `now - self.last_*` delta mirror outside bgl-obs fails here. (`if`, not a
 # bare `! grep`: `set -e` ignores a status inverted with `!`.)
 if grep -rnE 'saturating_sub\(self\.last' crates --include='*.rs' | grep -v '^crates/bgl-obs/'; then
     echo "hand-written delta mirror: publish through bgl_obs::Mirror instead" >&2
+    exit 1
+fi
+# The miss path has one implementation per layer (DESIGN.md §11): a second
+# cache front-end or buffer-pool replacer beside the survivor fails here.
+if grep -rnE 'MutexShardedCache|DiskPolicyKind|ClockReplacer|LruReplacer' crates tests examples; then
+    echo "retired miss-path alternate: extend QueueShardedCache / the SIEVE pool instead" >&2
+    exit 1
+fi
+# StoreCluster::fan_out owns the only modelled-parallel `elapsed.max(t)` fold;
+# a second one means a request loop was hand-rolled beside it.
+if grep -nE '\.max\(t\)' crates/bgl-store/src/cluster.rs crates/bgl-store/src/migrate.rs | tail -n +2 | grep .; then
+    echo "second per-target elapsed fold: issue the requests through StoreCluster::fan_out" >&2
     exit 1
 fi
 
@@ -56,6 +70,8 @@ debug,release  -p bgl-ingest
 debug,release  -p bgl --test migrate
 # registry counter names: every ledger attach site against the pinned literal list
 debug          -p bgl --test metric_names
+# cluster request order: literal events, per-server counts, ledger and clock under a scripted plan
+debug          -p bgl --test request_order
 EOF
 
 # The one harness that times the system: every workload once at smoke scale,

@@ -3,7 +3,7 @@
 //! subsequent epoch as the acceptance bar.
 //!
 //! The claims that close the loop on `bgl_store::{pager, bufpool, wal,
-//! tier}` (DESIGN.md §14):
+//! tier}` (DESIGN.md §11):
 //!
 //! 1. **Acked means durable** — every feature update acknowledged by the
 //!    cluster (WAL appended + fsynced on every replica) survives a crash
@@ -20,9 +20,9 @@
 //!    write-all update path keeps the replicas bitwise-converged, so reads
 //!    may land on either replica.
 //!
-//! Every phase runs with per-server replacement policies cycling through
-//! SIEVE / CLOCK / LRU: the policy decides which pages are resident, never
-//! what their bytes are, so identity must hold across all of them.
+//! Every tier runs the default configuration — the SIEVE buffer pool at
+//! its production size — which decides which pages are resident, never
+//! what their bytes are.
 
 mod common;
 
@@ -33,9 +33,7 @@ use bgl_net::{
 };
 use bgl_obs::Registry;
 use bgl_store::tier::{DiskTierConfig, DurableFeatures};
-use bgl_store::{
-    DiskPolicyKind, InProcessTransport, IoFaultPlan, RetryPolicy, StoreCluster,
-};
+use bgl_store::{InProcessTransport, IoFaultPlan, RetryPolicy, StoreCluster};
 use common::{EpochRig, RigSpec};
 use std::path::PathBuf;
 
@@ -56,12 +54,6 @@ fn cleanup(dirs: &[PathBuf]) {
     for d in dirs {
         let _ = std::fs::remove_dir_all(d);
     }
-}
-
-/// Per-server tier config; the replacement policy cycles so every run
-/// exercises all three.
-fn tier_cfg(server: usize) -> DiskTierConfig {
-    DiskTierConfig::default().with_policy(DiskPolicyKind::all()[server % 3])
 }
 
 /// The update workload: a deterministic subset of training nodes (their
@@ -105,7 +97,7 @@ fn durable_rig(spec: &RigSpec, tag: &str, fault_seed: Option<u64>) -> (EpochRig,
     let mut dirs = Vec::new();
     for i in 0..k {
         let dir = tier_dir(tag, i);
-        let mut cfg = tier_cfg(i);
+        let mut cfg = DiskTierConfig::default();
         if let Some(seed) = fault_seed {
             cfg = cfg.with_fault_plan(IoFaultPlan::new(
                 seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -138,7 +130,7 @@ fn crash_and_recover(rig: &EpochRig, dirs: &[PathBuf]) -> usize {
     }
     let mut replayed = 0;
     for (s, dir) in dirs.iter().enumerate() {
-        let (tier, report) = DurableFeatures::open(dir, tier_cfg(s)).expect("recovery");
+        let (tier, report) = DurableFeatures::open(dir, DiskTierConfig::default()).expect("recovery");
         replayed += report.replayed_updates;
         rig.cluster.in_process_server(s).unwrap().attach_disk_tier(tier);
     }
@@ -269,7 +261,7 @@ fn tcp_r2_crash_recovery_is_bitwise_identical() {
     let mut dirs = Vec::new();
     for i in 0..k {
         let dir = tier_dir("tcp", i);
-        let cfg = tier_cfg(i).with_fault_plan(IoFaultPlan::new(0xF00D + i as u64));
+        let cfg = DiskTierConfig::default().with_fault_plan(IoFaultPlan::new(0xF00D + i as u64));
         let tier =
             DurableFeatures::create(&dir, &rig.ds.features, cfg).expect("create tier");
         lc.store(i).expect("live server").attach_disk_tier(tier);
@@ -296,7 +288,7 @@ fn tcp_r2_crash_recovery_is_bitwise_identical() {
     for (i, dir) in dirs.iter().enumerate() {
         let tier = lc.store(i).unwrap().detach_disk_tier().expect("tier attached");
         tier.crash().expect("seeded crash");
-        let (tier, report) = DurableFeatures::open(dir, tier_cfg(i)).expect("recovery");
+        let (tier, report) = DurableFeatures::open(dir, DiskTierConfig::default()).expect("recovery");
         replayed += report.replayed_updates;
         lc.store(i).unwrap().attach_disk_tier(tier);
     }

@@ -12,7 +12,7 @@
 
 mod common;
 
-use bgl_cache::{PolicyKind, QueueShardedCache, ShardedCache};
+use bgl_cache::{PolicyKind, QueueShardedCache};
 use bgl_exec::{run, ExecConfig};
 use bgl_graph::NodeId;
 use bgl_ingest::{ChurnOp, IngestConfig, IngestCoordinator};

@@ -1,4 +1,4 @@
-//! Chaos acceptance suite for live owner migration (DESIGN.md §18).
+//! Chaos acceptance suite for live owner migration (DESIGN.md §10).
 //!
 //! Four claims close the loop on the crash-safe data-movement protocol:
 //!
