@@ -412,6 +412,15 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 3, "misses counted once per unique key");
         assert_eq!(stats.miss_bytes, 3 * 2 * 4);
+        // The same batch again, now all hits: every duplicate position is
+        // still filled, and a hit counts once per unique key.
+        let out = cache.fetch_batch(&batch, &mut |_: &[NodeId]| unreachable!("all resident"));
+        for (i, &v) in batch.iter().enumerate() {
+            assert_eq!(&out[i * 2..(i + 1) * 2], f.row(v), "position {i}");
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.gpu_local_hits, 3, "hits counted once per unique key");
+        assert_eq!(stats.misses, 3);
     }
 
     #[test]
@@ -420,16 +429,18 @@ mod tests {
         let queue = QueueShardedCache::new(4, 2, 8, PolicyKind::Fifo);
         let mut engine = reference(4, 2, 8);
         // Single-threaded replay of the same batch sequence (with repeats
-        // and duplicates) through both. The engine counts a hit per
-        // position and the queue per unique key, so duplicates here fall
-        // only on keys that miss — both ledgers then agree exactly.
+        // and duplicates) through both. Duplicates fall on a key that
+        // misses (1, 100..110) and on one that hits (34, resident since
+        // the second batch): rows must agree at every position.
         let trace: Vec<Vec<NodeId>> = vec![
             (0..32).collect(),
             (16..48).collect(),
-            vec![1, 1, 2, 3, 5, 8, 13, 13, 21, 34],
+            vec![1, 1, 2, 3, 5, 8, 13, 21, 34, 34],
             (0..32).collect(),
             (100..120).chain(100..110).collect(),
         ];
+        // The engine counts a hit per position, the queue per unique key.
+        let duplicate_hit_positions = 1;
         for batch in &trace {
             let mut src = |ids: &[NodeId]| f.gather(ids);
             let out_q = queue.fetch_batch(batch, &mut src);
@@ -441,7 +452,7 @@ mod tests {
         assert_eq!(sq.misses, se.misses, "miss totals must match");
         assert_eq!(
             sq.gpu_local_hits,
-            se.gpu_local_hits + se.gpu_peer_hits,
+            se.gpu_local_hits + se.gpu_peer_hits - duplicate_hit_positions,
             "hit totals must match"
         );
         assert_eq!(sq.miss_bytes, se.miss_bytes);

@@ -41,7 +41,7 @@
 //!   step counter — restoring params alone silently changes the
 //!   trajectory; see `bgl_tensor::optim`'s divergence regression test).
 
-use bgl_graph::hash::{fnv1a_64, mix64, Fnv1a};
+use bgl_graph::hash::{fnv1a_64, splitmix64, Fnv1a};
 use bgl_graph::NodeId;
 use bgl_tensor::{Adam, Matrix};
 use std::fs::{self, File};
@@ -650,7 +650,7 @@ impl ExecFaultPlan {
     /// deterministically from the plan seed in `[lo, hi)`.
     pub fn kill_at_seeded_batch(self, lo: usize, hi: usize) -> Self {
         assert!(lo < hi);
-        let k = lo + (mix64(self.seed, 0) as usize) % (hi - lo);
+        let k = lo + (splitmix64(self.seed) as usize) % (hi - lo);
         self.kill_at_trained(k)
     }
 
@@ -684,7 +684,7 @@ impl ExecFaultPlan {
     pub fn torn_keep_bytes(&self, nth: usize, len: usize) -> Option<usize> {
         match self.tear_checkpoint {
             Some(n) if n == nth && len > 0 => {
-                Some((mix64(self.seed, nth as u64 + 1) as usize) % len)
+                Some((splitmix64(self.seed ^ (nth as u64 + 1)) as usize) % len)
             }
             _ => None,
         }
@@ -730,7 +730,7 @@ mod tests {
             },
             losses: (0..cursor).map(|i| i as f32 * 0.5).collect(),
             train_order: (0..cursor).collect(),
-            digests: (0..cursor).map(|i| mix64(0, i)).collect(),
+            digests: (0..cursor).map(splitmix64).collect(),
         }
     }
 

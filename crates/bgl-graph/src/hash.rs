@@ -4,9 +4,10 @@
 //! checksum — disk pages, WAL records, `disk` footers, checkpoints — and
 //! the structural digest of mini-batches and epoch orderings. [`mix64`]
 //! turns `(seed, key)` into a well-spread 64-bit value: per-node sampling
-//! seeds, open-loop arrival draws and the fault plans' seeded choices.
-//! Both are wire- and disk-visible: changing either invalidates stored
-//! checksums and moves every seeded sample. Everything is `#[inline]`: the
+//! seeds and open-loop arrival draws; [`splitmix64`] is the same finaliser
+//! stepped from a single state word, for the fault plans' seeded choices.
+//! The checksum and the mixer are wire- and disk-visible: changing either
+//! invalidates stored checksums and moves every seeded sample. Everything is `#[inline]`: the
 //! callers sit in other crates and call per word or per node, and the
 //! workspace builds without LTO.
 
@@ -60,6 +61,15 @@ pub fn mix64(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One step of the published splitmix64 generator from state `x` (add φ,
+/// then the same finaliser): the fault plans' seeded draws. A recorded
+/// fault seed names its tear, kill and short-read points through this
+/// function, so it must stay the reference generator.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15), 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,5 +91,14 @@ mod tests {
         assert_ne!(mix64(1, 2), mix64(2, 1));
         assert_ne!(mix64(0, 0), mix64(0, 1));
         assert_ne!(mix64(0, 1), mix64(1, 1));
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // First outputs of the reference generator seeded with 0.
+        let phi = 0x9E37_79B9_7F4A_7C15u64;
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(phi), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(splitmix64(phi.wrapping_mul(2)), 0x06C4_5D18_8009_454F);
     }
 }

@@ -354,7 +354,9 @@ impl StoreCluster {
     /// teaches the cluster one node's post-migration owner, then the whole
     /// `body` retries against the corrected map. Bounded by
     /// [`MAX_REDIRECTS`] so a contradictory redirect cycle errors instead
-    /// of hanging.
+    /// of hanging. The envelope of the ops a server can redirect (fetch,
+    /// sample, update); the ingest broadcasts and `migrate_node` are never
+    /// answered `NotOwner` and use `traced` directly.
     fn op<T>(
         &mut self,
         name: &'static str,
@@ -683,7 +685,7 @@ impl StoreCluster {
         edges: &[(NodeId, NodeId)],
         from: usize,
     ) -> Result<(u32, u32, SimTime), StoreError> {
-        self.op("store.ingest_add_edges", |c| c.ingest_add_edges_inner(edges, from))
+        self.traced("store.ingest_add_edges", |c| c.ingest_add_edges_inner(edges, from))
     }
 
     fn ingest_add_edges_inner(
@@ -741,7 +743,7 @@ impl StoreCluster {
         row: &[f32],
         from: usize,
     ) -> Result<(NodeId, SimTime), StoreError> {
-        self.op("store.ingest_add_node", |c| c.ingest_add_node_inner(owner, row, from))
+        self.traced("store.ingest_add_node", |c| c.ingest_add_node_inner(owner, row, from))
     }
 
     fn ingest_add_node_inner(
@@ -885,6 +887,10 @@ impl StoreCluster {
     /// every replica fails transiently (or whose budget ran out) is left
     /// as zero rows (the block's unplaced-row semantic) and counted in
     /// [`RobustnessStats::degraded_rows`] instead of failing the batch.
+    /// Degradation is recorded only by a fetch that returns `Ok` — the
+    /// counters and `Degraded` events (which follow the fetch's other
+    /// events) say how many zero rows a caller actually received; a fetch
+    /// that fails on another group hands out no rows and records none.
     pub fn fetch_features(
         &mut self,
         nodes: &[NodeId],
@@ -905,8 +911,8 @@ impl StoreCluster {
         let (degrade, precision) = (self.degrade_features, self.feature_precision);
         let mut out = FeatureBlock::new(dim, nodes.len());
         // Degradation is tallied here and committed only by the pass that
-        // returns: a later group's `NotOwner` re-runs this whole function,
-        // and the rows must not be counted once per pass.
+        // returns `Ok`: a later group's `NotOwner` re-runs this whole
+        // function, and the rows must not be counted once per pass.
         let mut degraded: Vec<(usize, u64)> = Vec::new();
         let groups = self.group_by_owner(nodes)?.into_iter().map(|(server, (positions, ids))| {
             let req = match precision {
@@ -1605,6 +1611,26 @@ mod tests {
             .filter(|e| matches!(e, RobustEvent::Degraded { .. }))
             .collect();
         assert_eq!(degraded, vec![&RobustEvent::Degraded { server: 0, rows: 2 }]);
+    }
+
+    #[test]
+    fn a_failed_fetch_records_no_degradation() {
+        let (_, cluster) = setup(3);
+        let mut cluster = cluster.with_degraded_features(true);
+        // The map wrongly sends node 1 to server 2, which never committed
+        // the move: it answers `NotOwned` — not degradable, not a redirect —
+        // after the dead group 0 was already absorbed.
+        cluster.hint_owner(1, 2);
+        cluster.set_server_down(0, true).unwrap();
+        let w = cluster.worker_location();
+        assert_eq!(
+            cluster.fetch_features(&[0, 3, 1], w).unwrap_err(),
+            StoreError::NotOwned { node: 1, server: 2 }
+        );
+        // No caller received a zero row, so none is counted.
+        assert_eq!(cluster.robustness.degraded_rows, 0);
+        assert_eq!(cluster.robustness.degraded_batches, 0);
+        assert!(!cluster.events.iter().any(|e| matches!(e, RobustEvent::Degraded { .. })));
     }
 
     #[test]

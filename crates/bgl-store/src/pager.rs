@@ -41,7 +41,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use bgl_graph::half::{f16_bits_to_f32, f32_to_f16_bits};
-use bgl_graph::hash::mix64;
+use bgl_graph::hash::splitmix64;
 use bgl_graph::FeaturePrecision;
 
 pub const PAGE_MAGIC: &[u8; 8] = b"BGLPAGE1";
@@ -377,7 +377,7 @@ impl IoFaultInjector {
         }
         if self.plan.short_reads.contains(&n) && buf_len > 1 {
             self.short_injected += 1;
-            let keep = 1 + (mix64(self.plan.seed, n) as usize) % (buf_len - 1);
+            let keep = 1 + (splitmix64(self.plan.seed ^ n) as usize) % (buf_len - 1);
             return Some(IoFault::ShortRead { keep });
         }
         None
@@ -404,7 +404,7 @@ impl IoFaultInjector {
         if pending == 0 {
             return 0;
         }
-        (mix64(self.plan.seed, 0xC4A5 + self.crashes) as usize) % (pending + 1)
+        (splitmix64(self.plan.seed ^ (0xC4A5 + self.crashes)) as usize) % (pending + 1)
     }
 
     /// Override-free accessors for tests.
