@@ -28,6 +28,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::engine::Shard;
+use bgl_graph::half::RowRef;
 use bgl_graph::FeaturePrecision;
 
 /// Lock the metrics publisher; poison means a publishing thread panicked.
@@ -112,7 +113,7 @@ impl QueueShardedCache {
                                     Some(slot) => {
                                         delta.gpu_local_hits += 1;
                                         let mut row = vec![0.0f32; dim];
-                                        shard.read_slot_into(slot, &mut row);
+                                        shard.slot(slot).widen_into(&mut row);
                                         hits.push((i, row));
                                     }
                                     None => {
@@ -126,7 +127,7 @@ impl QueueShardedCache {
                         }
                         CacheOp::Insert { keys, rows, done } => {
                             for (j, &k) in keys.iter().enumerate() {
-                                shard.admit(k, &rows[j * dim..(j + 1) * dim]);
+                                shard.admit(k, RowRef::F32(&rows[j * dim..(j + 1) * dim]));
                             }
                             let _ = done.send(());
                         }

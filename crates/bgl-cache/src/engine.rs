@@ -10,39 +10,19 @@
 use crate::cost::CacheCostModel;
 use crate::policy::{make_policy, CachePolicy, PolicyKind};
 use crate::stats::CacheStats;
-use bgl_graph::half::{f16_bits_to_f32, f32_to_f16_bits};
+use bgl_graph::half::{RowBuf, RowRef};
 use bgl_graph::{FeatureBlock, FeaturePrecision, FeatureStore, NodeId};
 use bgl_obs::{Ledger, Mirror};
 use std::collections::HashMap;
 
-/// Slot storage at the shard's configured precision. f16 slots hold the
-/// same number of rows in half the bytes — narrowing happens once at
-/// admit, widening on every hit.
-pub(crate) enum SlotBuf {
-    F32(Vec<f32>),
-    F16(Vec<u16>),
-}
-
-impl SlotBuf {
-    fn new(precision: FeaturePrecision, scalars: usize) -> Self {
-        match precision {
-            FeaturePrecision::F32 => SlotBuf::F32(vec![0.0; scalars]),
-            FeaturePrecision::F16 => SlotBuf::F16(vec![0; scalars]),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            SlotBuf::F32(b) => b.len() * 4,
-            SlotBuf::F16(b) => b.len() * 2,
-        }
-    }
-}
-
-/// One cache shard: a policy plus the slot buffer it indexes.
+/// One cache shard: a policy plus the slot buffer it indexes. The slots are
+/// a [`RowBuf`] at the shard's configured precision (f16 slots hold the
+/// same number of rows in half the bytes): a row arriving at that precision
+/// is admitted by copying its bits, one arriving at the other is converted
+/// once at admit, and every hit widens into the batch buffer.
 pub(crate) struct Shard {
     pub policy: Box<dyn CachePolicy>,
-    buffer: SlotBuf,
+    buffer: RowBuf,
     dim: usize,
 }
 
@@ -55,50 +35,28 @@ impl Shard {
         precision: FeaturePrecision,
     ) -> Self {
         let policy = make_policy(kind, capacity, hot);
-        let buffer = SlotBuf::new(precision, policy.capacity() * dim);
+        let buffer = RowBuf::zeros(precision, policy.capacity() * dim);
         Shard { policy, buffer, dim }
     }
 
-    /// Widen slot `slot` into `dst` (length `dim`).
-    pub(crate) fn read_slot_into(&self, slot: u32, dst: &mut [f32]) {
-        let s = slot as usize;
-        let range = s * self.dim..(s + 1) * self.dim;
-        match &self.buffer {
-            SlotBuf::F32(b) => dst.copy_from_slice(&b[range]),
-            SlotBuf::F16(b) => {
-                for (d, &h) in dst.iter_mut().zip(&b[range]) {
-                    *d = f16_bits_to_f32(h);
-                }
-            }
-        }
-    }
-
-    pub(crate) fn write_slot(&mut self, slot: u32, row: &[f32]) {
-        let s = slot as usize;
-        let range = s * self.dim..(s + 1) * self.dim;
-        match &mut self.buffer {
-            SlotBuf::F32(b) => b[range].copy_from_slice(row),
-            SlotBuf::F16(b) => {
-                for (d, &x) in b[range].iter_mut().zip(row) {
-                    *d = f32_to_f16_bits(x);
-                }
-            }
-        }
+    /// Borrow slot `slot` at the shard's precision.
+    pub(crate) fn slot(&self, slot: u32) -> RowRef<'_> {
+        self.buffer.row(slot as usize, self.dim)
     }
 
     /// Resident slot bytes at this shard's precision.
     pub(crate) fn buffer_bytes(&self) -> usize {
-        self.buffer.bytes()
+        self.buffer.byte_len()
     }
 
     /// Admit `key` with feature `row`; returns true if cached.
-    pub(crate) fn admit(&mut self, key: NodeId, row: &[f32]) -> bool {
+    pub(crate) fn admit(&mut self, key: NodeId, row: RowRef<'_>) -> bool {
         match self.policy.insert(key) {
             Some((slot, _evicted)) => {
                 // Old features are implicitly evicted by overwriting the
                 // slot (§4: "old node features are implicitly evicted by
                 // inserting new node features").
-                self.write_slot(slot, row);
+                self.buffer.set_row(slot as usize, row);
                 true
             }
             None => false,
@@ -245,7 +203,7 @@ impl FeatureCacheEngine {
             };
             for key in resident {
                 if let Some(slot) = shard.policy.lookup(key) {
-                    shard.write_slot(slot, features.row(key));
+                    shard.buffer.set_row(slot as usize, RowRef::F32(features.row(key)));
                 }
             }
         }
@@ -349,25 +307,22 @@ impl FeatureCacheEngine {
                 } else {
                     stats.gpu_peer_hits += 1;
                 }
-                self.gpu_shards[shard_id].read_slot_into(slot, &mut out[i * dim..(i + 1) * dim]);
+                self.gpu_shards[shard_id].slot(slot).widen_into(&mut out[i * dim..(i + 1) * dim]);
                 continue;
             }
-            // GPU miss: try the CPU level. The row lands directly in the
-            // batch buffer and is promoted from there — the old path
-            // round-tripped every CPU hit through a fresh `Vec`.
-            let mut cpu_hit = false;
+            // GPU miss: try the CPU level. The slot is widened straight into
+            // the batch buffer and promoted to the GPU shard as stored —
+            // the two levels share a precision, so promotion copies bits.
             if let Some(cpu) = self.cpu_shard.as_mut() {
                 if let Some(slot) = cpu.policy.lookup(v) {
                     stats.cpu_hits += 1;
-                    cpu.read_slot_into(slot, &mut out[i * dim..(i + 1) * dim]);
-                    cpu_hit = true;
+                    let row = cpu.slot(slot);
+                    row.widen_into(&mut out[i * dim..(i + 1) * dim]);
+                    if self.gpu_shards[shard_id].admit(v, row) {
+                        gpu_inserts += 1;
+                    }
+                    continue;
                 }
-            }
-            if cpu_hit {
-                if self.gpu_shards[shard_id].admit(v, &out[i * dim..(i + 1) * dim]) {
-                    gpu_inserts += 1;
-                }
-                continue;
             }
             let idx = *miss_index.entry(v).or_insert_with(|| {
                 missing_keys.push(v);
@@ -393,7 +348,10 @@ impl FeatureCacheEngine {
     /// to every position they fill, admit them into both levels, and fold
     /// the batch's counters into the engine totals. The rows arrive as a
     /// [`FeatureBlock`], so decoded transport buffers are referenced in
-    /// place rather than re-gathered into a flat `Vec`.
+    /// place rather than re-gathered into a flat `Vec`: each missed row is
+    /// widened once, into the batch buffer, and admitted to the GPU and CPU
+    /// slots as stored — a bit copy when the fetch and the cache share a
+    /// precision.
     pub fn complete_batch(&mut self, pending: PendingFetch, rows: &FeatureBlock) -> FetchResult {
         let dim = self.dim;
         let PendingFetch {
@@ -417,9 +375,12 @@ impl FeatureCacheEngine {
             stats.miss_bytes +=
                 (missing_keys.len() * dim * self.precision.bytes_per_scalar()) as u64;
             for (j, &v) in missing_keys.iter().enumerate() {
-                let row = rows.row(j);
-                for &i in &missing_pos[j] {
-                    out[i * dim..(i + 1) * dim].copy_from_slice(row);
+                let row = rows.stored_row(j);
+                let (&first, repeats) =
+                    missing_pos[j].split_first().expect("a missing key fills a position");
+                row.widen_into(&mut out[first * dim..(first + 1) * dim]);
+                for &i in repeats {
+                    out.copy_within(first * dim..(first + 1) * dim, i * dim);
                 }
                 let shard_id = (v as usize) % self.num_gpus;
                 if self.gpu_shards[shard_id].admit(v, row) {

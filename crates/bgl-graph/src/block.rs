@@ -6,9 +6,15 @@
 //! decoded buffer (one per store-server response) is *adopted* as a segment
 //! — ownership moves, bytes don't — and a `(segment, row)` index maps each
 //! logical batch row onto the segment that holds it. Consumers read rows by
-//! reference ([`FeatureBlock::row`]) straight out of the adopted buffers;
-//! the only remaining copy is the one that materializes the minibatch
-//! matrix / cache slot, which must happen anyway.
+//! reference ([`FeatureBlock::stored_row`]) straight out of the adopted
+//! buffers; the only remaining copy is the one that materializes the
+//! minibatch matrix / cache slot, which must happen anyway.
+//!
+//! The block does not own the row representation — [`crate::half`] does. A
+//! segment is a [`RowBuf`] at whatever precision the response carried: an
+//! f16 payload is adopted as f16 bits, not widened on arrival, so the
+//! consumer copies those bits into f16 cache slots and widens each row once
+//! into the batch matrix ([`RowRef::widen_into`]).
 //!
 //! ## Ownership rules
 //!
@@ -19,12 +25,14 @@
 //!   exactly the degraded-fetch semantic: a row the cluster could not fetch
 //!   stays all-zero without a dedicated buffer.
 
+use crate::half::{RowBuf, RowRef};
+
 /// A batch of feature rows backed by adopted segments.
 #[derive(Debug, Clone)]
 pub struct FeatureBlock {
     dim: usize,
     /// Segment 0 is one shared zero row; adopted segments follow.
-    segments: Vec<Vec<f32>>,
+    segments: Vec<RowBuf>,
     /// `(segment, row-within-segment)` per logical row.
     index: Vec<(u32, u32)>,
 }
@@ -35,7 +43,7 @@ impl FeatureBlock {
     pub fn new(dim: usize, rows: usize) -> Self {
         FeatureBlock {
             dim,
-            segments: vec![vec![0.0; dim]],
+            segments: vec![RowBuf::F32(vec![0.0; dim])],
             index: vec![(0, 0); rows],
         }
     }
@@ -60,12 +68,14 @@ impl FeatureBlock {
         b
     }
 
-    /// Take ownership of a decoded row buffer; returns its segment id for
-    /// use with [`FeatureBlock::place`]. The bytes are not copied.
+    /// Take ownership of a decoded row buffer — `Vec<f32>`, `Vec<u16>` of
+    /// binary16 bits, or a [`RowBuf`] — and return its segment id for use
+    /// with [`FeatureBlock::place`]. The bytes are not copied or converted.
     ///
     /// # Panics
     /// Panics if `buf.len()` is not a multiple of `dim` (for `dim > 0`).
-    pub fn adopt_segment(&mut self, buf: Vec<f32>) -> usize {
+    pub fn adopt_segment(&mut self, buf: impl Into<RowBuf>) -> usize {
+        let buf = buf.into();
         if self.dim > 0 {
             assert_eq!(buf.len() % self.dim, 0, "segment is not whole rows");
         }
@@ -103,26 +113,39 @@ impl FeatureBlock {
         self.index.is_empty()
     }
 
-    /// Borrow logical row `i` out of whichever segment holds it.
+    /// Borrow logical row `i`, at its segment's precision, out of whichever
+    /// segment holds it.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
+    pub fn stored_row(&self, i: usize) -> RowRef<'_> {
         let (seg, row) = self.index[i];
-        let start = row as usize * self.dim;
-        &self.segments[seg as usize][start..start + self.dim]
+        self.segments[seg as usize].row(row as usize, self.dim)
     }
 
-    /// Copy every row, in order, into `out` (must be `len·dim` long). The
-    /// single materialization copy consumers are allowed.
-    pub fn copy_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.len() * self.dim, "output size mismatch");
-        for (i, chunk) in out.chunks_exact_mut(self.dim.max(1)).enumerate() {
-            if self.dim > 0 {
-                chunk.copy_from_slice(self.row(i));
-            }
+    /// Borrow logical row `i` as f32 — for blocks fetched at f32 (and
+    /// unplaced rows, which are f32 zeros at any precision).
+    ///
+    /// # Panics
+    /// Panics if the row sits in an f16 segment: there is no f32 image to
+    /// borrow. Read such rows with [`FeatureBlock::stored_row`] or
+    /// [`FeatureBlock::copy_into`].
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f32] {
+        match self.stored_row(i) {
+            RowRef::F32(row) => row,
+            RowRef::F16(_) => panic!("row {i} is stored as f16; use stored_row or copy_into"),
         }
     }
 
-    /// Flatten to a fresh batch-ordered `Vec` (tests / compatibility).
+    /// Materialize every row, in order, as f32 in `out` (must be `len·dim`
+    /// long). The single materialization copy consumers are allowed.
+    pub fn copy_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.len() * self.dim, "output size mismatch");
+        for (i, chunk) in out.chunks_exact_mut(self.dim.max(1)).enumerate() {
+            self.stored_row(i).widen_into(chunk);
+        }
+    }
+
+    /// Flatten to a fresh batch-ordered f32 `Vec` (tests / compatibility).
     pub fn to_vec(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.len() * self.dim];
         self.copy_into(&mut out);
@@ -131,10 +154,7 @@ impl FeatureBlock {
 
     /// Bytes held by adopted segments (excludes the shared zero row).
     pub fn segment_bytes(&self) -> usize {
-        self.segments[1..]
-            .iter()
-            .map(|s| s.len() * std::mem::size_of::<f32>())
-            .sum()
+        self.segments[1..].iter().map(RowBuf::byte_len).sum()
     }
 }
 
@@ -166,6 +186,34 @@ mod tests {
         assert_eq!(b.row(3), &[5.0, 6.0]);
         assert_eq!(b.to_vec(), vec![3.0, 4.0, 0.0, 0.0, 1.0, 2.0, 5.0, 6.0]);
         assert_eq!(b.segment_bytes(), 6 * 4);
+    }
+
+    #[test]
+    fn f16_segments_keep_their_bits_and_share_the_zero_row() {
+        use crate::half::{f32_to_f16_bits, quantize_f16};
+        let mut b = FeatureBlock::new(2, 3);
+        let bits: Vec<u16> = [0.1f32, -0.2, 7.0, 0.3].iter().map(|&x| f32_to_f16_bits(x)).collect();
+        let seg = b.adopt_segment(bits.clone());
+        b.place(2, seg, 0);
+        b.place(0, seg, 1);
+        assert_eq!(b.stored_row(0), RowRef::F16(&bits[2..]));
+        assert_eq!(b.stored_row(2), RowRef::F16(&bits[..2]));
+        // Unplaced (degraded) rows are the shared f32 zero row either way.
+        assert_eq!(b.row(1), &[0.0, 0.0]);
+        assert_eq!(
+            b.to_vec(),
+            vec![7.0, quantize_f16(0.3), 0.0, 0.0, quantize_f16(0.1), quantize_f16(-0.2)]
+        );
+        assert_eq!(b.segment_bytes(), 4 * 2, "half the bytes of an f32 segment");
+    }
+
+    #[test]
+    #[should_panic(expected = "stored as f16")]
+    fn an_f16_row_cannot_be_borrowed_as_f32() {
+        let mut b = FeatureBlock::new(1, 1);
+        let seg = b.adopt_segment(vec![0x3C00u16]);
+        b.place(0, seg, 0);
+        b.row(0);
     }
 
     #[test]

@@ -1,16 +1,33 @@
-//! IEEE 754 binary16 ("half") conversion and the feature-precision knob.
+//! IEEE 754 binary16 ("half") conversion, the feature-precision knob, and
+//! the one in-memory representation of a stored feature row.
 //!
 //! BGL ships node features over the network and pins them in caches; at
 //! `dim = 100..=300` floats per node the feature bytes dominate both D_I/D_II
 //! wire traffic and cache capacity. Storing rows as f16 halves those bytes
 //! while perturbing each scalar by at most one half-ULP (§ Table 5 pins the
-//! resulting accuracy delta). Compute stays f32 end-to-end: rows are widened
-//! on decode, so the GNN kernels never see half precision.
+//! resulting accuracy delta). Compute stays f32: the GNN kernels never see
+//! half precision.
+//!
+//! ## Who owns the representation
+//!
+//! This module does. A stored row is a run of scalars in a [`RowBuf`] —
+//! `f32`s or binary16 bit patterns, tagged by which — and a borrowed row is
+//! a [`RowRef`]. Disk page frames (`bgl-store::pager`), wire payloads,
+//! [`crate::FeatureBlock`] segments and cache slots (`bgl-cache`) all hold
+//! rows in it and hand them on with [`RowBuf::push_row`] /
+//! [`RowBuf::set_row`], which copy bits when source and destination agree
+//! and convert only when they differ. So a row that is f16 on disk, on the
+//! wire and in the cache is narrowed once, when an f32 value first enters
+//! storage, and widened once, by [`RowRef::widen_into`] when a minibatch is
+//! assembled. The little-endian byte image shared by pages and frames is
+//! [`write_le`] / [`read_le`], one pass over the buffer.
 //!
 //! The conversions are hand-written (no external crate): round-to-nearest-
 //! even on narrowing, exact on widening, with subnormals, ±inf and NaN
 //! payloads handled explicitly. Both directions are pure bit manipulation —
-//! no float arithmetic — so they are bit-exact across platforms.
+//! no float arithmetic — so they are bit-exact across platforms, and
+//! `narrow(widen(h)) == h` for every non-NaN `h`: holding bits instead of
+//! round-tripping them through f32 changes no value anyone reads.
 
 /// How feature rows are stored at rest (wire frames, cache slots, disk
 /// pages). In-memory minibatches are always f32.
@@ -50,6 +67,7 @@ impl FeaturePrecision {
 /// subnormal range down to ±0. NaNs stay NaN: the quiet bit is forced and
 /// the top payload bits are kept, so a payloaded NaN survives (possibly
 /// truncated) rather than collapsing to infinity.
+#[inline]
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -105,6 +123,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 }
 
 /// Widen binary16 bits to `f32` exactly (every f16 value is representable).
+#[inline]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1F) as u32;
@@ -131,19 +150,220 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Encode a row of f32 scalars into f16 bits.
-pub fn encode_row_f16(row: &[f32], out: &mut Vec<u16>) {
-    out.reserve(row.len());
-    for &x in row {
-        out.push(f32_to_f16_bits(x));
+/// A scalar as stored: `f32`, or binary16 bits in a `u16`. Its fixed-width
+/// little-endian image is what pages and wire frames hold.
+pub trait LeScalar: Copy {
+    /// Bytes of one scalar's image.
+    const BYTES: usize;
+    /// Write the image into `out` (exactly [`LeScalar::BYTES`] long).
+    fn put_le(self, out: &mut [u8]);
+    /// Read a scalar back from its image.
+    fn get_le(bytes: &[u8]) -> Self;
+}
+
+impl LeScalar for f32 {
+    const BYTES: usize = 4;
+    #[inline]
+    fn put_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+    #[inline]
+    fn get_le(bytes: &[u8]) -> f32 {
+        f32::from_le_bytes(bytes.try_into().expect("a 4-byte chunk"))
     }
 }
 
-/// Decode f16 bits into f32 scalars, appending to `out`.
-pub fn decode_row_f16(bits: &[u16], out: &mut Vec<f32>) {
-    out.reserve(bits.len());
-    for &h in bits {
-        out.push(f16_bits_to_f32(h));
+impl LeScalar for u16 {
+    const BYTES: usize = 2;
+    #[inline]
+    fn put_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
+    }
+    #[inline]
+    fn get_le(bytes: &[u8]) -> u16 {
+        u16::from_le_bytes(bytes.try_into().expect("a 2-byte chunk"))
+    }
+}
+
+/// Write `src` into `out` as consecutive little-endian images, in one pass.
+///
+/// # Panics
+/// Panics unless `out` is exactly `src.len() × T::BYTES` long.
+pub fn write_le<T: LeScalar>(src: &[T], out: &mut [u8]) {
+    assert_eq!(out.len(), src.len() * T::BYTES, "byte image has the wrong length");
+    for (chunk, &x) in out.chunks_exact_mut(T::BYTES).zip(src) {
+        x.put_le(chunk);
+    }
+}
+
+/// Read consecutive little-endian images back into scalars, in one pass.
+/// `None` when `bytes` is not a whole number of scalars.
+pub fn read_le<T: LeScalar>(bytes: &[u8]) -> Option<Vec<T>> {
+    let chunks = bytes.chunks_exact(T::BYTES);
+    chunks.remainder().is_empty().then(|| chunks.map(T::get_le).collect())
+}
+
+/// A borrowed stored row (or any run of stored scalars).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum RowRef<'a> {
+    F32(&'a [f32]),
+    /// binary16 bit patterns.
+    F16(&'a [u16]),
+}
+
+impl RowRef<'_> {
+    /// Scalars in the row.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            RowRef::F32(r) => r.len(),
+            RowRef::F16(r) => r.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Materialize the row as f32 in `out` — a copy for f32 rows, the one
+    /// (exact) widening for f16 rows.
+    ///
+    /// # Panics
+    /// Panics unless `out.len() == self.len()`.
+    #[inline]
+    pub fn widen_into(self, out: &mut [f32]) {
+        match self {
+            RowRef::F32(r) => out.copy_from_slice(r),
+            RowRef::F16(r) => {
+                assert_eq!(out.len(), r.len(), "row length mismatch");
+                for (o, &h) in out.iter_mut().zip(r) {
+                    *o = f16_bits_to_f32(h);
+                }
+            }
+        }
+    }
+
+    /// Write the row's little-endian byte image into `out` (exactly
+    /// `len × bytes_per_scalar` long).
+    pub fn write_le_bytes(self, out: &mut [u8]) {
+        match self {
+            RowRef::F32(r) => write_le(r, out),
+            RowRef::F16(r) => write_le(r, out),
+        }
+    }
+}
+
+/// Stored feature rows, row-major, at one precision: the buffer every layer
+/// of the miss path holds rows in (see the module docs).
+#[derive(Clone, Debug, PartialEq)]
+pub enum RowBuf {
+    F32(Vec<f32>),
+    /// binary16 bit patterns.
+    F16(Vec<u16>),
+}
+
+impl From<Vec<f32>> for RowBuf {
+    fn from(rows: Vec<f32>) -> RowBuf {
+        RowBuf::F32(rows)
+    }
+}
+
+impl From<Vec<u16>> for RowBuf {
+    fn from(rows: Vec<u16>) -> RowBuf {
+        RowBuf::F16(rows)
+    }
+}
+
+impl RowBuf {
+    /// `scalars` zeros at `precision`.
+    pub fn zeros(precision: FeaturePrecision, scalars: usize) -> RowBuf {
+        match precision {
+            FeaturePrecision::F32 => RowBuf::F32(vec![0.0; scalars]),
+            FeaturePrecision::F16 => RowBuf::F16(vec![0; scalars]),
+        }
+    }
+
+    /// An empty buffer at `precision` with room for `scalars`.
+    pub fn with_capacity(precision: FeaturePrecision, scalars: usize) -> RowBuf {
+        match precision {
+            FeaturePrecision::F32 => RowBuf::F32(Vec::with_capacity(scalars)),
+            FeaturePrecision::F16 => RowBuf::F16(Vec::with_capacity(scalars)),
+        }
+    }
+
+    pub fn precision(&self) -> FeaturePrecision {
+        match self {
+            RowBuf::F32(_) => FeaturePrecision::F32,
+            RowBuf::F16(_) => FeaturePrecision::F16,
+        }
+    }
+
+    /// Scalars held.
+    pub fn len(&self) -> usize {
+        self.as_row().len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes the scalars occupy (in memory and in their byte image).
+    pub fn byte_len(&self) -> usize {
+        self.len() * self.precision().bytes_per_scalar()
+    }
+
+    /// The whole buffer as one borrowed run.
+    pub fn as_row(&self) -> RowRef<'_> {
+        match self {
+            RowBuf::F32(b) => RowRef::F32(b),
+            RowBuf::F16(b) => RowRef::F16(b),
+        }
+    }
+
+    /// Borrow row `i` of width `dim`.
+    #[inline]
+    pub fn row(&self, i: usize, dim: usize) -> RowRef<'_> {
+        let range = i * dim..(i + 1) * dim;
+        match self {
+            RowBuf::F32(b) => RowRef::F32(&b[range]),
+            RowBuf::F16(b) => RowRef::F16(&b[range]),
+        }
+    }
+
+    /// Overwrite row `i` (of width `row.len()`) with `row`: bits are copied
+    /// when the precisions agree, narrowed or widened when they differ.
+    #[inline]
+    pub fn set_row(&mut self, i: usize, row: RowRef<'_>) {
+        let range = i * row.len()..(i + 1) * row.len();
+        match (self, row) {
+            (RowBuf::F32(b), row) => row.widen_into(&mut b[range]),
+            (RowBuf::F16(b), RowRef::F16(r)) => b[range].copy_from_slice(r),
+            (RowBuf::F16(b), RowRef::F32(r)) => {
+                for (h, &x) in b[range].iter_mut().zip(r) {
+                    *h = f32_to_f16_bits(x);
+                }
+            }
+        }
+    }
+
+    /// Append `row`, converting only when the precisions differ.
+    #[inline]
+    pub fn push_row(&mut self, row: RowRef<'_>) {
+        match (self, row) {
+            (RowBuf::F32(b), RowRef::F32(r)) => b.extend_from_slice(r),
+            (RowBuf::F16(b), RowRef::F16(r)) => b.extend_from_slice(r),
+            (RowBuf::F32(b), RowRef::F16(r)) => b.extend(r.iter().map(|&h| f16_bits_to_f32(h))),
+            (RowBuf::F16(b), RowRef::F32(r)) => b.extend(r.iter().map(|&x| f32_to_f16_bits(x))),
+        }
+    }
+
+    /// Rebuild a buffer from its little-endian byte image. `None` when
+    /// `bytes` is not a whole number of `precision` scalars.
+    pub fn from_le_bytes(precision: FeaturePrecision, bytes: &[u8]) -> Option<RowBuf> {
+        match precision {
+            FeaturePrecision::F32 => read_le(bytes).map(RowBuf::F32),
+            FeaturePrecision::F16 => read_le(bytes).map(RowBuf::F16),
+        }
     }
 }
 
@@ -247,13 +467,13 @@ mod tests {
     }
 
     #[test]
-    fn row_encode_decode_round_trip() {
+    fn rows_narrow_on_entry_and_widen_back_within_half_ulp() {
         let row: Vec<f32> = (0..257).map(|i| (i as f32 - 128.0) * 0.37).collect();
-        let mut bits = Vec::new();
-        encode_row_f16(&row, &mut bits);
-        assert_eq!(bits.len(), row.len());
-        let mut back = Vec::new();
-        decode_row_f16(&bits, &mut back);
+        let mut stored = RowBuf::with_capacity(FeaturePrecision::F16, row.len());
+        stored.push_row(RowRef::F32(&row));
+        assert_eq!((stored.len(), stored.byte_len()), (row.len(), 2 * row.len()));
+        let mut back = vec![0.0f32; row.len()];
+        stored.as_row().widen_into(&mut back);
         for (a, b) in row.iter().zip(&back) {
             assert!((a - b).abs() <= a.abs() * 5e-4 + 1e-6);
         }
@@ -261,5 +481,73 @@ mod tests {
         for &b in &back {
             assert_eq!(quantize_f16(b).to_bits(), b.to_bits());
         }
+    }
+
+    /// The identity the bits-preserving miss path rests on, over every
+    /// binary16 pattern: widening then narrowing gives the pattern back, so
+    /// a layer that holds f16 bits serves exactly what a layer that held
+    /// their f32 image and re-narrowed it would have.
+    #[test]
+    fn narrow_of_widen_is_the_identity_on_every_non_nan_pattern() {
+        for h in 0..=u16::MAX {
+            let wide = f16_bits_to_f32(h);
+            let back = f32_to_f16_bits(wide);
+            let is_nan = h & 0x7C00 == 0x7C00 && h & 0x03FF != 0;
+            if is_nan {
+                assert!(wide.is_nan(), "{h:#06x} must widen to a NaN");
+                assert_eq!(back & 0x7C00, 0x7C00, "{h:#06x} must stay a NaN");
+                assert_ne!(back & 0x03FF, 0, "{h:#06x} must not collapse to inf");
+                assert_eq!(back & 0x8000, h & 0x8000, "{h:#06x} keeps its sign");
+            } else {
+                assert_eq!(back, h, "{h:#06x} -> {wide:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn byte_images_round_trip_every_pattern_and_reject_partial_scalars() {
+        let all: Vec<u16> = (0..=u16::MAX).collect();
+        let half = RowBuf::from(all.clone());
+        let mut image = vec![0u8; half.byte_len()];
+        half.as_row().write_le_bytes(&mut image);
+        assert_eq!(&image[..6], &[0, 0, 1, 0, 2, 0], "little-endian, scalar by scalar");
+        assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F16, &image), Some(half));
+
+        // The same bytes as f32 scalars (NaN patterns included, so compare
+        // bits): from_le_bytes(to_le_bytes(b)) == b.
+        let RowBuf::F32(wide) = RowBuf::from_le_bytes(FeaturePrecision::F32, &image).unwrap()
+        else {
+            panic!("an f32 image decodes to an f32 buffer");
+        };
+        assert_eq!(wide.len(), all.len() / 2);
+        let mut again = vec![0u8; image.len()];
+        RowRef::F32(&wide).write_le_bytes(&mut again);
+        assert_eq!(again, image);
+
+        // Odd and short lengths are not whole scalars.
+        assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F16, &image[..5]), None);
+        assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F16, &image[..1]), None);
+        for cut in 1..4 {
+            assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F32, &image[..4 + cut]), None);
+        }
+        let empty = RowBuf::from_le_bytes(FeaturePrecision::F32, &[]).unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn rows_move_between_buffers_by_bits_when_precisions_agree() {
+        // 0.1 is not f16-exact, so a conversion anywhere would show.
+        let src = RowBuf::from(vec![0.1f32, 0.2, 0.3, 0.4]);
+        let mut half = RowBuf::zeros(FeaturePrecision::F16, 4);
+        half.set_row(1, src.row(0, 2));
+        assert_eq!(half, RowBuf::from(vec![0, 0, f32_to_f16_bits(0.1), f32_to_f16_bits(0.2)]));
+        // f16 -> f16 and f32 -> f32 copy bits; f16 -> f32 widens exactly.
+        let mut half2 = RowBuf::with_capacity(FeaturePrecision::F16, 2);
+        half2.push_row(half.row(1, 2));
+        assert_eq!(half2.as_row(), half.row(1, 2));
+        let mut wide = RowBuf::zeros(FeaturePrecision::F32, 4);
+        wide.set_row(0, src.row(1, 2));
+        wide.set_row(1, half.row(1, 2));
+        assert_eq!(wide, RowBuf::from(vec![0.3, 0.4, quantize_f16(0.1), quantize_f16(0.2)]));
     }
 }

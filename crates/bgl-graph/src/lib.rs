@@ -22,7 +22,9 @@
 //!   primitives behind both proximity-aware ordering (§3.2.2) and the
 //!   BFS-coarsening partitioner (§3.3).
 //! * [`half`] / [`FeaturePrecision`] — IEEE 754 binary16 row storage, which
-//!   halves feature bytes on the wire, in caches and on disk.
+//!   halves feature bytes on the wire, in caches and on disk, and
+//!   [`half::RowBuf`], the one in-memory representation of a stored row
+//!   that pages, frames, blocks and cache slots all hold.
 //! * [`hash`] — the one FNV-1a-64 checksum and the one `mix64` integer
 //!   mixer every durable format, digest and seeded draw shares.
 //! * [`FeatureBlock`] — arena-backed feature rows: decoded fetch buffers are

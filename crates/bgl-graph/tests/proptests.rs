@@ -166,18 +166,20 @@ proptest! {
         prop_assert_eq!(q.is_sign_positive(), x.is_sign_positive());
     }
 
-    /// Row encode/decode agrees with scalar quantization elementwise.
+    /// Storing a row at f16 and widening it back agrees with scalar
+    /// quantization elementwise.
     #[test]
-    fn f16_row_codec_matches_scalar_quantization(
+    fn f16_row_storage_matches_scalar_quantization(
         row in proptest::collection::vec(any::<u32>(), 0..64),
     ) {
-        use bgl_graph::half::{decode_row_f16, encode_row_f16, quantize_f16};
+        use bgl_graph::half::{quantize_f16, RowBuf, RowRef};
+        use bgl_graph::FeaturePrecision;
         let row: Vec<f32> = row.into_iter().map(f32::from_bits).collect();
-        let mut bits = Vec::new();
-        encode_row_f16(&row, &mut bits);
-        prop_assert_eq!(bits.len(), row.len());
-        let mut back = Vec::new();
-        decode_row_f16(&bits, &mut back);
+        let mut stored = RowBuf::with_capacity(FeaturePrecision::F16, row.len());
+        stored.push_row(RowRef::F32(&row));
+        prop_assert_eq!(stored.len(), row.len());
+        let mut back = vec![0.0f32; row.len()];
+        stored.as_row().widen_into(&mut back);
         for (&x, &b) in row.iter().zip(&back) {
             prop_assert_eq!(b.to_bits(), quantize_f16(x).to_bits());
         }

@@ -92,6 +92,8 @@ pub struct Connection {
     /// The server's side of the handshake.
     ack: HelloAck,
     read_timeout: Duration,
+    /// Where socket reads land before the decoder takes them.
+    chunk: Vec<u8>,
     metrics: ClientMetrics,
 }
 
@@ -115,6 +117,7 @@ impl Connection {
             parked: HashMap::new(),
             ack: HelloAck { version: 0, server_id: 0, num_servers: 0, feature_dim: 0 },
             read_timeout: config.read_timeout,
+            chunk: vec![0u8; 64 * 1024],
             metrics,
         };
         let hello = Hello { magic: MAGIC, version: config.protocol_version };
@@ -170,7 +173,6 @@ impl Connection {
             return Ok(f);
         }
         let deadline = Instant::now() + self.read_timeout;
-        let mut chunk = [0u8; 64 * 1024];
         loop {
             while let Some(frame) = self.decoder.next_frame()? {
                 self.metrics.frames_received.incr();
@@ -179,11 +181,11 @@ impl Connection {
                 }
                 self.parked.insert(frame.corr_id, frame);
             }
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(NetError::Closed("response read")),
                 Ok(n) => {
                     self.metrics.bytes_received.add(n as u64);
-                    self.decoder.feed(&chunk[..n]);
+                    self.decoder.feed(&self.chunk[..n]);
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock

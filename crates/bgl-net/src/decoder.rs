@@ -16,7 +16,7 @@
 
 use crate::proto::{Frame, FrameKind, HEADER_LEN, LEN_PREFIX};
 use crate::NetError;
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 
 /// Reassembles frames from arbitrarily-chunked stream reads.
 pub struct FrameDecoder {
@@ -59,6 +59,9 @@ impl FrameDecoder {
             return Err(self.poison(NetError::Oversized { len, max: self.max_frame }));
         }
         if self.buf.len() < LEN_PREFIX + len {
+            // The accepted length is known: grow to exactly it, once,
+            // instead of doubling through the reads that deliver it.
+            self.buf.reserve_exact(LEN_PREFIX + len - self.buf.len());
             return Ok(None);
         }
         let corr_id = u64::from_le_bytes(self.buf[4..12].try_into().unwrap());
@@ -67,8 +70,16 @@ impl FrameDecoder {
             None => return Err(self.poison(NetError::Malformed("unknown frame kind"))),
         };
         let flags = self.buf[13];
-        let payload = Bytes::from(self.buf[LEN_PREFIX + HEADER_LEN..LEN_PREFIX + len].to_vec());
-        self.buf.drain(..LEN_PREFIX + len);
+        // Split the frame off and hand its buffer over as the payload, so
+        // the bytes are not copied again; what follows the frame (usually
+        // nothing) starts the next buffer. Shrinking is a no-op for a
+        // buffer grown to its frame and otherwise keeps a small payload
+        // from pinning a read-sized allocation while it sits in a queue.
+        let rest = self.buf.split_off(LEN_PREFIX + len);
+        let mut frame = std::mem::replace(&mut self.buf, rest);
+        frame.shrink_to_fit();
+        let mut payload = Bytes::from(frame);
+        payload.advance(LEN_PREFIX + HEADER_LEN);
         Ok(Some(Frame { corr_id, kind, flags, payload }))
     }
 

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 struct Pending {
     user: NodeId,
     enqueued: Instant,
-    reply: mpsc::Sender<Result<Reply, QueryError>>,
+    reply: mpsc::SyncSender<Result<Reply, QueryError>>,
 }
 
 /// A successful answer with the front-end's latency measurement.
@@ -104,7 +104,10 @@ impl ServeHandle {
     pub fn try_submit(&self, user: NodeId) -> Result<Ticket, QueryError> {
         let sh = &self.shared;
         sh.offered.incr();
-        let (tx, rx) = mpsc::channel();
+        // One slot, one send: the send never blocks, and a ticket a caller
+        // holds until much later costs one slot, not an unbounded channel's
+        // first 31-slot block.
+        let (tx, rx) = mpsc::sync_channel(1);
         {
             let mut q = sh.q.lock().unwrap_or_else(|p| p.into_inner());
             if q.shutdown {

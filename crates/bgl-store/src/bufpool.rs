@@ -15,8 +15,17 @@
 //! dirty and evictable, so neither the frame nor the update is lost.
 //! [`BufferPool::flush`] (the checkpoint step) writes every dirty frame and
 //! syncs the paged file.
+//!
+//! Frames hold their rows as the pager decoded them — a
+//! [`bgl_graph::half::RowBuf`] at the file's precision, the representation
+//! `bgl_graph::half` owns. A resident frame is therefore bit-for-bit the
+//! page image: [`BufferPool::update_row`] narrows the one row it writes
+//! into an f16 frame, [`BufferPool::read_row`] hands stored bits on, and
+//! only [`BufferPool::read_row_into`], the f32 read API, widens (the one
+//! row it reads). What a read returns never depends on residency.
 
 use crate::pager::{DiskError, PageBuf, Pager};
+use bgl_graph::half::{RowBuf, RowRef};
 use std::collections::{HashMap, VecDeque};
 
 /// Cumulative pool counters (mirrored into `store.disk.*` by the tier).
@@ -193,8 +202,13 @@ impl BufferPool {
         }
     }
 
-    /// Copy node `v`'s feature row out of its (pinned-for-the-copy) page.
-    pub fn read_row_into(&mut self, v: u32, out: &mut Vec<f32>) -> Result<(), DiskError> {
+    /// Run `read` over node `v`'s stored row, borrowed out of its
+    /// (pinned-for-the-call) page.
+    fn with_row<T>(
+        &mut self,
+        v: u32,
+        read: impl FnOnce(RowRef<'_>) -> T,
+    ) -> Result<T, DiskError> {
         if (v as u64) >= self.pager.num_nodes() {
             return Err(DiskError::Invariant("node out of range"));
         }
@@ -202,13 +216,31 @@ impl BufferPool {
         let (pid, slot) = self.pager.page_of(v);
         let f = self.pin(pid)?;
         let frame = self.frames[f].as_ref().expect("pinned frame is live");
-        out.extend_from_slice(&frame.page.rows[slot * dim..(slot + 1) * dim]);
+        let out = read(frame.page.rows.row(slot, dim));
         self.unpin(f, false);
-        Ok(())
+        Ok(out)
     }
 
-    /// Overwrite node `v`'s feature row in its page (marking it dirty).
-    /// Callers must have WAL-logged the update first.
+    /// Append node `v`'s stored row to `out`: bits are copied when `out` is
+    /// at the file's precision, converted when it is not.
+    pub fn read_row(&mut self, v: u32, out: &mut RowBuf) -> Result<(), DiskError> {
+        self.with_row(v, |row| out.push_row(row))
+    }
+
+    /// Append node `v`'s feature row to `out` as f32, widening it if the
+    /// file stores f16.
+    pub fn read_row_into(&mut self, v: u32, out: &mut Vec<f32>) -> Result<(), DiskError> {
+        self.with_row(v, |row| {
+            let at = out.len();
+            out.resize(at + row.len(), 0.0);
+            row.widen_into(&mut out[at..]);
+        })
+    }
+
+    /// Overwrite node `v`'s feature row in its page (marking it dirty),
+    /// narrowing it if the file stores f16 — the frame then holds exactly
+    /// what the page image and a WAL replay hold. Callers must have
+    /// WAL-logged the update first.
     pub fn update_row(&mut self, v: u32, row: &[f32]) -> Result<(), DiskError> {
         if (v as u64) >= self.pager.num_nodes() {
             return Err(DiskError::Invariant("node out of range"));
@@ -220,7 +252,7 @@ impl BufferPool {
         let (pid, slot) = self.pager.page_of(v);
         let f = self.pin(pid)?;
         let frame = self.frames[f].as_mut().expect("pinned frame is live");
-        frame.page.rows[slot * dim..(slot + 1) * dim].copy_from_slice(row);
+        frame.page.rows.set_row(slot, RowRef::F32(row));
         self.unpin(f, true);
         Ok(())
     }

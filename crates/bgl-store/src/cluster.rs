@@ -35,6 +35,7 @@ use crate::server::GraphStoreServer;
 use crate::transport::{InProcessTransport, StoreTransport};
 use crate::wire::Message;
 use crate::StoreError;
+use bgl_graph::half::RowBuf;
 use bgl_graph::{Csr, FeatureBlock, FeaturePrecision, FeatureStore, NodeId};
 use bgl_partition::Partition;
 use bgl_sampler::neighbor::{LayerBlock, MiniBatch};
@@ -241,8 +242,9 @@ impl StoreCluster {
 
     /// Choose the wire precision of feature rows. With
     /// [`FeaturePrecision::F16`], feature responses carry binary16 rows —
-    /// half the bytes per row on the wire and in the ledger — widened back
-    /// to f32 on receipt.
+    /// half the bytes per row on the wire and in the ledger — and
+    /// [`StoreCluster::fetch_features`] hands them on as f16 block segments;
+    /// whoever assembles the minibatch widens them.
     pub fn with_feature_precision(mut self, precision: FeaturePrecision) -> Self {
         self.feature_precision = precision;
         self
@@ -878,10 +880,10 @@ impl StoreCluster {
     /// Fetch feature rows for `nodes` on behalf of a requester at location
     /// `from` (use [`StoreCluster::worker_location`] for a worker machine).
     /// Rows come back as a [`FeatureBlock`] indexed in `nodes` order:
-    /// each per-server response buffer is adopted as a block segment —
-    /// decoded once off the wire, then *referenced* (not re-copied) by
-    /// downstream consumers. Elapsed is the max over the parallel
-    /// per-server RPCs.
+    /// each per-server response buffer is adopted as a block segment at
+    /// the precision it travelled at — decoded once off the wire, then
+    /// *referenced* (not re-copied, not widened) by downstream consumers.
+    /// Elapsed is the max over the parallel per-server RPCs.
     ///
     /// With [`StoreCluster::with_degraded_features`] on, a group whose
     /// every replica fails transiently (or whose budget ran out) is left
@@ -922,12 +924,12 @@ impl StoreCluster {
             (server, req, (server, positions))
         });
         let elapsed = self.fan_out(from, Self::rpc_robust, groups, |(server, positions), resp| {
-            // Widen f16 payloads once (the decode copy), then adopt the
-            // buffer into the block; f32 payloads are adopted as-is. Either
-            // way, no per-row reassembly copy happens here.
-            let (d, rows) = match resp {
-                Ok(Message::FeatureResp { dim, rows }) => (dim, rows),
-                Ok(Message::FeatureRespF16 { dim, rows }) => (dim, Message::decode_f16_rows(&rows)),
+            // Adopt the decoded payload into the block as it is, f32
+            // scalars or f16 bits: no per-row reassembly copy and no
+            // conversion happens here.
+            let (d, rows): (u32, RowBuf) = match resp {
+                Ok(Message::FeatureResp { dim, rows }) => (dim, rows.into()),
+                Ok(Message::FeatureRespF16 { dim, rows }) => (dim, rows.into()),
                 Ok(_) => return Err(Message::unexpected()),
                 Err(e) if degrade && degradable(&e) => {
                     // Every replica failed within budget: leave this group's

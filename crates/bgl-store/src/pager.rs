@@ -17,9 +17,13 @@
 //! The header version doubles as the scalar encoding: version 1 stores
 //! rows as little-endian f32 (4 bytes/scalar), version 2 as IEEE 754
 //! binary16 (2 bytes/scalar, [`bgl_graph::half`]), halving on-disk bytes
-//! per row. In-memory [`PageBuf`]s are always f32 — narrowing happens at
-//! encode, widening at decode — so the buffer pool, WAL, and every caller
-//! above the pager are precision-agnostic.
+//! per row. The pager does not own the row representation —
+//! [`bgl_graph::half`] does: an in-memory [`PageBuf`] holds its rows in a
+//! [`RowBuf`] at the *file's* precision, so decoding a page splits bytes
+//! into scalars and encoding writes them back, neither converting. An f32
+//! value is narrowed only where it enters an f16 file
+//! ([`Pager::create_with_precision`], the buffer pool's `update_row`), and
+//! a stored f16 row is widened only by whoever finally reads it as f32.
 //!
 //! ## Crash atomicity of page write-back
 //!
@@ -40,7 +44,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use bgl_graph::half::{f16_bits_to_f32, f32_to_f16_bits};
+use bgl_graph::half::{RowBuf, RowRef};
 use bgl_graph::hash::splitmix64;
 use bgl_graph::FeaturePrecision;
 
@@ -505,11 +509,12 @@ pub struct PagerStats {
 
 bgl_obs::ledger!(PagerStats { page_reads, page_writes, dw_redo = "dw_redos" });
 
-/// One decoded page: `rows_per_page × dim` feature values.
+/// One decoded page: `rows_per_page × dim` feature values, at the file's
+/// precision.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PageBuf {
     pub pid: u64,
-    pub rows: Vec<f32>,
+    pub rows: RowBuf,
 }
 
 /// Fixed-size checksummed pages over a [`BackingFile`].
@@ -521,6 +526,8 @@ pub struct Pager {
     num_nodes: u64,
     num_pages: u64,
     precision: FeaturePrecision,
+    /// The one page image [`Pager::read_page`] reads into.
+    image: Vec<u8>,
     pub stats: PagerStats,
 }
 
@@ -539,7 +546,7 @@ impl Pager {
     /// [`Pager::create`] with an explicit on-disk scalar encoding. With
     /// [`FeaturePrecision::F16`] each row costs half the bytes (so twice
     /// the rows fit per page); values are narrowed round-to-nearest-even
-    /// once at creation and widened back on every read.
+    /// once, here.
     pub fn create_with_precision(
         mut file: Box<dyn BackingFile>,
         dim: usize,
@@ -589,14 +596,16 @@ impl Pager {
             num_nodes,
             num_pages,
             precision,
+            image: vec![0u8; payload],
             stats: PagerStats::default(),
         };
         let per_page = (rows_per_page as usize) * dim;
         for pid in 0..num_pages {
             let start = (pid as usize) * per_page;
             let end = (start + per_page).min(rows.len());
-            let mut page_rows = rows[start..end].to_vec();
-            page_rows.resize(per_page, 0.0);
+            // The last page's tail stays zero.
+            let mut page_rows = RowBuf::zeros(precision, per_page);
+            page_rows.set_row(0, RowRef::F32(&rows[start..end]));
             let image = pager.encode_page(&PageBuf { pid, rows: page_rows });
             pager.file.write_at(pager.page_off(pid), &image)?;
         }
@@ -666,6 +675,7 @@ impl Pager {
             num_nodes,
             num_pages,
             precision,
+            image: vec![0u8; page_size as usize],
             stats: PagerStats::default(),
         };
         // Double-write redo: if the slot holds a checksum-valid page, the
@@ -688,22 +698,16 @@ impl Pager {
         PAGE_HEADER_LEN + (pid + 1) * self.page_size as u64
     }
 
+    /// Scalars in one page's row payload.
+    fn page_scalars(&self) -> usize {
+        (self.rows_per_page * self.dim) as usize
+    }
+
     fn encode_page(&self, page: &PageBuf) -> Vec<u8> {
         let ps = self.page_size as usize;
         let mut image = vec![0u8; ps];
         image[0..8].copy_from_slice(&page.pid.to_le_bytes());
-        match self.precision {
-            FeaturePrecision::F32 => {
-                for (chunk, &x) in image[8..].chunks_exact_mut(4).zip(page.rows.iter()) {
-                    chunk.copy_from_slice(&x.to_le_bytes());
-                }
-            }
-            FeaturePrecision::F16 => {
-                for (chunk, &x) in image[8..].chunks_exact_mut(2).zip(page.rows.iter()) {
-                    chunk.copy_from_slice(&f32_to_f16_bits(x).to_le_bytes());
-                }
-            }
-        }
+        page.rows.as_row().write_le_bytes(&mut image[8..8 + page.rows.byte_len()]);
         let sum = fnv1a_64(&image[..ps - 8]);
         image[ps - 8..].copy_from_slice(&sum.to_le_bytes());
         image
@@ -727,17 +731,9 @@ impl Pager {
                 return Err(DiskError::Invariant("page id does not match its slot"));
             }
         }
-        let per_page = (self.rows_per_page * self.dim) as usize;
-        let rows = match self.precision {
-            FeaturePrecision::F32 => image[8..8 + 4 * per_page]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-            FeaturePrecision::F16 => image[8..8 + 2 * per_page]
-                .chunks_exact(2)
-                .map(|c| f16_bits_to_f32(u16::from_le_bytes(c.try_into().unwrap())))
-                .collect(),
-        };
+        let row_bytes = self.page_scalars() * self.precision.bytes_per_scalar();
+        let rows = RowBuf::from_le_bytes(self.precision, &image[8..8 + row_bytes])
+            .expect("page geometry holds whole scalars");
         Ok(PageBuf { pid, rows })
     }
 
@@ -746,11 +742,10 @@ impl Pager {
         if pid >= self.num_pages {
             return Err(DiskError::Invariant("page id out of range"));
         }
-        let mut image = vec![0u8; self.page_size as usize];
         let off = self.page_off(pid);
-        read_exact_at(self.file.as_mut(), off, &mut image)?;
+        read_exact_at(self.file.as_mut(), off, &mut self.image)?;
         self.stats.page_reads += 1;
-        self.decode_page(&image, Some(pid))
+        self.decode_page(&self.image, Some(pid))
     }
 
     /// Write page `pid` back: double-write slot first, then in place.
@@ -759,7 +754,7 @@ impl Pager {
         if page.pid >= self.num_pages {
             return Err(DiskError::Invariant("page id out of range"));
         }
-        if page.rows.len() != (self.rows_per_page * self.dim) as usize {
+        if page.rows.len() != self.page_scalars() || page.rows.precision() != self.precision {
             return Err(DiskError::Invariant("page row payload has the wrong shape"));
         }
         let image = self.encode_page(page);
@@ -831,6 +826,13 @@ mod tests {
         (0..n * dim).map(|i| i as f32 * 0.5 - 3.0).collect()
     }
 
+    /// Row `slot` of `page`, widened.
+    fn row_of(page: &PageBuf, slot: usize, dim: usize) -> Vec<f32> {
+        let mut out = vec![0.0; dim];
+        page.rows.row(slot, dim).widen_into(&mut out);
+        out
+    }
+
     #[test]
     fn create_open_read_roundtrip() {
         let path = tmp("roundtrip");
@@ -846,10 +848,7 @@ mod tests {
         for v in 0..37u32 {
             let (pid, slot) = p.page_of(v);
             let page = p.read_page(pid).unwrap();
-            assert_eq!(
-                &page.rows[slot * 5..(slot + 1) * 5],
-                &rows[v as usize * 5..(v as usize + 1) * 5]
-            );
+            assert_eq!(row_of(&page, slot, 5), &rows[v as usize * 5..(v as usize + 1) * 5]);
         }
         assert!(p.stats.page_reads > 0);
         std::fs::remove_file(path).ok();
@@ -958,22 +957,24 @@ mod tests {
         for v in 0..37u32 {
             let (pid, slot) = p.page_of(v);
             let page = p.read_page(pid).unwrap();
-            let got = &page.rows[slot * dim..(slot + 1) * dim];
             let want: Vec<f32> = rows[v as usize * dim..(v as usize + 1) * dim]
                 .iter()
                 .map(|&x| bgl_graph::half::quantize_f16(x))
                 .collect();
-            assert_eq!(got, &want[..], "node {}", v);
+            assert_eq!(row_of(&page, slot, dim), want, "node {}", v);
         }
         // Write-back keeps the f16 encoding: mutate a page, reopen, reread.
         let mut page = p.read_page(0).unwrap();
-        page.rows[0] = 123.5; // exactly representable in f16
+        page.rows.set_row(0, RowRef::F32(&[123.5])); // exactly representable in f16
         p.write_page(&page).unwrap();
         p.sync().unwrap();
         drop(p);
         let f = Box::new(RealFile::open(&path16).unwrap());
         let mut p = Pager::open(f).unwrap();
-        assert_eq!(p.read_page(0).unwrap().rows[0], 123.5);
+        assert_eq!(row_of(&p.read_page(0).unwrap(), 0, 1), [123.5]);
+        // A frame at the wrong precision is refused, not re-encoded.
+        page.rows = RowBuf::zeros(FeaturePrecision::F32, page.rows.len());
+        assert!(matches!(p.write_page(&page), Err(DiskError::Invariant(_))));
         std::fs::remove_file(path32).ok();
         std::fs::remove_file(path16).ok();
     }
@@ -998,7 +999,8 @@ mod tests {
                 let f = Box::new(ShadowFile::open(&path).unwrap());
                 let mut p = Pager::open(f).unwrap();
                 let mut page = p.read_page(1).unwrap();
-                for x in &mut page.rows {
+                let RowBuf::F32(values) = &mut page.rows else { panic!("an f32 file") };
+                for x in values {
                     *x += 100.0;
                 }
                 p.write_page(&page).unwrap();
@@ -1013,7 +1015,7 @@ mod tests {
                     let old = rows[p.rows_per_page() * dim..2 * p.rows_per_page() * dim].to_vec();
                     let new: Vec<f32> = old.iter().map(|x| x + 100.0).collect();
                     assert!(
-                        page.rows == old || page.rows == new,
+                        page.rows == RowBuf::from(old) || page.rows == RowBuf::from(new),
                         "keep={}: page 1 is neither old nor new",
                         keep
                     );

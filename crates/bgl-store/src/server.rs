@@ -15,7 +15,8 @@ use crate::pager::DiskError;
 use crate::tier::DurableFeatures;
 use crate::wire::Message;
 use crate::StoreError;
-use bgl_graph::{Csr, DynamicGraph, FeatureStore, NodeId};
+use bgl_graph::half::{RowBuf, RowRef};
+use bgl_graph::{Csr, DynamicGraph, FeaturePrecision, FeatureStore, NodeId};
 use bytes::Bytes;
 use rand::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -349,19 +350,12 @@ impl GraphStoreServer {
                 }
                 Message::NeighborResp { lists }.encode()
             }
-            Message::FeatureReq { nodes } => {
-                let (dim, rows) = self.gather_rows(&nodes)?;
-                Message::FeatureResp { dim, rows }.encode()
-            }
-            Message::FeatureReqF16 { nodes } => {
-                // Narrow at the serving edge: the response frame carries
-                // binary16, halving the feature bytes this RPC puts on the
-                // wire (and therefore the D_II the network model charges).
-                let (dim, rows) = self.gather_rows(&nodes)?;
-                let mut half_rows = Vec::new();
-                bgl_graph::half::encode_row_f16(&rows, &mut half_rows);
-                Message::FeatureRespF16 { dim, rows: half_rows }.encode()
-            }
+            Message::FeatureReq { nodes } => self.feature_resp(&nodes, FeaturePrecision::F32),
+            // The response frame carries binary16, halving the feature
+            // bytes this RPC puts on the wire (and therefore the D_II the
+            // network model charges). An f16 disk tier's stored bits are
+            // copied into it; any f32 source is narrowed row by row.
+            Message::FeatureReqF16 { nodes } => self.feature_resp(&nodes, FeaturePrecision::F16),
             Message::FeatureUpdateReq { dim, nodes, rows } => {
                 if dim as usize != self.features.dim() {
                     return Err(StoreError::Malformed("feature update dim mismatch"));
@@ -475,7 +469,9 @@ impl GraphStoreServer {
                 if num_servers > 0 && dest as usize >= num_servers {
                     return Err(StoreError::InvalidServer(dest as usize));
                 }
-                let (_, row) = self.gather_rows(&[node])?;
+                let RowBuf::F32(row) = self.gather_rows(&[node], FeaturePrecision::F32)? else {
+                    unreachable!("gathered at f32");
+                };
                 let mut neighbors = Vec::new();
                 {
                     let g = self.graph.read().unwrap_or_else(|p| p.into_inner());
@@ -612,13 +608,33 @@ impl GraphStoreServer {
         }
     }
 
-    /// Gather the f32 feature rows for `nodes` (from the disk tier when one
-    /// is attached, else the in-memory store; appended nodes come from the
-    /// ingest overlay either way), validating ownership.
-    fn gather_rows(&self, nodes: &[NodeId]) -> Result<(u32, Vec<f32>), StoreError> {
+    /// Answer a feature request at the wire precision it asked for.
+    fn feature_resp(
+        &self,
+        nodes: &[NodeId],
+        precision: FeaturePrecision,
+    ) -> Result<Bytes, StoreError> {
         let dim = self.features.dim() as u32;
+        match self.gather_rows(nodes, precision)? {
+            RowBuf::F32(rows) => Message::FeatureResp { dim, rows },
+            RowBuf::F16(rows) => Message::FeatureRespF16 { dim, rows },
+        }
+        .encode()
+    }
+
+    /// Gather the feature rows for `nodes` at `precision` (from the disk
+    /// tier when one is attached, else the in-memory store; appended nodes
+    /// come from the ingest overlay either way), validating ownership. Each
+    /// row is copied from its source's representation: bits when the source
+    /// is already at `precision`, one conversion when it is not.
+    fn gather_rows(
+        &self,
+        nodes: &[NodeId],
+        precision: FeaturePrecision,
+    ) -> Result<RowBuf, StoreError> {
+        let dim = self.features.dim();
         let base_nodes = self.features.num_nodes();
-        let mut rows = Vec::with_capacity(nodes.len() * dim as usize);
+        let mut rows = RowBuf::with_capacity(precision, nodes.len() * dim);
         let mut disk = self.disk.lock().unwrap_or_else(|p| p.into_inner());
         for &v in nodes {
             if !self.serves(v) {
@@ -626,19 +642,17 @@ impl GraphStoreServer {
             }
             if (v as usize) >= base_nodes {
                 let ext = self.feat_ext.read().unwrap_or_else(|p| p.into_inner());
-                let at = (v as usize - base_nodes) * dim as usize;
-                let row = ext
-                    .get(at..at + dim as usize)
-                    .ok_or(StoreError::InvalidNode(v))?;
-                rows.extend_from_slice(row);
+                let at = (v as usize - base_nodes) * dim;
+                let row = ext.get(at..at + dim).ok_or(StoreError::InvalidNode(v))?;
+                rows.push_row(RowRef::F32(row));
                 continue;
             }
             match disk.as_mut() {
-                Some(tier) => tier.read_row_into(v, &mut rows).map_err(storage_err)?,
-                None => rows.extend_from_slice(self.features.row(v)),
+                Some(tier) => tier.read_row(v, &mut rows).map_err(storage_err)?,
+                None => rows.push_row(RowRef::F32(self.features.row(v))),
             }
         }
-        Ok((dim, rows))
+        Ok(rows)
     }
 
     /// Fanout-sample `v`'s neighbors (all of them when degree ≤ fanout)

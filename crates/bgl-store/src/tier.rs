@@ -35,6 +35,7 @@ use crate::pager::{
     ShadowFile,
 };
 use crate::wal::{Wal, WalRecord};
+use bgl_graph::half::RowBuf;
 use bgl_graph::{FeaturePrecision, FeatureStore};
 use bgl_obs::Registry;
 use std::path::{Path, PathBuf};
@@ -92,7 +93,7 @@ impl DiskTierConfig {
     }
 
     /// Store feature pages at the given scalar precision (f16 halves the
-    /// bytes per row on disk; rows widen back to f32 on every read).
+    /// bytes per row on disk and in the buffer pool).
     pub fn with_precision(mut self, precision: FeaturePrecision) -> Self {
         self.precision = precision;
         self
@@ -284,9 +285,17 @@ impl DurableFeatures {
         &self.dir
     }
 
-    /// Append node `v`'s feature row to `out`.
+    /// Append node `v`'s feature row to `out` as f32 (widened if the tier
+    /// stores f16).
     pub fn read_row_into(&mut self, v: u32, out: &mut Vec<f32>) -> Result<(), DiskError> {
         self.pool.read_row_into(v, out)
+    }
+
+    /// Append node `v`'s stored row to `out`, bits preserved when `out` is
+    /// at the tier's precision — how an f16 tier serves an f16 request
+    /// without a conversion.
+    pub fn read_row(&mut self, v: u32, out: &mut RowBuf) -> Result<(), DiskError> {
+        self.pool.read_row(v, out)
     }
 
     /// Overwrite node `v`'s feature row. Returns only after the update is
@@ -517,6 +526,63 @@ mod tests {
         assert_eq!(out, vec![100.5, -200.25]);
         assert_eq!(t.scrub().unwrap(), t.pool.pager().num_pages());
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// An f16 tier's reads are a function of the acked writes alone: the
+    /// frame an update lands in holds the same `f16(row)` the page image and
+    /// the WAL replay produce, so the value read does not depend on whether
+    /// the page is still resident.
+    #[test]
+    fn f16_tier_reads_do_not_depend_on_pool_residency() {
+        use bgl_graph::half::quantize_f16;
+        let dir = tmp_dir("f16resident");
+        let cfg = small_cfg().with_precision(FeaturePrecision::F16);
+        let row = [0.1f32, 0.101]; // neither is exact in f16
+        let want: Vec<u32> = row.iter().map(|&x| quantize_f16(x).to_bits()).collect();
+        let read = |t: &mut DurableFeatures| {
+            let mut out = Vec::new();
+            t.read_row_into(7, &mut out).unwrap();
+            out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+        };
+        {
+            let mut t = DurableFeatures::create(&dir, &features(40, 2), cfg.clone()).unwrap();
+            t.update_row(7, &row).unwrap();
+            assert_eq!(read(&mut t), want, "right after the update (resident frame)");
+        }
+        {
+            let (mut t, report) = DurableFeatures::open(&dir, cfg.clone()).unwrap();
+            assert_eq!(report.replayed_updates, 1);
+            assert_eq!(read(&mut t), want, "after a WAL-only reopen");
+            t.checkpoint().unwrap();
+        }
+        let (mut t, report) = DurableFeatures::open(&dir, cfg).unwrap();
+        assert_eq!(report.replayed_updates, 0);
+        assert_eq!(read(&mut t), want, "after checkpoint + reopen");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// The on-disk format, pinned: FNV-1a-64 of the whole paged file built
+    /// from a fixed 40×6 matrix of f16-inexact values, as created and after
+    /// one `update_row` + `checkpoint` (which also fills the double-write
+    /// slot). A change to how pages are encoded moves these.
+    #[test]
+    fn paged_file_images_match_their_golden_checksums() {
+        use crate::pager::fnv1a_64;
+        let fs = FeatureStore::from_raw(6, (0..240).map(|i| i as f32 * 0.37 - 20.0).collect());
+        for (precision, created, updated) in [
+            (FeaturePrecision::F32, 0xa0c4_7fbc_11f3_d2ed_u64, 0x6b2a_456a_8a88_df79_u64),
+            (FeaturePrecision::F16, 0x48ac_7e2e_e65b_9e5b, 0x1f07_b97d_0900_851b),
+        ] {
+            let dir = tmp_dir(&format!("golden-{}", precision.code()));
+            let cfg = small_cfg().with_page_size(128).with_precision(precision);
+            let mut t = DurableFeatures::create(&dir, &fs, cfg).unwrap();
+            let image = |dir: &Path| fnv1a_64(&std::fs::read(pages_path(dir)).unwrap());
+            assert_eq!(image(&dir), created, "{precision:?} as created");
+            t.update_row(7, &[0.1, 0.101, -3.3, 1e-5, 70000.0, -0.0]).unwrap();
+            t.checkpoint().unwrap();
+            assert_eq!(image(&dir), updated, "{precision:?} after update + checkpoint");
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

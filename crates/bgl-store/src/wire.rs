@@ -13,10 +13,14 @@
 //! carries f32 scalars (4 B each), [`Message::FeatureRespF16`] carries
 //! IEEE 754 binary16 (2 B each) — the f16 response to an
 //! [`Message::FeatureReqF16`] is literally half the bytes on the wire,
-//! which is what halves D_II in the §3.4 profile.
+//! which is what halves D_II in the §3.4 profile. Row payloads move between
+//! the frame and the message's `Vec` in one pass over the bytes
+//! (`bgl_graph::half::{write_le, read_le}`), never converted: an f16
+//! payload decodes to the `u16` bit patterns it carries, and whoever
+//! assembles a minibatch widens them.
 
 use crate::StoreError;
-use bgl_graph::half::decode_row_f16;
+use bgl_graph::half::{read_le, write_le, LeScalar};
 use bgl_graph::NodeId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -73,10 +77,10 @@ pub enum Message {
     FeatureUpdateReq { dim: u32, nodes: Vec<NodeId>, rows: Vec<f32> },
     /// Ack: how many rows were applied (always all of them, or an error).
     FeatureUpdateResp { applied: u32 },
-    /// Fetch feature rows for `nodes`, narrowed to binary16 on the wire.
+    /// Fetch feature rows for `nodes` as binary16 on the wire.
     FeatureReqF16 { nodes: Vec<NodeId> },
-    /// binary16 feature rows (`nodes.len() × dim` half-floats, 2 B each),
-    /// in request order. Decode with [`Message::decode_f16_rows`].
+    /// binary16 feature rows (`nodes.len() × dim` bit patterns, 2 B each),
+    /// in request order.
     FeatureRespF16 { dim: u32, rows: Vec<u16> },
     /// Ingest: insert a batch of undirected edges into the live graph.
     /// Idempotent — an edge that already exists is counted as rejected,
@@ -181,9 +185,7 @@ impl Message {
                 buf.put_u8(TAG_FEATURE_RESP);
                 buf.put_u32_le(*dim);
                 buf.put_u32_le(u32_len(rows.len(), "feature row payload")?);
-                for &x in rows {
-                    buf.put_f32_le(x);
-                }
+                put_scalars(&mut buf, rows);
             }
             Message::FeatureUpdateReq { dim, nodes, rows } => {
                 buf.put_u8(TAG_FEATURE_UPDATE_REQ);
@@ -192,9 +194,7 @@ impl Message {
                 for &v in nodes {
                     buf.put_u32_le(v);
                 }
-                for &x in rows {
-                    buf.put_f32_le(x);
-                }
+                put_scalars(&mut buf, rows);
             }
             Message::FeatureUpdateResp { applied } => {
                 buf.put_u8(TAG_FEATURE_UPDATE_RESP);
@@ -211,9 +211,7 @@ impl Message {
                 buf.put_u8(TAG_FEATURE_RESP_F16);
                 buf.put_u32_le(*dim);
                 buf.put_u32_le(u32_len(rows.len(), "feature row payload")?);
-                for &h in rows {
-                    buf.put_slice(&h.to_le_bytes());
-                }
+                put_scalars(&mut buf, rows);
             }
             Message::AddEdgeReq { edges } => {
                 buf.put_u8(TAG_ADD_EDGE_REQ);
@@ -233,9 +231,7 @@ impl Message {
                 buf.put_u32_le(*id);
                 buf.put_u32_le(*owner);
                 buf.put_u32_le(u32_len(row.len(), "add-node row len")?);
-                for &x in row {
-                    buf.put_f32_le(x);
-                }
+                put_scalars(&mut buf, row);
             }
             Message::AddNodeResp { id } => {
                 buf.put_u8(TAG_ADD_NODE_RESP);
@@ -251,9 +247,7 @@ impl Message {
                 buf.put_u32_le(*node);
                 buf.put_u32_le(*owner);
                 buf.put_u32_le(u32_len(row.len(), "migrate row len")?);
-                for &x in row {
-                    buf.put_f32_le(x);
-                }
+                put_scalars(&mut buf, row);
                 buf.put_u32_le(u32_len(neighbors.len(), "migrate neighbor count")?);
                 for &v in neighbors {
                     buf.put_u32_le(v);
@@ -264,9 +258,7 @@ impl Message {
                 buf.put_u32_le(*node);
                 buf.put_u32_le(*dest);
                 buf.put_u32_le(u32_len(row.len(), "migrate row len")?);
-                for &x in row {
-                    buf.put_f32_le(x);
-                }
+                put_scalars(&mut buf, row);
                 buf.put_u32_le(u32_len(neighbors.len(), "migrate neighbor count")?);
                 for &v in neighbors {
                     buf.put_u32_le(v);
@@ -346,13 +338,6 @@ impl Message {
         }
     }
 
-    /// Widen an f16 response payload to f32 rows (the one decode copy).
-    pub fn decode_f16_rows(rows: &[u16]) -> Vec<f32> {
-        let mut out = Vec::new();
-        decode_row_f16(rows, &mut out);
-        out
-    }
-
     /// Decode a frame.
     pub fn decode(mut buf: Bytes) -> Result<Message, StoreError> {
         if buf.remaining() < 1 {
@@ -399,28 +384,14 @@ impl Message {
                 let dim = get_u32(&mut buf, "dim")?;
                 let n = get_u32(&mut buf, "row len")? as usize;
                 check_row_shape(dim, n)?;
-                if buf.remaining() < n * 4 {
-                    return Err(StoreError::Malformed("truncated feature rows"));
-                }
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    rows.push(buf.get_f32_le());
-                }
+                let rows = get_scalars(&mut buf, n, "truncated feature rows")?;
                 Ok(Message::FeatureResp { dim, rows })
             }
             TAG_FEATURE_RESP_F16 => {
                 let dim = get_u32(&mut buf, "dim")?;
                 let n = get_u32(&mut buf, "row len")? as usize;
                 check_row_shape(dim, n)?;
-                if buf.remaining() < n * 2 {
-                    return Err(StoreError::Malformed("truncated feature rows"));
-                }
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                let mut pair = [0u8; 2];
-                for _ in 0..n {
-                    buf.copy_to_slice(&mut pair);
-                    rows.push(u16::from_le_bytes(pair));
-                }
+                let rows = get_scalars(&mut buf, n, "truncated feature rows")?;
                 Ok(Message::FeatureRespF16 { dim, rows })
             }
             TAG_FEATURE_UPDATE_REQ => {
@@ -433,13 +404,11 @@ impl Message {
                 let want = n.checked_mul(dim as usize).ok_or(StoreError::Malformed(
                     "feature update row payload overflows",
                 ))?;
+                const MISMATCH: &str = "feature update rows mismatch count×dim";
                 if buf.remaining() != want * 4 {
-                    return Err(StoreError::Malformed("feature update rows mismatch count×dim"));
+                    return Err(StoreError::Malformed(MISMATCH));
                 }
-                let mut rows = Vec::with_capacity(want.min(1 << 20));
-                for _ in 0..want {
-                    rows.push(buf.get_f32_le());
-                }
+                let rows = get_scalars(&mut buf, want, MISMATCH)?;
                 Ok(Message::FeatureUpdateReq { dim, nodes, rows })
             }
             TAG_FEATURE_UPDATE_RESP => {
@@ -471,10 +440,7 @@ impl Message {
                 if buf.remaining() != n * 4 {
                     return Err(StoreError::Malformed("add-node row mismatch"));
                 }
-                let mut row = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    row.push(buf.get_f32_le());
-                }
+                let row = get_scalars(&mut buf, n, "add-node row mismatch")?;
                 Ok(Message::AddNodeReq { id, owner, row })
             }
             TAG_ADD_NODE_RESP => {
@@ -493,7 +459,7 @@ impl Message {
                 let node = get_u32(&mut buf, "node id")?;
                 let owner = get_u32(&mut buf, "migrate owner")?;
                 let n = get_u32(&mut buf, "row len")? as usize;
-                let row = get_floats(&mut buf, n)?;
+                let row = get_scalars(&mut buf, n, "truncated migrate row")?;
                 let m = get_u32(&mut buf, "count")? as usize;
                 let neighbors = get_ids(&mut buf, m)?;
                 if buf.remaining() != 0 {
@@ -505,7 +471,7 @@ impl Message {
                 let node = get_u32(&mut buf, "node id")?;
                 let dest = get_u32(&mut buf, "migrate dest")?;
                 let n = get_u32(&mut buf, "row len")? as usize;
-                let row = get_floats(&mut buf, n)?;
+                let row = get_scalars(&mut buf, n, "truncated migrate row")?;
                 let m = get_u32(&mut buf, "count")? as usize;
                 let neighbors = get_ids(&mut buf, m)?;
                 if buf.remaining() != 0 {
@@ -590,16 +556,28 @@ fn get_u32(buf: &mut Bytes, what: &'static str) -> Result<u32, StoreError> {
     Ok(buf.get_u32_le())
 }
 
-fn get_floats(buf: &mut Bytes, n: usize) -> Result<Vec<f32>, StoreError> {
-    if buf.remaining() < n * 4 {
-        return Err(StoreError::Malformed("truncated migrate row"));
-    }
-    // Same preallocation cap discipline as `get_ids`.
-    let mut row = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        row.push(buf.get_f32_le());
-    }
-    Ok(row)
+/// Append `rows` to the frame as little-endian scalars, in one pass.
+fn put_scalars<T: LeScalar>(buf: &mut BytesMut, rows: &[T]) {
+    let at = buf.len();
+    buf.resize(at + rows.len() * T::BYTES, 0);
+    write_le(rows, &mut buf[at..]);
+}
+
+/// Take `n` little-endian scalars off the front of the frame, in one pass.
+/// The length is checked against the bytes actually present before
+/// anything is allocated, so a corrupt count cannot reserve memory.
+fn get_scalars<T: LeScalar>(
+    buf: &mut Bytes,
+    n: usize,
+    truncated: &'static str,
+) -> Result<Vec<T>, StoreError> {
+    let len = n
+        .checked_mul(T::BYTES)
+        .filter(|&len| len <= buf.remaining())
+        .ok_or(StoreError::Malformed(truncated))?;
+    let rows = read_le(&buf.chunk()[..len]).expect("len is a whole number of scalars");
+    buf.advance(len);
+    Ok(rows)
 }
 
 fn get_ids(buf: &mut Bytes, n: usize) -> Result<Vec<NodeId>, StoreError> {
@@ -681,9 +659,6 @@ mod tests {
         // Exactly half the row payload of the equivalent f32 response.
         let f32_resp = Message::FeatureResp { dim: 2, rows: rows_f32.clone() };
         assert_eq!(resp.encoded_len() - 9, (f32_resp.encoded_len() - 9) / 2);
-
-        // These small values are exact in f16, so widening restores them.
-        assert_eq!(Message::decode_f16_rows(&rows), rows_f32);
     }
 
     #[test]

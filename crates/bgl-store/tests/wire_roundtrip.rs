@@ -324,3 +324,70 @@ fn random_truncations_never_panic() {
         let _ = Message::decode(encoded.slice(0..cut));
     }
 }
+
+/// Literal frame bytes for the three row-carrying frames the miss path
+/// moves: tag, little-endian `dim` and count fields, then the row payload
+/// scalar by scalar. A codec change that alters one wire byte fails here.
+#[test]
+fn feature_row_frames_match_their_golden_bytes() {
+    use bgl_store::StoreError;
+    // 2 rows × 3: an f16-inexact value, the largest finite f16, both zeros.
+    let rows = vec![1.0f32, -2.5, 0.1, 65504.0, 0.0, -0.0];
+    #[rustfmt::skip]
+    let rows_le: [u8; 24] = [
+        0x00, 0x00, 0x80, 0x3F,  0x00, 0x00, 0x20, 0xC0,  0xCD, 0xCC, 0xCC, 0x3D,
+        0x00, 0xE0, 0x7F, 0x47,  0x00, 0x00, 0x00, 0x00,  0x00, 0x00, 0x00, 0x80,
+    ];
+    let half: Vec<u16> = vec![0x3C00, 0xC100, 0x2E66, 0x7BFF, 0x0000, 0x8000];
+    #[rustfmt::skip]
+    let half_le: [u8; 12] = [
+        0x00, 0x3C,  0x00, 0xC1,  0x66, 0x2E,  0xFF, 0x7B,  0x00, 0x00,  0x00, 0x80,
+    ];
+    let frame = |head: &[u8], payload: &[u8]| [head, payload].concat();
+    let golden = [
+        (
+            Message::FeatureResp { dim: 3, rows: rows.clone() },
+            frame(&[4, 3, 0, 0, 0, 6, 0, 0, 0], &rows_le),
+        ),
+        (
+            Message::FeatureRespF16 { dim: 3, rows: half },
+            frame(&[8, 3, 0, 0, 0, 6, 0, 0, 0], &half_le),
+        ),
+        (
+            Message::FeatureUpdateReq { dim: 3, nodes: vec![7, 0x0102_0304], rows },
+            frame(&[5, 3, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 4, 3, 2, 1], &rows_le),
+        ),
+    ];
+    for (m, bytes) in &golden {
+        assert_eq!(&m.encode().unwrap()[..], &bytes[..], "{:?}", m);
+        assert_eq!(Message::decode(Bytes::copy_from_slice(bytes)).unwrap(), *m);
+        // Every proper prefix is a typed error, never a short row payload.
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    Message::decode(Bytes::copy_from_slice(&bytes[..cut])),
+                    Err(StoreError::Malformed(_))
+                ),
+                "{:?} cut at {}",
+                m,
+                cut
+            );
+        }
+    }
+    // A count that is not whole rows is rejected from the header, whatever
+    // bytes follow; an update whose payload disagrees with count×dim too.
+    for (_, bytes) in &golden[..2] {
+        let mut ragged = bytes.clone();
+        ragged[5] = 5;
+        assert_eq!(
+            Message::decode(Bytes::from(ragged)),
+            Err(StoreError::Malformed("feature rows not a multiple of dim"))
+        );
+    }
+    let mut long = golden[2].1.clone();
+    long.extend_from_slice(&[0; 4]);
+    assert_eq!(
+        Message::decode(Bytes::from(long)),
+        Err(StoreError::Malformed("feature update rows mismatch count×dim"))
+    );
+}

@@ -27,6 +27,22 @@ if grep -nE '\.max\(t\)' crates/bgl-store/src/cluster.rs crates/bgl-store/src/mi
     echo "second per-target elapsed fold: issue the requests through StoreCluster::fan_out" >&2
     exit 1
 fi
+# A stored feature row has one in-memory representation, bgl_graph::half's
+# RowBuf, from the disk page to the cache slot (DESIGN.md §11): a layer that
+# widens at its own boundary, or keeps a private copy of the buffer type,
+# has re-grown a conversion the miss path paid per row per batch.
+if grep -rn 'decode_f16_rows' crates tests examples; then
+    echo "decode_f16_rows is retired: adopt the f16 payload as a FeatureBlock segment" >&2
+    exit 1
+fi
+if grep -nE 'f16_bits_to_f32|decode_row_f16' crates/bgl-store/src/{pager,wire,cluster}.rs; then
+    echo "a page decode, frame decode or fetch widens: hold the stored bits in a RowBuf" >&2
+    exit 1
+fi
+if grep -rn 'SlotBuf' crates/bgl-cache/src; then
+    echo "private slot buffer type: cache slots are a bgl_graph::half::RowBuf" >&2
+    exit 1
+fi
 
 cargo build --release
 cargo test -q
@@ -72,6 +88,8 @@ debug,release  -p bgl --test migrate
 debug          -p bgl --test metric_names
 # cluster request order: literal events, per-server counts, ledger and clock under a scripted plan
 debug          -p bgl --test request_order
+# feature miss path, tier × wire × cache precision: every assembled position against the quantization its pairing implies
+debug,release  -p bgl --test precision_path
 EOF
 
 # The one harness that times the system: every workload once at smoke scale,
