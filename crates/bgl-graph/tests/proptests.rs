@@ -2,7 +2,7 @@
 
 use bgl_graph::generate::{self, RmatConfig};
 use bgl_graph::traversal::{bfs_full_order, connected_components, multi_source_bfs};
-use bgl_graph::{GraphBuilder, InducedSubgraph, NodeId};
+use bgl_graph::{Csr, GraphBuilder, InducedSubgraph, NodeId};
 use proptest::prelude::*;
 
 /// Arbitrary small graph as (node count, arc list).
@@ -16,7 +16,87 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
     })
 }
 
+/// `InducedSubgraph::induce` as it stood before it lost its hash map: a
+/// hashed `global → local` map, then `GraphBuilder`'s arc list, counting
+/// sort and per-row sort. The reference the dense-id version must equal,
+/// array for array.
+fn reference_induce(g: &Csr, nodes: &[NodeId]) -> InducedSubgraph {
+    let mut local_of = std::collections::HashMap::with_capacity(nodes.len());
+    for (i, &v) in nodes.iter().enumerate() {
+        let prev = local_of.insert(v, i as NodeId);
+        assert!(prev.is_none(), "duplicate node {} in induced set", v);
+    }
+    let mut b = GraphBuilder::new(nodes.len());
+    for (lu, &u) in nodes.iter().enumerate() {
+        for &v in g.neighbors(u) {
+            if let Some(&lv) = local_of.get(&v) {
+                b.add_edge(lu as NodeId, lv);
+            }
+        }
+    }
+    InducedSubgraph { graph: b.build(), global_ids: nodes.to_vec() }
+}
+
+#[track_caller]
+fn assert_induce_matches_reference(g: &Csr, nodes: &[NodeId]) {
+    let (got, want) = (InducedSubgraph::induce(g, nodes), reference_induce(g, nodes));
+    assert_eq!(got.graph.offsets(), want.graph.offsets(), "offsets, nodes {nodes:?}");
+    assert_eq!(got.graph.targets(), want.graph.targets(), "targets, nodes {nodes:?}");
+    assert_eq!(got.global_ids, want.global_ids, "global ids, nodes {nodes:?}");
+}
+
+/// The first `take` nodes of `0..n` in the order `keys` sorts them into: a
+/// duplicate-free subset in arbitrary order, empty at `take == 0` and the
+/// whole graph at `take >= n`.
+fn subset(n: usize, keys: &[u64], take: usize) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
+    nodes.sort_by_key(|&v| (keys[v as usize % keys.len()], v));
+    nodes.truncate(take);
+    nodes
+}
+
+/// A CSR straight from `Csr::from_parts`, which checks ranges only: rows
+/// unsorted, with repeated arcs and self-loops.
+fn arb_raw_csr() -> impl Strategy<Value = Csr> {
+    (1usize..24)
+        .prop_flat_map(|n| {
+            proptest::collection::vec(proptest::collection::vec(0..n as NodeId, 0..12), n)
+        })
+        .prop_map(|rows| {
+            let mut offsets = vec![0u64];
+            for row in &rows {
+                offsets.push(offsets.last().unwrap() + row.len() as u64);
+            }
+            Csr::from_parts(offsets, rows.concat())
+        })
+}
+
 proptest! {
+    #[test]
+    fn induce_equals_its_reference_on_built_graphs(
+        (n, arcs) in arb_graph(),
+        keys in proptest::collection::vec(any::<u64>(), 1..40),
+        take in 0usize..48,
+    ) {
+        let mut b = GraphBuilder::new(n);
+        b.extend_edges(&arcs);
+        let g = b.build();
+        assert_induce_matches_reference(&g, &subset(n, &keys, take));
+        assert_induce_matches_reference(&g, &[]);
+        assert_induce_matches_reference(&g, &subset(n, &keys, n));
+    }
+
+    #[test]
+    fn induce_equals_its_reference_on_raw_csr(
+        g in arb_raw_csr(),
+        keys in proptest::collection::vec(any::<u64>(), 1..24),
+        take in 0usize..30,
+    ) {
+        let n = g.num_nodes();
+        assert_induce_matches_reference(&g, &subset(n, &keys, take));
+        assert_induce_matches_reference(&g, &subset(n, &keys, n));
+    }
+
     #[test]
     fn builder_output_is_sorted_unique_in_range((n, arcs) in arb_graph()) {
         let mut b = GraphBuilder::new(n);
@@ -226,6 +306,37 @@ proptest! {
         for (i, &v) in ids.iter().enumerate() {
             prop_assert_eq!(&gathered[i * dim..(i + 1) * dim], f.row(v));
         }
+    }
+}
+
+/// Whatever `induce` keeps between calls must grow with the graph and come
+/// back clean: two graphs of different sizes, alternately, on one thread.
+#[test]
+fn induce_alternating_between_graph_sizes_on_one_thread() {
+    let small = generate::rmat(RmatConfig { scale: 5, edge_factor: 4, ..Default::default() }, 3);
+    let large = generate::rmat(RmatConfig { scale: 9, edge_factor: 6, ..Default::default() }, 4);
+    for round in 0..4u64 {
+        for g in [&small, &large, &small] {
+            let n = g.num_nodes();
+            let keys: Vec<u64> =
+                (0..n as u64).map(|v| bgl_graph::hash::mix64(round, v)).collect();
+            assert_induce_matches_reference(g, &subset(n, &keys, n / 3));
+            assert_induce_matches_reference(g, &subset(n, &keys, n));
+        }
+    }
+}
+
+/// A call that panics — a repeated id, an id the graph does not have —
+/// leaves nothing behind for the next call on the same thread.
+#[test]
+fn induce_after_a_panicking_call_on_the_same_thread() {
+    let g = generate::rmat(RmatConfig { scale: 6, edge_factor: 4, ..Default::default() }, 9);
+    let n = g.num_nodes() as NodeId;
+    for bad in [vec![5, 9, 2, 9], vec![1, n, 3], vec![n + 7]] {
+        let panicked = std::panic::catch_unwind(|| InducedSubgraph::induce(&g, &bad));
+        assert!(panicked.is_err(), "induce accepted {bad:?}");
+        assert_induce_matches_reference(&g, &[9, 5, 1, 2, 3, 0]);
+        assert_induce_matches_reference(&g, &(0..n).rev().collect::<Vec<_>>());
     }
 }
 

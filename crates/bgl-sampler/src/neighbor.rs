@@ -92,18 +92,22 @@ impl LayerBlock {
 /// when the degree allows (matching DGL), else Floyd's algorithm. The one
 /// place neighbor picks are drawn: the local sampler and the store servers
 /// consume `rng` identically, which the digest tests rely on.
+///
+/// Floyd's picked indices sit in a plain `Vec` scanned per draw — quadratic
+/// in `fanout`, which is at most 15 in every caller (the paper's
+/// `[15, 10, 5]`, bgl-bench's `[10, 5]`), where the scan beats a hashed set
+/// and its per-node table.
 pub fn pick(nbrs: &[NodeId], fanout: usize, rng: &mut StdRng, out: &mut Vec<NodeId>) {
     if nbrs.len() <= fanout {
         out.extend_from_slice(nbrs);
         return;
     }
-    let mut chosen = std::collections::HashSet::with_capacity(fanout);
+    let mut chosen: Vec<usize> = Vec::with_capacity(fanout);
     for j in (nbrs.len() - fanout)..nbrs.len() {
         let t = rng.random_range(0..=j);
-        let pick = if chosen.insert(t) { t } else { j };
-        if pick != t {
-            chosen.insert(pick);
-        }
+        // `j` itself is never already chosen: every earlier pick is < j.
+        let pick = if chosen.contains(&t) { j } else { t };
+        chosen.push(pick);
         out.push(nbrs[pick]);
     }
 }

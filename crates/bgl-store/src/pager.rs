@@ -11,13 +11,22 @@
 //! ```
 //!
 //! Each page is `[page id u64][rows_per_page × dim scalars][zero pad]
-//! [fnv1a-64 of everything before it]`. A page that fails its checksum is
-//! never silently served.
+//! [page_sum64 of everything before it]`. A page that fails its checksum is
+//! never silently served. The sum is [`bgl_graph::hash::page_sum64`], not
+//! the FNV-1a every other durable format here uses: a page is re-verified
+//! on every buffer-pool miss (~900 times per training batch), a WAL record
+//! or snapshot footer once at open, so only the page's sum is on the
+//! per-batch read path and only it is word-parallel.
 //!
-//! The header version doubles as the scalar encoding: version 1 stores
-//! rows as little-endian f32 (4 bytes/scalar), version 2 as IEEE 754
-//! binary16 (2 bytes/scalar, [`bgl_graph::half`]), halving on-disk bytes
-//! per row. The pager does not own the row representation —
+//! The header version names the page checksum and doubles as the scalar
+//! encoding: version 3 stores rows as little-endian f32 (4 bytes/scalar),
+//! version 4 as IEEE 754 binary16 (2 bytes/scalar, [`bgl_graph::half`]),
+//! halving on-disk bytes per row. Versions 1 and 2 were the same two
+//! layouts under an FNV-1a page sum; [`Pager::open`] refuses them with
+//! [`DiskError::BadVersion`] before reading a page (there is no reader for
+//! them: recreate the file from its source rows).
+//!
+//! The pager does not own the row representation —
 //! [`bgl_graph::half`] does: an in-memory [`PageBuf`] holds its rows in a
 //! [`RowBuf`] at the *file's* precision, so decoding a page splits bytes
 //! into scalars and encoding writes them back, neither converting. An f32
@@ -45,18 +54,19 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use bgl_graph::half::{RowBuf, RowRef};
-use bgl_graph::hash::splitmix64;
+use bgl_graph::hash::{page_sum64, splitmix64};
 use bgl_graph::FeaturePrecision;
 
 pub const PAGE_MAGIC: &[u8; 8] = b"BGLPAGE1";
-/// Header version for pages holding f32 rows.
-pub const PAGE_VERSION: u32 = 1;
-/// Header version for pages holding binary16 (f16) rows.
-pub const PAGE_VERSION_F16: u32 = 2;
+/// Header version for pages holding f32 rows under a `page_sum64` checksum
+/// (1 was the same layout under FNV-1a).
+pub const PAGE_VERSION: u32 = 3;
+/// Header version for pages holding binary16 (f16) rows (2 under FNV-1a).
+pub const PAGE_VERSION_F16: u32 = 4;
 /// Header: magic(8) + version(4) + page_size(4) + dim(4) + rows_per_page(4)
 /// + num_nodes(8) + num_pages(8).
 pub const PAGE_HEADER_LEN: u64 = 40;
-/// Per-page overhead: leading page id (8) + trailing fnv1a-64 (8).
+/// Per-page overhead: leading page id (8) + trailing checksum (8).
 pub const PAGE_OVERHEAD: usize = 16;
 const MAX_PAGE_SIZE: u32 = 1 << 20;
 
@@ -115,8 +125,9 @@ impl fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
-/// The checksum of every durable format in this crate (pages, WAL records,
-/// the `disk` format footers).
+/// The checksum of every durable format in this crate that is verified at
+/// open or recovery only (WAL records, the `disk` format footers). Pages,
+/// verified on every read, carry [`bgl_graph::hash::page_sum64`].
 pub use bgl_graph::hash::fnv1a_64;
 
 // ======================== backing-file abstraction ========================
@@ -585,8 +596,9 @@ impl Pager {
         header.extend_from_slice(&num_pages.to_le_bytes());
         file.truncate(0)?;
         file.write_at(0, &header)?;
-        // An all-zero double-write slot never passes its checksum, so it is
-        // ignored at open until the first real page write lands there.
+        // An all-zero double-write slot never passes its checksum (no
+        // all-zero image sums to zero: `hash::tests`), so it is ignored at
+        // open until the first real page write lands there.
         file.write_at(PAGE_HEADER_LEN, &vec![0u8; payload])?;
         let mut pager = Pager {
             file,
@@ -708,7 +720,7 @@ impl Pager {
         let mut image = vec![0u8; ps];
         image[0..8].copy_from_slice(&page.pid.to_le_bytes());
         page.rows.as_row().write_le_bytes(&mut image[8..8 + page.rows.byte_len()]);
-        let sum = fnv1a_64(&image[..ps - 8]);
+        let sum = page_sum64(&image[..ps - 8]);
         image[ps - 8..].copy_from_slice(&sum.to_le_bytes());
         image
     }
@@ -717,7 +729,7 @@ impl Pager {
         let ps = self.page_size as usize;
         debug_assert_eq!(image.len(), ps);
         let stored = u64::from_le_bytes(image[ps - 8..].try_into().unwrap());
-        let computed = fnv1a_64(&image[..ps - 8]);
+        let computed = page_sum64(&image[..ps - 8]);
         if stored != computed {
             return Err(DiskError::ChecksumMismatch {
                 what: "page",
@@ -854,6 +866,8 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Every bit of page 0 — pid, rows, pad and the stored sum — flipped in
+    /// turn: `page_sum64` misses no single-bit flip, so each is refused.
     #[test]
     fn corrupt_page_fails_its_checksum() {
         let path = tmp("corrupt");
@@ -861,16 +875,43 @@ mod tests {
             let f = Box::new(RealFile::open(&path).unwrap());
             Pager::create(f, 2, &sample_rows(10, 2), 64).unwrap();
         }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let off = (PAGE_HEADER_LEN + 64 + 12) as usize; // inside page 0's rows
-        bytes[off] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        let f = Box::new(RealFile::open(&path).unwrap());
-        let mut p = Pager::open(f).unwrap();
-        assert!(matches!(
-            p.read_page(0),
-            Err(DiskError::ChecksumMismatch { what: "page", .. })
-        ));
+        let good = std::fs::read(&path).unwrap();
+        let page0 = (PAGE_HEADER_LEN + 64) as usize;
+        for bit in 0..64 * 8 {
+            let mut bytes = good.clone();
+            bytes[page0 + bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            let f = Box::new(RealFile::open(&path).unwrap());
+            let mut p = Pager::open(f).unwrap();
+            assert!(
+                matches!(p.read_page(0), Err(DiskError::ChecksumMismatch { what: "page", .. })),
+                "bit {bit} of page 0 flipped and the page was served"
+            );
+            assert!(p.read_page(1).is_ok(), "page 1 is untouched");
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    /// `create` leaves the double-write slot zero-filled and relies on that
+    /// image failing verification: a slot that passed would be redone over
+    /// page 0 at the next open.
+    #[test]
+    fn fresh_files_zero_slot_is_not_redone_at_open() {
+        let path = tmp("zeroslot");
+        for ps in [64u32, 130, 4096] {
+            let rows = sample_rows(10, 2);
+            {
+                let f = Box::new(RealFile::open(&path).unwrap());
+                Pager::create(f, 2, &rows, ps).unwrap();
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            let slot = PAGE_HEADER_LEN as usize..(PAGE_HEADER_LEN + ps as u64) as usize;
+            assert!(bytes[slot].iter().all(|&b| b == 0));
+            let f = Box::new(RealFile::open(&path).unwrap());
+            let mut p = Pager::open(f).unwrap();
+            assert_eq!(p.stats.dw_redo, 0, "page size {ps}");
+            assert_eq!(row_of(&p.read_page(0).unwrap(), 0, 2), &rows[..2]);
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -894,6 +935,19 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         let f = Box::new(RealFile::open(&path).unwrap());
         assert!(matches!(Pager::open(f), Err(DiskError::BadVersion { found: 9 })));
+
+        // Versions 1 (f32) and 2 (f16) carried FNV-1a page sums; no reader
+        // for them is kept, so they are refused like any unknown version.
+        for old in [1u8, 2] {
+            let mut bad = good.clone();
+            bad[8] = old;
+            std::fs::write(&path, &bad).unwrap();
+            let f = Box::new(RealFile::open(&path).unwrap());
+            assert!(matches!(
+                Pager::open(f),
+                Err(DiskError::BadVersion { found }) if found == u32::from(old)
+            ));
+        }
 
         std::fs::write(&path, &good[..good.len() - 1]).unwrap();
         let f = Box::new(RealFile::open(&path).unwrap());

@@ -564,14 +564,15 @@ mod tests {
     /// The on-disk format, pinned: FNV-1a-64 of the whole paged file built
     /// from a fixed 40×6 matrix of f16-inexact values, as created and after
     /// one `update_row` + `checkpoint` (which also fills the double-write
-    /// slot). A change to how pages are encoded moves these.
+    /// slot). A change to how pages are encoded moves these (last: header
+    /// versions 3/4, pages summed with `page_sum64`).
     #[test]
     fn paged_file_images_match_their_golden_checksums() {
         use crate::pager::fnv1a_64;
         let fs = FeatureStore::from_raw(6, (0..240).map(|i| i as f32 * 0.37 - 20.0).collect());
         for (precision, created, updated) in [
-            (FeaturePrecision::F32, 0xa0c4_7fbc_11f3_d2ed_u64, 0x6b2a_456a_8a88_df79_u64),
-            (FeaturePrecision::F16, 0x48ac_7e2e_e65b_9e5b, 0x1f07_b97d_0900_851b),
+            (FeaturePrecision::F32, 0x0bed_dd14_596e_210c_u64, 0xf5f9_8a95_6f38_9d79_u64),
+            (FeaturePrecision::F16, 0x947a_a9ca_873c_d583, 0xd854_ddcd_a515_614b),
         ] {
             let dir = tmp_dir(&format!("golden-{}", precision.code()));
             let cfg = small_cfg().with_page_size(128).with_precision(precision);

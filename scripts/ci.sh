@@ -43,6 +43,18 @@ if grep -rn 'SlotBuf' crates/bgl-cache/src; then
     echo "private slot buffer type: cache slots are a bgl_graph::half::RowBuf" >&2
     exit 1
 fi
+# Two hash functions were 12.7 of a train-remote batch's 26.8 ms. The page
+# checksum on the buffer-pool miss path is the word-parallel page_sum64 (the
+# byte-serial FNV-1a stays on what is verified once, at open), and Floyd's
+# picks in the sampler sit in a Vec, not a per-node SipHash set.
+if grep -n 'fnv1a_64(&image' crates/bgl-store/src/pager.rs; then
+    echo "byte-serial checksum back on the per-miss path: pages are summed with page_sum64" >&2
+    exit 1
+fi
+if grep -n 'HashSet' crates/bgl-sampler/src/neighbor.rs; then
+    echo "hashed set in the sampler: pick keeps at most fanout indices in a Vec" >&2
+    exit 1
+fi
 
 cargo build --release
 cargo test -q
@@ -88,6 +100,8 @@ debug,release  -p bgl --test migrate
 debug          -p bgl --test metric_names
 # cluster request order: literal events, per-server counts, ledger and clock under a scripted plan
 debug          -p bgl --test request_order
+# induce against its HashMap + GraphBuilder reference: the branch-free filter and in-place row sort are what the optimizer rewrites
+release        -p bgl-graph --test proptests
 # feature miss path, tier × wire × cache precision: every assembled position against the quantization its pairing implies
 debug,release  -p bgl --test precision_path
 EOF
