@@ -5,7 +5,7 @@
 //! counts without re-running the expensive phase.
 
 use crate::config::GnnModelKind;
-use crate::measure::{measure_data_path, DataPathTrace, MeasuredSystem};
+use crate::measure::{measure_data_path, replay_tail, DataPathTrace, MeasuredSystem};
 use crate::systems::SystemKind;
 use bgl_cache::{FeatureCacheEngine, PolicyKind};
 use bgl_graph::{Dataset, DatasetSpec, NodeId};
@@ -345,22 +345,7 @@ impl ExperimentCtx {
         if policy == PolicyKind::StaticDegree {
             engine.warm(&bgl_graph::FeatureStore::zeros(ds.graph.num_nodes(), 1));
         }
-        let mut src = |ids: &[NodeId]| vec![0.0f32; ids.len()];
-        // Warm-up: the first third of the stream (≥1 epoch) fills the
-        // cache; hit ratios are measured on the remainder. The paper's
-        // ratios are steady-state over long runs (its footnote 4 likewise
-        // averages "when the cache is stable after several batches") —
-        // counting compulsory first-touch misses would penalize every
-        // dynamic policy relative to the pre-warmed static cache.
-        let warmup = streams.len() / 3;
-        let mut measured = bgl_cache::CacheStats::default();
-        for (i, input_nodes) in streams.iter().enumerate() {
-            let res = engine.fetch_batch(0, input_nodes, &mut src);
-            if i >= warmup {
-                measured.merge(&res.stats);
-            }
-        }
-        let stats = &measured;
+        let stats = replay_tail(&mut engine, 1, streams.iter().map(Vec::as_slice));
         CacheRow {
             policy: policy.name(),
             proximity_ordering: proximity,
@@ -448,7 +433,6 @@ pub struct PartitionRow {
     pub partitioner: &'static str,
     pub sampling_epoch_seconds: f64,
     pub partition_seconds: f64,
-    pub remote_fraction: f64,
     pub train_imbalance: f64,
 }
 
@@ -486,19 +470,11 @@ impl ExperimentCtx {
             &self.machine,
         );
         let train_counts = trace.partition.counts_of(&ds.split.train);
-        let total_req: u64 = trace.requests_per_server.iter().sum();
-        let remote = trace
-            .batches
-            .iter()
-            .map(|b| b.sample_wire)
-            .sum::<u64>();
-        let _ = (total_req, remote);
         PartitionRow {
             dataset: id.name(),
             partitioner: partitioner.name(),
             sampling_epoch_seconds: m.sampling_epoch_seconds,
             partition_seconds: trace.partition_wall.as_secs_f64(),
-            remote_fraction: 0.0, // filled by the caller from the cluster ledger when needed
             train_imbalance: bgl_partition::metrics::balance_ratio(&train_counts),
         }
     }
@@ -581,15 +557,11 @@ impl ExperimentCtx {
                                 1,
                             ));
                         }
-                        let mut src = |ids: &[NodeId]| vec![0.0f32; ids.len()];
-                        let warmup = streams.len() / 3;
-                        let mut measured = bgl_cache::CacheStats::default();
-                        for (i, input) in streams.iter().enumerate() {
-                            let res = engine.fetch_batch(i % shards, input, &mut src);
-                            if i >= warmup {
-                                measured.merge(&res.stats);
-                            }
-                        }
+                        let measured = replay_tail(
+                            &mut engine,
+                            shards,
+                            streams.iter().map(Vec::as_slice),
+                        );
                         (measured.hit_ratio(), Some(policy))
                     }
                 };
@@ -1058,15 +1030,7 @@ impl ExperimentCtx {
         for (name, cpu) in [("gpu-only", 0usize), ("gpu+cpu", cpu_cap)] {
             let mut engine =
                 FeatureCacheEngine::new(1, 1, gpu_cap, cpu, PolicyKind::Fifo, &[]);
-            let mut src = |ids: &[NodeId]| vec![0.0f32; ids.len()];
-            let warmup = streams.len() / 3;
-            let mut measured = bgl_cache::CacheStats::default();
-            for (i, input) in streams.iter().enumerate() {
-                let res = engine.fetch_batch(0, input, &mut src);
-                if i >= warmup {
-                    measured.merge(&res.stats);
-                }
-            }
+            let measured = replay_tail(&mut engine, 1, streams.iter().map(Vec::as_slice));
             rows.push(CacheLevelRow {
                 levels: name,
                 hit_ratio: measured.hit_ratio(),

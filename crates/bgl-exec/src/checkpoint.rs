@@ -203,8 +203,15 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// Bytes not yet consumed. Lengths are compared against this, never
+    /// added to `pos`: a checksum-valid file may still carry a length
+    /// field near `usize::MAX`, and `pos + n` would wrap past the check.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(CkptError::Truncated);
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -232,7 +239,7 @@ impl<'a> Reader<'a> {
     /// cannot trigger an absurd preallocation.
     fn f32_vec(&mut self) -> Result<Vec<f32>, CkptError> {
         let n = self.u64()? as usize;
-        if n.checked_mul(4).is_none_or(|b| self.pos + b > self.bytes.len()) {
+        if n.checked_mul(4).is_none_or(|b| b > self.remaining()) {
             return Err(CkptError::Truncated);
         }
         let mut out = Vec::with_capacity(n);
@@ -244,7 +251,7 @@ impl<'a> Reader<'a> {
 
     fn u64_vec(&mut self) -> Result<Vec<u64>, CkptError> {
         let n = self.u64()? as usize;
-        if n.checked_mul(8).is_none_or(|b| self.pos + b > self.bytes.len()) {
+        if n.checked_mul(8).is_none_or(|b| b > self.remaining()) {
             return Err(CkptError::Truncated);
         }
         let mut out = Vec::with_capacity(n);
@@ -780,6 +787,39 @@ mod tests {
                 Checkpoint::decode(&bad).is_err(),
                 "bit flip at {pos} must not decode"
             );
+        }
+    }
+
+    /// FNV-1a is not a MAC: a crafted or mis-written file can carry any
+    /// length field under a valid footer. Slide a hostile u64 over every
+    /// payload offset (so over every length prefix and matrix shape),
+    /// re-seal the frame, and decode: a typed error or a different
+    /// checkpoint, never a panic. `u64::MAX / 4` and `/ 8` are the values
+    /// whose byte count fits a `usize` while `pos + bytes` does not.
+    #[test]
+    fn hostile_length_fields_under_a_valid_checksum_are_typed_errors() {
+        let good = sample_ckpt(4).encode();
+        let body = good.len() - CHECKSUM_LEN;
+        let forge = |at: usize, value: u64| {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let sum = fnv1a_64(&bad[..body]);
+            bad[body..].copy_from_slice(&sum.to_le_bytes());
+            Checkpoint::decode(&bad)
+        };
+        let hostile = [u64::MAX, u64::MAX / 4, u64::MAX / 8, 1 << 62];
+        for at in HEADER_LEN..=body - 8 {
+            for value in hostile {
+                let _ = forge(at, value); // must return, not panic
+            }
+        }
+        // The `params` length prefix: seed, fanout count, 2 fanouts,
+        // fingerprint, num_batches, cursor precede it.
+        let params_len_at = HEADER_LEN + 8 + 8 + 2 * 8 + 3 * 8;
+        assert_eq!(forge(params_len_at, 5).expect("offset names the prefix"), sample_ckpt(4));
+        for value in hostile {
+            let got = forge(params_len_at, value);
+            assert!(matches!(got, Err(CkptError::Truncated)), "{value:#x}: {got:?}");
         }
     }
 

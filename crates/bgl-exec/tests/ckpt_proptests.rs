@@ -1,8 +1,10 @@
 //! Property-based tests for the checkpoint codec: for *arbitrary* model
 //! shapes and training prefixes, encode/decode is the identity, and no
-//! truncation, bit flip, or header forgery survives decoding.
+//! truncation, bit flip, header forgery, or hostile length field under a
+//! re-sealed checksum survives decoding.
 
 use bgl_exec::{AdamState, Checkpoint, CkptError};
+use bgl_graph::hash::fnv1a_64;
 use bgl_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -63,6 +65,33 @@ fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
         )
 }
 
+/// Byte offsets in `c.encode()` of every u64 the decoder sizes a read or an
+/// allocation by: the `params` prefix, each moment matrix's rows, cols and
+/// data length, then the `losses`, `train_order` and `digests` prefixes.
+fn length_field_offsets(c: &Checkpoint) -> Vec<usize> {
+    const HEADER_LEN: usize = 8 + 4 + 8; // magic, version, payload length
+    // seed, fanout count, fanouts, fingerprint, num_batches, cursor
+    let mut at = HEADER_LEN + 8 + 8 + 8 * c.fanouts.len() + 3 * 8;
+    let mut out = vec![at];
+    // params, then lr/beta1/beta2/eps, t, slot count
+    at += 8 + 4 * c.params.len() + 4 * 4 + 8 + 8;
+    for slot in &c.opt.moments {
+        at += 1;
+        if let Some((m, v)) = slot {
+            for mat in [m, v] {
+                out.extend([at, at + 8, at + 16]);
+                at += 3 * 8 + 4 * mat.raw().len();
+            }
+        }
+    }
+    out.push(at);
+    at += 8 + 4 * c.losses.len();
+    out.push(at);
+    at += 8 + 8 * c.train_order.len();
+    out.push(at);
+    out
+}
+
 proptest! {
     /// decode(encode(c)) == c for arbitrary shapes — every field, every
     /// optimizer moment matrix, bitwise.
@@ -109,6 +138,38 @@ proptest! {
         ));
     }
 
+    /// FNV-1a is not a MAC, so the footer does not stop a crafted or
+    /// mis-written file: overwrite each length field with values whose byte
+    /// count overflows `usize`, fits it while `pos + bytes` does not
+    /// (`MAX / 4`, `MAX / 8`), or is merely huge, re-seal the checksum, and
+    /// decode. Never a panic; and no element count larger than the file can
+    /// be satisfied, so every such value is a typed error — the decoder
+    /// rejects it before sizing a `Vec` by it.
+    #[test]
+    fn hostile_length_fields_are_typed_errors(ckpt in arb_checkpoint(), arbitrary in any::<u64>()) {
+        let good = ckpt.encode();
+        let body_len = good.len() - 8;
+        let offsets = length_field_offsets(&ckpt);
+        let read = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+        prop_assert_eq!(read(offsets[0]), ckpt.params.len() as u64, "helper drifted from the layout");
+        prop_assert_eq!(read(*offsets.last().unwrap()), ckpt.digests.len() as u64);
+        for &at in &offsets {
+            for value in [u64::MAX, u64::MAX / 4, u64::MAX / 8, 1 << 62, arbitrary] {
+                let mut forged = good.clone();
+                forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let sum = fnv1a_64(&forged[..body_len]);
+                forged[body_len..].copy_from_slice(&sum.to_le_bytes());
+                let got = Checkpoint::decode(&forged);
+                if value > good.len() as u64 {
+                    prop_assert!(
+                        matches!(got, Err(CkptError::Truncated | CkptError::Mismatch(_))),
+                        "length field at {at} forged to {value:#x}: {got:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// A wrong magic is `BadMagic`, a wrong version is `BadVersion` —
     /// typed, before any payload is touched.
     #[test]
@@ -127,22 +188,11 @@ proptest! {
         let mut wrong_version = good.clone();
         wrong_version[8..12].copy_from_slice(&v.to_le_bytes());
         let body_len = wrong_version.len() - 8;
-        let sum = fnv1a_local(&wrong_version[..body_len]);
+        let sum = fnv1a_64(&wrong_version[..body_len]);
         wrong_version[body_len..].copy_from_slice(&sum.to_le_bytes());
         prop_assert!(matches!(
             Checkpoint::decode(&wrong_version),
             Err(CkptError::BadVersion { found }) if found == v
         ));
     }
-}
-
-/// FNV-1a 64, restated here so the test does not depend on the crate
-/// exposing its hash internals.
-fn fnv1a_local(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }

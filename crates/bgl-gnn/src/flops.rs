@@ -50,12 +50,6 @@ pub fn batch_flops(kind: ModelKind, batch: &MiniBatch, dims: &[usize]) -> f64 {
     total
 }
 
-/// Feature bytes a batch must move to the GPU (the D_II quantity of §3.4
-/// before cache hits are subtracted).
-pub fn batch_feature_bytes(batch: &MiniBatch, feature_dim: usize) -> usize {
-    batch.num_input_nodes() * feature_dim * std::mem::size_of::<f32>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,14 +73,5 @@ mod tests {
         assert!(gcn > 0.0);
         assert!(sage > gcn, "sage {} should exceed gcn {}", sage, gcn);
         assert!(gat > gcn, "gat {} should exceed gcn {}", gat, gcn);
-    }
-
-    #[test]
-    fn feature_bytes_scale_with_dim() {
-        let b = batch();
-        assert_eq!(
-            batch_feature_bytes(&b, 100),
-            b.num_input_nodes() * 400
-        );
     }
 }

@@ -151,11 +151,6 @@ impl FeatureBlock {
         self.copy_into(&mut out);
         out
     }
-
-    /// Bytes held by adopted segments (excludes the shared zero row).
-    pub fn segment_bytes(&self) -> usize {
-        self.segments[1..].iter().map(RowBuf::byte_len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +180,6 @@ mod tests {
         assert_eq!(b.row(2), &[1.0, 2.0]);
         assert_eq!(b.row(3), &[5.0, 6.0]);
         assert_eq!(b.to_vec(), vec![3.0, 4.0, 0.0, 0.0, 1.0, 2.0, 5.0, 6.0]);
-        assert_eq!(b.segment_bytes(), 6 * 4);
     }
 
     #[test]
@@ -204,7 +198,6 @@ mod tests {
             b.to_vec(),
             vec![7.0, quantize_f16(0.3), 0.0, 0.0, quantize_f16(0.1), quantize_f16(-0.2)]
         );
-        assert_eq!(b.segment_bytes(), 4 * 2, "half the bytes of an f32 segment");
     }
 
     #[test]

@@ -103,13 +103,6 @@ impl Csr {
         }
     }
 
-    /// Maximum degree and the node achieving it. `None` for empty graphs.
-    pub fn max_degree(&self) -> Option<(NodeId, usize)> {
-        (0..self.num_nodes() as NodeId)
-            .map(|v| (v, self.degree(v)))
-            .max_by_key(|&(_, d)| d)
-    }
-
     /// Nodes sorted by descending degree — the ranking PaGraph's static
     /// cache policy pre-loads (§2.3, §5.3.2 of the paper).
     pub fn nodes_by_degree_desc(&self) -> Vec<NodeId> {
@@ -118,12 +111,12 @@ impl Csr {
         order
     }
 
-    /// Raw offsets array (for serialization in `bgl-store`).
+    /// Raw offsets array (how the `induce` suite compares two graphs).
     pub fn offsets(&self) -> &[u64] {
         &self.offsets
     }
 
-    /// Raw targets array (for serialization in `bgl-store`).
+    /// Raw targets array (how the `induce` suite compares two graphs).
     pub fn targets(&self) -> &[NodeId] {
         &self.targets
     }
@@ -132,31 +125,6 @@ impl Csr {
     pub fn storage_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.targets.len() * std::mem::size_of::<NodeId>()
-    }
-
-    /// Reverse graph: an arc `u -> v` becomes `v -> u`. For the symmetric
-    /// graphs used in the evaluation this is a (re-sorted) copy.
-    pub fn reversed(&self) -> Csr {
-        let n = self.num_nodes();
-        let mut deg = vec![0u64; n + 1];
-        for &t in &self.targets {
-            deg[t as usize + 1] += 1;
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-        let offsets = deg.clone();
-        let mut cursor = deg;
-        let mut targets = vec![0 as NodeId; self.targets.len()];
-        for (u, v) in self.edges() {
-            let slot = cursor[v as usize];
-            targets[slot as usize] = u;
-            cursor[v as usize] += 1;
-        }
-        for v in 0..n {
-            targets[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
-        }
-        Csr { offsets, targets }
     }
 }
 
@@ -198,17 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn reversed_inverts_arcs() {
-        let g = small();
-        let r = g.reversed();
-        assert_eq!(r.num_nodes(), g.num_nodes());
-        assert_eq!(r.num_edges(), g.num_edges());
-        for (u, v) in g.edges() {
-            assert!(r.has_edge(v, u), "missing reversed arc {}->{}", v, u);
-        }
-    }
-
-    #[test]
     fn degree_ranking_descends() {
         let g = small();
         let order = g.nodes_by_degree_desc();
@@ -223,7 +180,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(1), 0);
-        assert!(g.max_degree().unwrap().1 == 0);
+        assert!((0..3).all(|v| g.degree(v) == 0));
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl DynamicGraph {
         self.num_nodes - self.base.num_nodes()
     }
 
-    /// Directed arcs appended since the base was frozen.
-    pub fn added_arcs(&self) -> usize {
-        self.delta_arcs
-    }
-
     /// True when no mutation has happened since the last snapshot.
     pub fn is_clean(&self) -> bool {
         self.delta_arcs == 0 && self.added_nodes() == 0
@@ -247,7 +242,7 @@ mod tests {
         assert!(!g.add_arc(0, 1), "base arc is a duplicate");
         assert!(g.add_arc(1, 3));
         assert!(!g.add_arc(1, 3), "delta arc is a duplicate");
-        assert_eq!(g.added_arcs(), 1);
+        assert_eq!(g.num_edges(), 6 + 1);
         // add_edge where one direction exists still adds the other.
         assert!(g.add_edge(3, 1), "3->1 is new even though 1->3 exists");
         assert!(g.has_arc(3, 1) && g.has_arc(1, 3));
@@ -311,6 +306,6 @@ mod tests {
         // further mutation starts a fresh delta on the new base.
         assert!(!g.add_arc(3, 4), "snapshotted arc is now a base duplicate");
         assert!(g.add_edge(4, n));
-        assert_eq!(g.added_arcs(), 2);
+        assert_eq!(g.num_edges(), 6 + 4 + 2);
     }
 }

@@ -3,10 +3,9 @@
 //!
 //! [`fnv1a_64`] (streaming form: [`Fnv1a`]) is the checksum of every
 //! durable format that is verified once, at open or recovery — WAL
-//! records, `disk` snapshot footers, checkpoints — and the structural
-//! digest of mini-batches and epoch orderings. It costs one dependent
-//! xor-multiply per *byte*, which nobody notices on a path that runs once
-//! per process.
+//! records, checkpoints — and the structural digest of mini-batches and
+//! epoch orderings. It costs one dependent xor-multiply per *byte*, which
+//! nobody notices on a path that runs once per process.
 //!
 //! [`page_sum64`] is the checksum of a disk-tier page image
 //! (`bgl-store`'s pager), the only checksum verified per batch on the read

@@ -10,17 +10,19 @@
 //! * [`DynamicGraph`] — append-capable adjacency for streaming ingestion:
 //!   an immutable [`Csr`] base plus a sorted per-node delta, periodically
 //!   compacted back into a fresh base.
-//! * [`generate`] — R-MAT / Barabási–Albert / Erdős–Rényi / bipartite
-//!   generators used to synthesize stand-ins for the paper's datasets
-//!   (Ogbn-products, Ogbn-papers and the proprietary User-Item graph).
+//! * [`generate`] — the power-law planted-partition and bipartite
+//!   generators that synthesize stand-ins for the paper's datasets
+//!   (Ogbn-products, Ogbn-papers and the proprietary User-Item graph), and
+//!   the R-MAT / Barabási–Albert / Erdős–Rényi / community graphs the
+//!   workspace's tests use as fixtures.
 //! * [`FeatureStore`] — dense `f32` node-feature matrix with
 //!   class-correlated synthetic feature generation so that the GNN models in
 //!   `bgl-gnn` have real signal to learn.
 //! * [`Dataset`] / [`DatasetSpec`] — a labelled graph with train/val/test
 //!   splits, mirroring Table 2 of the paper at configurable scale.
-//! * [`traversal`] — BFS, multi-source BFS and connected components, the
-//!   primitives behind both proximity-aware ordering (§3.2.2) and the
-//!   BFS-coarsening partitioner (§3.3).
+//! * [`traversal`] — full-order BFS and multi-source BFS, the primitives
+//!   behind proximity-aware ordering (§3.2.2) and the BFS-coarsening
+//!   partitioner (§3.3).
 //! * [`half`] / [`FeaturePrecision`] — IEEE 754 binary16 row storage, which
 //!   halves feature bytes on the wire, in caches and on disk, and
 //!   [`half::RowBuf`], the one in-memory representation of a stored row

@@ -8,26 +8,6 @@
 use crate::{Csr, NodeId};
 use std::collections::VecDeque;
 
-/// Single-source BFS visit order starting at `root`. Only nodes reachable
-/// from `root` appear in the result.
-pub fn bfs_order(g: &Csr, root: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[root as usize] = true;
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in g.neighbors(u) {
-            if !visited[v as usize] {
-                visited[v as usize] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
 /// BFS visit order that restarts from the smallest unvisited node whenever
 /// the frontier empties, so *every* node appears exactly once. This is the
 /// "one full traversal" used to build ordering sequences over graphs with
@@ -61,24 +41,6 @@ pub fn bfs_full_order(g: &Csr, root: NodeId) -> Vec<NodeId> {
         queue.push_back(next_unvisited as NodeId);
     }
     order
-}
-
-/// BFS distances from `root`; unreachable nodes get `u32::MAX`.
-pub fn bfs_distances(g: &Csr, root: NodeId) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.num_nodes()];
-    let mut queue = VecDeque::new();
-    dist[root as usize] = 0;
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.neighbors(u) {
-            if dist[v as usize] == u32::MAX {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
 }
 
 /// Result of a multi-source capped BFS flood: `assignment[v]` is the index
@@ -129,32 +91,6 @@ pub fn multi_source_bfs(g: &Csr, sources: &[NodeId], cap: usize) -> MultiSourceB
     MultiSourceBfs { assignment, block_sizes }
 }
 
-/// Connected components by repeated BFS. Returns `(component_id per node,
-/// component count)`.
-pub fn connected_components(g: &Csr) -> (Vec<u32>, usize) {
-    let n = g.num_nodes();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = VecDeque::new();
-    for start in 0..n {
-        if comp[start] != u32::MAX {
-            continue;
-        }
-        comp[start] = next;
-        queue.push_back(start as NodeId);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if comp[v as usize] == u32::MAX {
-                    comp[v as usize] = next;
-                    queue.push_back(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,13 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_order_on_path_is_linear() {
-        let g = path(5);
-        assert_eq!(bfs_order(&g, 0), vec![0, 1, 2, 3, 4]);
-        assert_eq!(bfs_order(&g, 2), vec![2, 1, 3, 0, 4]);
-    }
-
-    #[test]
     fn bfs_full_order_covers_all_components() {
         let g = two_triangles();
         let order = bfs_full_order(&g, 4);
@@ -193,20 +122,6 @@ mod tests {
         assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
         // First component traversed fully before jumping.
         assert!(order[..3].iter().all(|&v| v >= 3));
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let g = path(4);
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_distances_unreachable_is_max() {
-        let g = two_triangles();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[3], u32::MAX);
-        assert_eq!(d[2], 1);
     }
 
     #[test]
@@ -224,15 +139,5 @@ mod tests {
         let res = multi_source_bfs(&g, &[0, 5], usize::MAX);
         assert!(res.assignment.iter().all(|&a| a != u32::MAX));
         assert_eq!(res.block_sizes.iter().sum::<usize>(), 10);
-    }
-
-    #[test]
-    fn components_counted() {
-        let g = two_triangles();
-        let (comp, k) = connected_components(&g);
-        assert_eq!(k, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[3], comp[5]);
-        assert_ne!(comp[0], comp[3]);
     }
 }

@@ -12,11 +12,12 @@ use bgl_store::StoreError;
 use bytes::Bytes;
 use rand::prelude::*;
 
-/// One of each wire message shape, small and large.
+/// One of each wire message shape — all 23 variants, some small and large.
 fn all_messages() -> Vec<Message> {
     vec![
         Message::NeighborReq { fanout: 5, nodes: vec![1, 2, 3] },
         Message::NeighborReq { fanout: 0, nodes: Vec::new() },
+        Message::NeighborReqSeeded { fanout: 5, salt: 0x5A17, nodes: vec![1, 2, 3] },
         Message::NeighborResp { lists: vec![vec![4, 5], Vec::new(), vec![6]] },
         Message::NeighborResp { lists: Vec::new() },
         Message::FeatureReq { nodes: (0..300).collect() },
@@ -25,7 +26,50 @@ fn all_messages() -> Vec<Message> {
         // Half-precision variants: same framing, half the row bytes.
         Message::FeatureReqF16 { nodes: (0..300).collect() },
         Message::FeatureRespF16 { dim: 4, rows: (0..1200u32).map(|i| i as u16).collect() },
+        // Ingest frames.
+        Message::FeatureUpdateReq { dim: 2, nodes: vec![7, 9], rows: vec![0.5, -1.0, 2.0, 4.0] },
+        Message::FeatureUpdateResp { applied: 2 },
+        Message::AddEdgeReq { edges: vec![(1, 2), (2, 1), (3, 9)] },
+        Message::AddEdgeResp { applied: 2, rejected: 1 },
+        Message::AddNodeReq { id: 400, owner: 1, row: vec![0.25, 0.5] },
+        Message::AddNodeResp { id: 400 },
+        // Migration frames.
+        Message::PrepareMigrateReq { node: 12, dest: 3 },
+        Message::PrepareMigrateResp { node: 12, owner: 0, row: vec![1.0, 2.0], neighbors: vec![4, 8] },
+        Message::MigrateCopyReq { node: 12, dest: 3, row: vec![1.0, 2.0], neighbors: vec![4, 8] },
+        Message::MigrateCopyResp { node: 12 },
+        Message::CommitMigrateReq { node: 12, owner: 3 },
+        Message::CommitMigrateResp { node: 12, owner: 3 },
+        Message::OwnerReq { node: 12 },
+        Message::OwnerResp { node: 12, owner: 3 },
+        Message::TombstoneReq { node: 12, old_owner: 0 },
+        Message::TombstoneResp { node: 12 },
     ]
+}
+
+/// `TCP == in-process` for errors: whatever `Message::decode` says about a
+/// damaged request is what a live server puts in its `Err` frame, and the
+/// TCP client must hand the caller that same error. `Malformed`, `Storage`
+/// and `TooLarge` carry a `&'static str` the decoder resolves against
+/// `proto.rs`'s tables, so a label the store grows without the table
+/// following comes back as "malformed (reported by remote)" — and fails
+/// here, for every variant and every proper prefix of its encoding.
+#[test]
+fn every_truncation_error_survives_the_error_codec() {
+    for msg in all_messages() {
+        let wire = msg.encode().unwrap();
+        for cut in 0..wire.len() {
+            let Err(e) = Message::decode(wire.slice(..cut)) else {
+                continue; // a prefix that is itself a (shorter) valid message
+            };
+            assert_eq!(
+                decode_store_error(encode_store_error(&e)),
+                Ok(e),
+                "{msg:?} cut at {cut}/{}",
+                wire.len()
+            );
+        }
+    }
 }
 
 #[test]

@@ -136,11 +136,6 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(value)
 }
 
-/// Check that `input` is a valid JSON document.
-pub fn validate(input: &str) -> Result<(), String> {
-    parse(input).map(|_| ())
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

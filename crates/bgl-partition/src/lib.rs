@@ -3,9 +3,8 @@
 //! Implements the paper's partition algorithm (§3.3) and every baseline it
 //! is compared against (Table 1, Table 3, Table 4):
 //!
-//! * [`RandomPartitioner`] / [`RoundRobinPartitioner`] / [`HashPartitioner`]
-//!   — the locality-agnostic schemes used by Euler and (for large graphs)
-//!   DGL;
+//! * [`RandomPartitioner`] / [`RoundRobinPartitioner`] — the
+//!   locality-agnostic schemes used by Euler and (for large graphs) DGL;
 //! * [`LdgPartitioner`] — Linear Deterministic Greedy streaming partitioning
 //!   (one-hop locality, node balance);
 //! * [`GMinerPartitioner`] — a GMiner-like connectivity-preserving scheme:
@@ -35,7 +34,7 @@ pub use bgl::{BglConfig, BglPartitioner};
 pub use gminer::GMinerPartitioner;
 pub use ldg::{ldg_choose, LdgPartitioner};
 pub use metis_like::MetisLikePartitioner;
-pub use random::{HashPartitioner, RandomPartitioner, RoundRobinPartitioner};
+pub use random::{RandomPartitioner, RoundRobinPartitioner};
 
 use bgl_graph::{Csr, NodeId};
 

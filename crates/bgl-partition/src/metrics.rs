@@ -65,39 +65,6 @@ pub fn khop_locality(
     total / picks.len() as f64
 }
 
-/// Expected number of *distinct remote partitions* touched when expanding
-/// the `k`-hop neighborhood of a training node — each distinct remote
-/// partition costs at least one cross-server RPC per hop in the store.
-pub fn avg_remote_partitions(
-    g: &Csr,
-    p: &Partition,
-    train_nodes: &[NodeId],
-    k: usize,
-    sample: usize,
-    seed: u64,
-) -> f64 {
-    if train_nodes.is_empty() {
-        return 0.0;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut picks: Vec<NodeId> = train_nodes.to_vec();
-    picks.shuffle(&mut rng);
-    picks.truncate(sample.max(1));
-    let mut total = 0usize;
-    for &v in &picks {
-        let home = p.part_of(v);
-        let mut remote = std::collections::HashSet::new();
-        for u in khop_neighborhood(g, v, k) {
-            let pu = p.part_of(u);
-            if pu != home {
-                remote.insert(pu);
-            }
-        }
-        total += remote.len();
-    }
-    total as f64 / picks.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,13 +119,5 @@ mod tests {
         let lb = khop_locality(&g, &bad, &train, 1, 10, 1);
         assert!(lg > 0.9, "good locality {}", lg);
         assert!(lb < 0.7, "bad locality {}", lb);
-    }
-
-    #[test]
-    fn remote_partitions_zero_when_local() {
-        let g = two_cliques();
-        let p = Partition::new(2, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        let r = avg_remote_partitions(&g, &p, &[1, 2], 1, 10, 1);
-        assert_eq!(r, 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Locality-agnostic baseline partitioners: random, round-robin, hash.
+//! Locality-agnostic baseline partitioners: random and round-robin.
 //!
 //! These are what Euler uses for everything and DGL falls back to for graphs
 //! that do not fit one machine (paper §5.1, "Graph Partitioning"). They
@@ -50,28 +50,6 @@ impl Partitioner for RoundRobinPartitioner {
     }
 }
 
-/// Multiplicative-hash assignment — what "random hashing partitioning" in
-/// distributed stores actually is (stable across runs, no RNG state).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HashPartitioner;
-
-impl Partitioner for HashPartitioner {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn partition(&self, g: &Csr, _train: &[NodeId], k: usize) -> Partition {
-        let assignment = (0..g.num_nodes() as u64)
-            .map(|v| {
-                // Fibonacci hashing on the node id.
-                let h = v.wrapping_mul(0x9E3779B97F4A7C15);
-                ((h >> 33) % k as u64) as u32
-            })
-            .collect();
-        Partition::new(k, assignment)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,13 +90,5 @@ mod tests {
         let g = graph();
         let p = RoundRobinPartitioner.partition(&g, &[], 4);
         assert!(p.sizes().iter().all(|&s| s == 250));
-    }
-
-    #[test]
-    fn hash_covers_all_partitions() {
-        let g = graph();
-        let p = HashPartitioner.partition(&g, &[], 8);
-        let sizes = p.sizes();
-        assert!(sizes.iter().all(|&s| s > 0), "{:?}", sizes);
     }
 }

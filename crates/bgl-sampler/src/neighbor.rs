@@ -208,11 +208,6 @@ impl NeighborSampler {
         NeighborSampler { fanouts, metrics: SamplerMetrics::default() }
     }
 
-    /// The paper's evaluation configuration: 3 hops, fanout {15, 10, 5}.
-    pub fn paper_default() -> Self {
-        NeighborSampler::new(vec![15, 10, 5])
-    }
-
     /// Record frontier sizes (`sampler.frontier` histogram), sampled edges
     /// (`sampler.edges`), and per-hop spans into `reg`.
     pub fn with_metrics(mut self, reg: &bgl_obs::Registry) -> Self {
@@ -252,18 +247,6 @@ impl NeighborSampler {
         self.metrics.batches.incr();
         span.end();
         MiniBatch { seeds: seeds.to_vec(), blocks: blocks_rev }
-    }
-
-    /// Expansion upper bound: the largest possible input frontier for a
-    /// batch of `b` seeds — the neighbor-explosion number from §2.2.
-    pub fn max_expansion(&self, b: usize) -> usize {
-        let mut total = b;
-        let mut layer = b;
-        for &f in &self.fanouts {
-            layer *= f;
-            total += layer;
-        }
-        total
     }
 }
 
@@ -324,7 +307,7 @@ mod tests {
     fn sampled_edges_exist_in_graph() {
         let g = generate::barabasi_albert(300, 4, 7);
         let mut rng = StdRng::seed_from_u64(5);
-        let s = NeighborSampler::paper_default();
+        let s = NeighborSampler::new(vec![15, 10, 5]);
         let mb = s.sample(&g, &[1, 2, 3], &mut rng);
         for b in &mb.blocks {
             for d in 0..b.num_dst() {
@@ -360,7 +343,8 @@ mod tests {
         let s = NeighborSampler::new(vec![5, 5]);
         let seeds: Vec<NodeId> = (0..20).collect();
         let mb = s.sample(&g, &seeds, &mut rng);
-        assert!(mb.num_input_nodes() <= s.max_expansion(20));
+        // The neighbor-explosion bound of §2.2: b · (1 + f1 + f1·f2).
+        assert!(mb.num_input_nodes() <= 20 * (1 + 5 + 5 * 5));
     }
 
     #[test]

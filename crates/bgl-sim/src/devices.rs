@@ -17,27 +17,16 @@ use serde::{Deserialize, Serialize};
 /// `bandwidth` bytes/second.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct LinkSpec {
-    pub name_tag: LinkKind,
     /// One-way latency per message.
     pub latency: SimTime,
     /// Sustained bandwidth in bytes per second.
     pub bandwidth_bps: f64,
 }
 
-/// Which physical link a [`LinkSpec`] models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LinkKind {
-    Pcie3x16,
-    NvLink,
-    Nic100G,
-    Loopback,
-}
-
 impl LinkSpec {
     /// PCIe 3.0 x16: ~12.8 GB/s effective, ~5 µs submission latency.
     pub fn pcie3_x16() -> Self {
         LinkSpec {
-            name_tag: LinkKind::Pcie3x16,
             latency: 5_000,
             bandwidth_bps: 12.8e9,
         }
@@ -46,7 +35,6 @@ impl LinkSpec {
     /// One NVLink 2.0 lane pair as on V100: ~46 GB/s effective, ~2 µs.
     pub fn nvlink() -> Self {
         LinkSpec {
-            name_tag: LinkKind::NvLink,
             latency: 2_000,
             bandwidth_bps: 46.0e9,
         }
@@ -56,7 +44,6 @@ impl LinkSpec {
     /// contribution each way.
     pub fn nic_100g() -> Self {
         LinkSpec {
-            name_tag: LinkKind::Nic100G,
             latency: 10_000,
             bandwidth_bps: 11.0e9,
         }
@@ -64,18 +51,12 @@ impl LinkSpec {
 
     /// Free intra-process transfer (colocated sampler and store).
     pub fn loopback() -> Self {
-        LinkSpec { name_tag: LinkKind::Loopback, latency: 200, bandwidth_bps: 80.0e9 }
+        LinkSpec { latency: 200, bandwidth_bps: 80.0e9 }
     }
 
     /// Time to move `bytes` across this link.
     pub fn transfer_time(&self, bytes: usize) -> SimTime {
         self.latency + secs(bytes as f64 / self.bandwidth_bps)
-    }
-
-    /// Time to move `bytes` when `flows` transfers share the link fairly.
-    pub fn transfer_time_shared(&self, bytes: usize, flows: usize) -> SimTime {
-        let flows = flows.max(1) as f64;
-        self.latency + secs(bytes as f64 * flows / self.bandwidth_bps)
     }
 }
 
@@ -112,24 +93,6 @@ impl GpuSpec {
         let compute = flops / self.effective_flops;
         let memory = bytes as f64 / self.mem_bandwidth_bps;
         self.kernel_launch + secs(compute.max(memory))
-    }
-}
-
-/// CPU pool model: linear scaling with core count (the paper assumes linear
-/// CPU acceleration for all stages except the cache stage, §3.4).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct CpuPoolSpec {
-    pub cores: usize,
-    /// Single-core work throughput, expressed as "work units" per second.
-    /// A work unit is whatever the caller profiles (e.g. sampling one node).
-    pub unit_rate: f64,
-}
-
-impl CpuPoolSpec {
-    /// Time for `units` of perfectly parallel work on `cores_used` cores.
-    pub fn time(&self, units: f64, cores_used: usize) -> SimTime {
-        let cores = cores_used.clamp(1, self.cores) as f64;
-        secs(units / (self.unit_rate * cores))
     }
 }
 
@@ -202,27 +165,6 @@ mod tests {
             LinkSpec::nvlink().transfer_time(bytes)
                 < LinkSpec::pcie3_x16().transfer_time(bytes)
         );
-    }
-
-    #[test]
-    fn shared_link_slows_down_proportionally() {
-        let pcie = LinkSpec::pcie3_x16();
-        let solo = pcie.transfer_time(1 << 30);
-        let shared = pcie.transfer_time_shared(1 << 30, 2);
-        assert!(shared > solo);
-        // Roughly 2x once latency is negligible.
-        let ratio = (shared - pcie.latency) as f64 / (solo - pcie.latency) as f64;
-        assert!((ratio - 2.0).abs() < 0.01, "ratio {}", ratio);
-    }
-
-    #[test]
-    fn cpu_pool_scales_linearly_and_clamps() {
-        let pool = CpuPoolSpec { cores: 8, unit_rate: 1000.0 };
-        let one = pool.time(8000.0, 1);
-        let four = pool.time(8000.0, 4);
-        let over = pool.time(8000.0, 64); // clamped to 8
-        assert_eq!(one / 4, four);
-        assert_eq!(over, pool.time(8000.0, 8));
     }
 
     #[test]

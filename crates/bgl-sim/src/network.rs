@@ -44,12 +44,6 @@ impl NetworkModel {
             self.remote.transfer_time(bytes)
         }
     }
-
-    /// Cost of a request/response pair (request `req` bytes, response
-    /// `resp` bytes).
-    pub fn rpc_time(&self, src: usize, dst: usize, req: usize, resp: usize) -> SimTime {
-        self.message_time(src, dst, req) + self.message_time(dst, src, resp)
-    }
 }
 
 /// Reliability counters for a fault-tolerant data path: retries, failovers,
@@ -190,16 +184,6 @@ mod tests {
         let net = NetworkModel::paper_fabric();
         let bytes = 10 << 20;
         assert!(net.message_time(0, 0, bytes) < net.message_time(0, 1, bytes));
-    }
-
-    #[test]
-    fn rpc_is_two_messages() {
-        let net = NetworkModel::paper_fabric();
-        let rpc = net.rpc_time(0, 1, 100, 1 << 20);
-        assert_eq!(
-            rpc,
-            net.message_time(0, 1, 100) + net.message_time(1, 0, 1 << 20)
-        );
     }
 
     #[test]

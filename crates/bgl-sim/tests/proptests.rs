@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation core: conservation and
 //! monotonicity laws of the tandem pipeline and device models.
 
-use bgl_sim::devices::{CpuPoolSpec, GpuSpec, LinkSpec};
+use bgl_sim::devices::{GpuSpec, LinkSpec};
 use bgl_sim::pipeline::{StageSpec, TandemPipeline};
 use bgl_sim::MICROSECOND;
 use proptest::prelude::*;
@@ -69,14 +69,5 @@ proptest! {
         let gpu = GpuSpec::v100_32g();
         let (lo, hi) = (f1.min(f2), f1.max(f2));
         prop_assert!(gpu.kernel_time(lo, b) <= gpu.kernel_time(hi, b));
-    }
-
-    /// CPU pool: double the cores, at most half the (above-launch) time.
-    #[test]
-    fn cpu_pool_scaling(units in 1.0f64..1e6, cores in 1usize..32) {
-        let pool = CpuPoolSpec { cores: 64, unit_rate: 1e6 };
-        let t1 = pool.time(units, cores);
-        let t2 = pool.time(units, cores * 2);
-        prop_assert!(t2 <= t1);
     }
 }

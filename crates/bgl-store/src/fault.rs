@@ -210,11 +210,6 @@ impl FaultInjector {
         }
     }
 
-    /// Crash events that fired, for trace assertions.
-    pub fn crashes_fired(&self) -> usize {
-        self.fired.iter().filter(|&&f| f).count()
-    }
-
     /// Drain the crashes fired since the last call (event-trace feed).
     pub fn take_fired(&mut self) -> Vec<CrashFault> {
         std::mem::take(&mut self.newly_fired)
@@ -247,7 +242,7 @@ mod tests {
         assert!(inj.is_down(2, 100));
         assert!(inj.is_down(2, 1_099));
         assert!(!inj.is_down(2, 1_100)); // window [100, 1100) closed
-        assert_eq!(inj.crashes_fired(), 1);
+        assert_eq!(inj.take_fired().len(), 1);
     }
 
     #[test]

@@ -26,8 +26,6 @@
 //!   backoff charged to simulated time, plus a per-batch deadline budget;
 //! * [`health`] — [`health::CircuitBreaker`]: per-server failure tracking
 //!   that routes around persistently failing primaries;
-//! * [`disk`] — on-disk persistence of graphs and partitions (the paper's
-//!   "one-time cost, saved to HDFS" step, §3.1), checksummed end to end;
 //! * [`pager`] / [`bufpool`] / [`wal`] / [`tier`] — the durable disk tier
 //!   (DESIGN.md §11): fixed-size checksummed pages behind a pin/unpin
 //!   buffer pool (SIEVE replacement), a write-ahead log with
@@ -41,7 +39,6 @@
 
 pub mod bufpool;
 pub mod cluster;
-pub mod disk;
 pub mod fault;
 pub mod health;
 pub mod migrate;

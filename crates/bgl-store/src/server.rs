@@ -143,10 +143,6 @@ impl GraphStoreServer {
         self.disk.lock().unwrap_or_else(|p| p.into_inner()).take()
     }
 
-    pub fn has_disk_tier(&self) -> bool {
-        self.disk.lock().unwrap_or_else(|p| p.into_inner()).is_some()
-    }
-
     /// Checkpoint the attached tier (flush + sync pages, then reset the
     /// WAL). No-op without a tier.
     pub fn checkpoint_disk(&self) -> Result<(), StoreError> {
@@ -867,7 +863,6 @@ mod tests {
         dir.push(format!("bgl-server-disk-test-{}", std::process::id()));
         let cfg = DiskTierConfig::default().with_page_size(64).with_pool_pages(4);
         s.attach_disk_tier(DurableFeatures::create(&dir, &fs, cfg).unwrap());
-        assert!(s.has_disk_tier());
 
         // Reads come from the buffer pool and match the RAM image.
         let req = Message::FeatureReq { nodes: vec![6, 2] }.encode().unwrap();

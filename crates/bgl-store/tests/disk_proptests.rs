@@ -1,16 +1,10 @@
-//! Property-based corruption corpus for the v2 on-disk formats
-//! (`BGLGRPH2` / `BGLPART2` / `BGLFEAT2`) and the WAL record codec: for
-//! *arbitrary* graphs, partitions, feature stores and log contents,
-//! save/load is the identity, and no truncation, bit flip, trailing
-//! garbage, or cross-format load survives the footer checksum + typed
-//! validation. Mirrors the style of `bgl-exec/tests/ckpt_proptests.rs`.
+//! Property-based corruption corpus for the WAL record codec and the log
+//! file: for *arbitrary* log contents, encode/decode is the identity, no
+//! payload prefix or bit flip decodes back to the same record, and a log cut
+//! anywhere past its header replays exactly the frames that fit. Mirrors
+//! the style of `bgl-exec/tests/ckpt_proptests.rs`.
 
-use bgl_graph::{Csr, FeatureStore};
 use bgl_obs::Histogram;
-use bgl_partition::Partition;
-use bgl_store::disk::{
-    load_features, load_graph, load_partition, save_features, save_graph, save_partition,
-};
 use bgl_store::pager::RealFile;
 use bgl_store::{Wal, WalRecord};
 use proptest::prelude::*;
@@ -20,38 +14,6 @@ fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("bgl-disk-prop-{}-{}", std::process::id(), name));
     p
-}
-
-fn arb_csr() -> impl Strategy<Value = Csr> {
-    (1usize..24)
-        .prop_flat_map(|n| {
-            proptest::collection::vec(0u64..4, n).prop_flat_map(move |degs| {
-                let mut offsets = Vec::with_capacity(n + 1);
-                let mut acc = 0u64;
-                offsets.push(0);
-                for &d in &degs {
-                    acc += d;
-                    offsets.push(acc);
-                }
-                let m = acc as usize;
-                (Just(offsets), proptest::collection::vec(0..n as u32, m))
-            })
-        })
-        .prop_map(|(offsets, targets)| Csr::from_parts(offsets, targets))
-}
-
-fn arb_partition() -> impl Strategy<Value = Partition> {
-    (1u32..6).prop_flat_map(|k| {
-        proptest::collection::vec(0..k, 0..32)
-            .prop_map(move |assignment| Partition::new(k as usize, assignment))
-    })
-}
-
-fn arb_features() -> impl Strategy<Value = FeatureStore> {
-    (1usize..5, 0usize..12).prop_flat_map(|(dim, n)| {
-        proptest::collection::vec(-100.0f32..100.0, dim * n)
-            .prop_map(move |data| FeatureStore::from_raw(dim, data))
-    })
 }
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
@@ -64,106 +26,6 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
 }
 
 proptest! {
-    /// load(save(g)) reproduces the CSR arrays exactly.
-    #[test]
-    fn graph_roundtrip_is_identity(g in arb_csr()) {
-        let path = tmp("graph-rt");
-        save_graph(&g, &path).unwrap();
-        let back = load_graph(&path).unwrap();
-        prop_assert_eq!(back.offsets(), g.offsets());
-        prop_assert_eq!(back.targets(), g.targets());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn partition_roundtrip_is_identity(p in arb_partition()) {
-        let path = tmp("part-rt");
-        save_partition(&p, &path).unwrap();
-        let back = load_partition(&path).unwrap();
-        prop_assert_eq!(back.k, p.k);
-        prop_assert_eq!(back.assignment, p.assignment);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn features_roundtrip_is_identity(f in arb_features()) {
-        let path = tmp("feat-rt");
-        save_features(&f, &path).unwrap();
-        let back = load_features(&path).unwrap();
-        prop_assert_eq!(back.dim(), f.dim());
-        prop_assert_eq!(back.raw(), f.raw());
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Cutting the file at ANY offset is rejected — there is no prefix
-    /// length at which a truncated file silently loads.
-    #[test]
-    fn graph_truncation_is_rejected(g in arb_csr(), cut in any::<prop::sample::Index>()) {
-        let path = tmp("graph-cut");
-        save_graph(&g, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let cut = cut.index(bytes.len()); // in [0, len)
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-        prop_assert!(load_graph(&path).is_err(), "prefix of {}/{} bytes must not load", cut, bytes.len());
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Flipping any single bit is caught by the magic check or the footer
-    /// checksum.
-    #[test]
-    fn graph_single_bit_flip_is_rejected(g in arb_csr(), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let path = tmp("graph-flip");
-        save_graph(&g, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let i = pos.index(bytes.len());
-        bytes[i] ^= 1 << bit;
-        std::fs::write(&path, &bytes).unwrap();
-        prop_assert!(load_graph(&path).is_err(), "bit {} of byte {} flipped", bit, i);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn features_single_bit_flip_is_rejected(f in arb_features(), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let path = tmp("feat-flip");
-        save_features(&f, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let i = pos.index(bytes.len());
-        bytes[i] ^= 1 << bit;
-        std::fs::write(&path, &bytes).unwrap();
-        prop_assert!(load_features(&path).is_err(), "bit {} of byte {} flipped", bit, i);
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Appended garbage displaces the footer, so the stored checksum can
-    /// never match.
-    #[test]
-    fn trailing_garbage_is_rejected(p in arb_partition(), extra in proptest::collection::vec(any::<u8>(), 1..16)) {
-        let path = tmp("part-garbage");
-        save_partition(&p, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&extra);
-        std::fs::write(&path, &bytes).unwrap();
-        prop_assert!(load_partition(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// Every loader rejects every other format's files: magics are
-    /// pairwise distinct no matter the payload.
-    #[test]
-    fn cross_format_loads_are_rejected(g in arb_csr(), p in arb_partition(), f in arb_features()) {
-        let path = tmp("cross");
-        save_graph(&g, &path).unwrap();
-        prop_assert!(load_partition(&path).is_err());
-        prop_assert!(load_features(&path).is_err());
-        save_partition(&p, &path).unwrap();
-        prop_assert!(load_graph(&path).is_err());
-        prop_assert!(load_features(&path).is_err());
-        save_features(&f, &path).unwrap();
-        prop_assert!(load_graph(&path).is_err());
-        prop_assert!(load_partition(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
     /// decode(encode(r)) == r for arbitrary WAL records.
     #[test]
     fn wal_record_roundtrip_is_identity(r in arb_record()) {

@@ -4,7 +4,7 @@
 //! DGL's GPU backend. This workspace has no GPU, so `bgl-gnn` trains the
 //! same models on CPU with the `f32` matrix kernels in this crate: matmul,
 //! row-wise broadcasting, activations, softmax/cross-entropy, dropout, and
-//! the SGD/Adam optimizers. No external BLAS — the matmuls are row-panel
+//! the Adam optimizer. No external BLAS — the matmuls are row-panel
 //! blocked kernels fanned out over a std-only worker pool ([`pool`]), with
 //! serial paths kept bitwise-identical for the determinism contract (see
 //! `matrix`'s module docs).
@@ -19,4 +19,4 @@ pub mod optim;
 pub mod pool;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};

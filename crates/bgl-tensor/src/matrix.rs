@@ -246,14 +246,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Broadcast-add a row vector to every row (bias add).
     pub fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols);
@@ -298,19 +290,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).collect(),
-        }
-    }
-
-    /// L2-normalize each row in place (used by GraphSAGE).
-    pub fn l2_normalize_rows(&mut self) {
-        for i in 0..self.rows {
-            let row = self.row_mut(i);
-            let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
-            if norm > 1e-12 {
-                for x in row.iter_mut() {
-                    *x /= norm;
-                }
-            }
         }
     }
 
@@ -487,21 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn l2_normalize_rows_unit_norm() {
-        let mut a = m(2, 2, &[3., 4., 0., 0.]);
-        a.l2_normalize_rows();
-        assert!((a.get(0, 0) - 0.6).abs() < 1e-6);
-        assert!((a.get(0, 1) - 0.8).abs() < 1e-6);
-        assert_eq!(a.row(1), &[0.0, 0.0], "zero row untouched");
-    }
-
-    #[test]
-    fn scale_and_add_scaled() {
+    fn scale_multiplies_in_place() {
         let mut a = m(1, 3, &[1., 2., 3.]);
-        let b = m(1, 3, &[1., 1., 1.]);
         a.scale(2.0);
-        a.add_scaled(&b, -1.0);
-        assert_eq!(a.raw(), &[1., 3., 5.]);
+        assert_eq!(a.raw(), &[2., 4., 6.]);
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub fn relu_backward(x: &Matrix, grad_out: &Matrix) -> Matrix {
     Matrix::from_vec(x.rows(), x.cols(), data)
 }
 
-/// LeakyReLU forward with slope `alpha` (GAT uses `alpha = 0.2`).
-pub fn leaky_relu(x: &Matrix, alpha: f32) -> Matrix {
-    x.map(|v| if v > 0.0 { v } else { alpha * v })
-}
-
 /// Row-wise softmax (numerically stabilized).
 pub fn softmax_rows(x: &Matrix) -> Matrix {
     let mut out = x.clone();
@@ -159,14 +154,6 @@ mod tests {
         let g = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
         let dx = relu_backward(&x, &g);
         assert_eq!(dx.raw(), &[0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn leaky_relu_matches_relu_at_zero_alpha() {
-        let x = Matrix::from_vec(1, 3, vec![-2.0, 0.0, 3.0]);
-        assert_eq!(leaky_relu(&x, 0.0), relu(&x));
-        let l = leaky_relu(&x, 0.2);
-        assert!((l.get(0, 0) + 0.4).abs() < 1e-6);
     }
 
     #[test]

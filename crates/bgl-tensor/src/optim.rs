@@ -1,11 +1,11 @@
-//! Optimizers: SGD (with optional momentum) and Adam — the two the paper's
-//! training stage mentions (§2.1, stage 3).
+//! The optimizer: Adam, which every training run here uses (§2.1, stage 3),
+//! behind the [`Optimizer`] trait `GnnModel::apply` is written against.
 
 use crate::Matrix;
 
 /// A parameter-update rule. `step` consumes one gradient for one parameter
 /// tensor, identified by `slot` so the optimizer can keep per-parameter
-/// state (momentum / Adam moments).
+/// state (Adam's moments).
 pub trait Optimizer {
     /// Apply one update to `param` given `grad`. `slot` must be stable and
     /// unique per parameter tensor across calls.
@@ -14,71 +14,6 @@ pub trait Optimizer {
     /// Advance the optimizer's global step counter (call once per batch,
     /// after all `step` calls for that batch).
     fn next_batch(&mut self) {}
-}
-
-/// Stochastic gradient descent with optional momentum and weight decay.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    pub weight_decay: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    fn slot_mut(&mut self, slot: usize) -> &mut Option<Matrix> {
-        if self.velocity.len() <= slot {
-            self.velocity.resize(slot + 1, None);
-        }
-        &mut self.velocity[slot]
-    }
-
-    /// Per-slot momentum buffers (`None` where the slot was never stepped).
-    /// Together with [`Sgd::restore_velocity`] this makes the optimizer's
-    /// full state serializable — restoring only the params silently resets
-    /// the momentum and changes the training trajectory.
-    pub fn velocity(&self) -> &[Option<Matrix>] {
-        &self.velocity
-    }
-
-    /// Replace the momentum buffers wholesale (checkpoint restore).
-    pub fn restore_velocity(&mut self, velocity: Vec<Option<Matrix>>) {
-        self.velocity = velocity;
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, slot: usize, param: &mut Matrix, grad: &Matrix) {
-        let (lr, momentum, wd) = (self.lr, self.momentum, self.weight_decay);
-        let mut update = grad.clone();
-        if wd != 0.0 {
-            update.add_scaled(param, wd);
-        }
-        if momentum != 0.0 {
-            let v = self.slot_mut(slot);
-            match v {
-                Some(vel) => {
-                    vel.scale(momentum);
-                    vel.add_assign(&update);
-                    update = vel.clone();
-                }
-                None => {
-                    *v = Some(update.clone());
-                }
-            }
-        }
-        param.add_scaled(&update, -lr);
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -180,33 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut x = Matrix::from_vec(1, 2, vec![0.0, 10.0]);
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let g = quad_grad(&x);
-            opt.step(0, &mut x, &g);
-            opt.next_batch();
-        }
-        assert!(x.raw().iter().all(|&v| (v - 3.0).abs() < 1e-3), "{:?}", x);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |mut opt: Sgd| {
-            let mut x = Matrix::from_vec(1, 1, vec![10.0]);
-            for _ in 0..20 {
-                let g = quad_grad(&x);
-                opt.step(0, &mut x, &g);
-            }
-            (x.get(0, 0) - 3.0).abs()
-        };
-        let plain = run(Sgd::new(0.02));
-        let momentum = run(Sgd::with_momentum(0.02, 0.9));
-        assert!(momentum < plain, "momentum {} !< plain {}", momentum, plain);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut x = Matrix::from_vec(1, 3, vec![-5.0, 0.0, 8.0]);
         let mut opt = Adam::new(0.3);
@@ -276,36 +184,19 @@ mod tests {
     }
 
     #[test]
-    fn sgd_velocity_roundtrips() {
-        let mut x = Matrix::from_vec(1, 1, vec![10.0]);
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        for _ in 0..3 {
-            let g = quad_grad(&x);
-            opt.step(0, &mut x, &g);
-        }
-        let vel = opt.velocity().to_vec();
-        assert!(vel[0].is_some());
-        let mut opt2 = Sgd::with_momentum(0.1, 0.9);
-        opt2.restore_velocity(vel.clone());
-        // One more identical step from identical state must match bitwise.
-        let mut xa = x.clone();
-        let mut xb = x.clone();
-        let g = quad_grad(&x);
-        opt.step(0, &mut xa, &g);
-        opt2.step(0, &mut xb, &g);
-        assert_eq!(xa.raw(), xb.raw());
-    }
-
-    #[test]
     fn independent_slots_have_independent_state() {
         let mut a = Matrix::from_vec(1, 1, vec![10.0]);
         let mut b = Matrix::from_vec(1, 1, vec![10.0]);
-        let mut opt = Sgd::with_momentum(0.1, 0.9);
-        // Update slot 0 twice, slot 1 once — velocities must differ.
+        let mut opt = Adam::new(0.1);
+        // Update slot 0 twice, slot 1 once — the moments must differ.
         let g = Matrix::from_vec(1, 1, vec![1.0]);
         opt.step(0, &mut a, &g);
         opt.step(0, &mut a, &g);
         opt.step(1, &mut b, &g);
         assert!(a.get(0, 0) < b.get(0, 0));
+        // Slot 1 saw none of slot 0's history: its step is a fresh optimizer's.
+        let mut fresh = Matrix::from_vec(1, 1, vec![10.0]);
+        Adam::new(0.1).step(0, &mut fresh, &g);
+        assert_eq!(b.raw(), fresh.raw());
     }
 }

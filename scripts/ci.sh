@@ -8,6 +8,17 @@ cd "$(dirname "$0")/.."
 scripts/check_deps.sh
 # The code-size number simplicity PRs are held to, in every CI log.
 scripts/loc.sh
+# Every item names its caller: a `pub fn` or a whole source file that only
+# its own tests reach fails here unless scripts/reach.allow says which suite
+# needs it (DESIGN.md §14).
+scripts/reach.sh
+# What that rule retired stays retired: samplers no figure ran, the snapshot
+# format no binary saved or loaded, the tuner and optimizer every run
+# hard-codes around, the partitioner no system selects.
+if grep -rnE 'RandomWalkSampler|LayerWiseSampler|save_graph|load_graph|BGLGRPH|choose_num_sequences|struct Sgd|HashPartitioner' crates tests examples; then
+    echo "retired item is back: name the figure, workload or suite that calls it (scripts/reach.sh)" >&2
+    exit 1
+fi
 # Ledgers reach the registry through bgl_obs::Mirror; a hand-written
 # `now - self.last_*` delta mirror outside bgl-obs fails here. (`if`, not a
 # bare `! grep`: `set -e` ignores a status inverted with `!`.)
