@@ -32,32 +32,9 @@ pub enum OrderingKind {
     ProximityAware,
 }
 
-/// GNN model selector (mirrors `bgl_gnn::ModelKind`, re-exported here so
-/// experiment configs stay serde-friendly).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GnnModelKind {
-    Gcn,
-    GraphSage,
-    Gat,
-}
-
-impl GnnModelKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            GnnModelKind::Gcn => "gcn",
-            GnnModelKind::GraphSage => "graphsage",
-            GnnModelKind::Gat => "gat",
-        }
-    }
-
-    pub fn to_gnn(self) -> bgl_gnn::ModelKind {
-        match self {
-            GnnModelKind::Gcn => bgl_gnn::ModelKind::Gcn,
-            GnnModelKind::GraphSage => bgl_gnn::ModelKind::GraphSage,
-            GnnModelKind::Gat => bgl_gnn::ModelKind::Gat,
-        }
-    }
-}
+/// GNN model selector: the one enum, named here so experiment code finds
+/// it beside the rest of a run's configuration.
+pub use bgl_gnn::ModelKind;
 
 /// Feature-cache configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]

@@ -4,7 +4,7 @@
 //! measured data-path traces so the bench harness can sweep models and GPU
 //! counts without re-running the expensive phase.
 
-use crate::config::GnnModelKind;
+use crate::config::ModelKind;
 use crate::measure::{measure_data_path, replay_tail, DataPathTrace, MeasuredSystem};
 use crate::systems::SystemKind;
 use bgl_cache::{FeatureCacheEngine, PolicyKind};
@@ -204,7 +204,7 @@ impl ExperimentCtx {
         &self,
         id: DatasetId,
         sys: SystemKind,
-        model: GnnModelKind,
+        model: ModelKind,
         num_gpus: usize,
     ) -> ThroughputRow {
         if !self.fits(id, sys) {
@@ -241,7 +241,7 @@ impl ExperimentCtx {
             if sys == SystemKind::BglNoIsolation {
                 continue; // Figs. 11-13 plot the full systems only.
             }
-            for model in [GnnModelKind::Gcn, GnnModelKind::GraphSage, GnnModelKind::Gat] {
+            for model in [ModelKind::Gcn, ModelKind::GraphSage, ModelKind::Gat] {
                 for gpus in [1usize, 2, 4, 8] {
                     rows.push(self.throughput(id, sys, model, gpus));
                 }
@@ -274,7 +274,7 @@ impl ExperimentCtx {
         let m = MeasuredSystem::derive(
             &trace,
             &sys.config(),
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             1,
             &self.machine,
         );
@@ -465,7 +465,7 @@ impl ExperimentCtx {
         let m = MeasuredSystem::derive(
             &trace,
             &cfg,
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             1,
             &self.machine,
         );
@@ -598,7 +598,7 @@ impl ExperimentCtx {
             SystemKind::Bgl,
         ]
         .iter()
-        .map(|&sys| self.throughput(id, sys, GnnModelKind::GraphSage, 4))
+        .map(|&sys| self.throughput(id, sys, ModelKind::GraphSage, 4))
         .collect()
     }
 }
@@ -712,7 +712,7 @@ impl ExperimentCtx {
     pub fn accuracy_experiment(
         &self,
         id: DatasetId,
-        model: GnnModelKind,
+        model: ModelKind,
         epochs: usize,
         hidden: usize,
     ) -> Vec<AccuracyRow> {
@@ -732,7 +732,7 @@ impl ExperimentCtx {
         }
         let layers = self.fanouts.len();
         let cfg = bgl_gnn::TrainConfig {
-            model: model.to_gnn(),
+            model,
             hidden,
             num_layers: layers,
             fanouts: self.fanouts.clone(),
@@ -764,164 +764,6 @@ impl ExperimentCtx {
             });
         }
         rows
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn throughput_orders_systems() {
-        let ctx = ExperimentCtx::small();
-        let bgl = ctx.throughput(
-            DatasetId::Products,
-            SystemKind::Bgl,
-            GnnModelKind::GraphSage,
-            2,
-        );
-        let euler = ctx.throughput(
-            DatasetId::Products,
-            SystemKind::Euler,
-            GnnModelKind::GraphSage,
-            2,
-        );
-        assert!(!bgl.oom && !euler.oom);
-        assert!(
-            bgl.samples_per_sec > 3.0 * euler.samples_per_sec,
-            "bgl {:.0} vs euler {:.0}",
-            bgl.samples_per_sec,
-            euler.samples_per_sec
-        );
-    }
-
-    #[test]
-    fn oom_rule_matches_paper() {
-        let ctx = ExperimentCtx::small();
-        assert!(ctx.fits(DatasetId::Products, SystemKind::Pyg));
-        assert!(!ctx.fits(DatasetId::Papers, SystemKind::Pyg));
-        assert!(!ctx.fits(DatasetId::UserItem, SystemKind::PaGraph));
-        assert!(ctx.fits(DatasetId::UserItem, SystemKind::Bgl));
-        let row = ctx.throughput(
-            DatasetId::Papers,
-            SystemKind::PaGraph,
-            GnnModelKind::Gcn,
-            1,
-        );
-        assert!(row.oom);
-        assert_eq!(row.samples_per_sec, 0.0);
-    }
-
-    #[test]
-    fn breakdown_is_preprocessing_dominated_for_baselines() {
-        let ctx = ExperimentCtx::small();
-        for sys in [SystemKind::Dgl, SystemKind::Euler] {
-            let row = ctx.breakdown(sys);
-            assert!(
-                row.preprocessing_fraction > 0.6,
-                "{}: preprocessing fraction {:.2}",
-                row.system,
-                row.preprocessing_fraction
-            );
-            assert!(row.gpu_utilization < 0.4);
-        }
-    }
-
-    #[test]
-    fn cache_experiment_po_beats_random_for_fifo() {
-        // Papers-like at a size where the community structure is real
-        // (the small context's 4K-node variant has too few communities for
-        // ordering to matter either way).
-        // The epoch must not fit inside the cache window, or ordering
-        // cannot matter: 2^15 nodes / 5% cache gives epoch ≈ 2× window.
-        let mut ctx = ExperimentCtx::small();
-        ctx.papers_nodes = 1 << 15;
-        let plain = ctx.cache_experiment(PolicyKind::Fifo, false, 0.05);
-        let po = ctx.cache_experiment(PolicyKind::Fifo, true, 0.05);
-        assert!(
-            po.hit_ratio > plain.hit_ratio,
-            "po {:.3} !> plain {:.3}",
-            po.hit_ratio,
-            plain.hit_ratio
-        );
-    }
-
-    #[test]
-    fn sequence_ablation_tradeoff_shape() {
-        // More sequences -> lower shuffling error (better mixing).
-        let mut ctx = ExperimentCtx::small();
-        ctx.papers_nodes = 1 << 14;
-        let rows = ctx.ablate_sequences(&[1, 8]);
-        assert_eq!(rows.len(), 2);
-        assert!(
-            rows[1].shuffling_error < rows[0].shuffling_error,
-            "8 sequences ({:.4}) should mix better than 1 ({:.4})",
-            rows[1].shuffling_error,
-            rows[0].shuffling_error
-        );
-        assert!(rows.iter().all(|r| r.fifo_hit_ratio >= 0.0));
-    }
-
-    #[test]
-    fn cache_level_ablation_two_level_wins() {
-        let ctx = ExperimentCtx::small();
-        let rows = ctx.ablate_cache_levels();
-        let gpu_only = rows.iter().find(|r| r.levels == "gpu-only").unwrap();
-        let two = rows.iter().find(|r| r.levels == "gpu+cpu").unwrap();
-        assert!(
-            two.hit_ratio > gpu_only.hit_ratio,
-            "two-level {:.3} should beat gpu-only {:.3}",
-            two.hit_ratio,
-            gpu_only.hit_ratio
-        );
-        assert!(two.cpu_hits_fraction > 0.0);
-    }
-
-    #[test]
-    fn jhop_ablation_runs() {
-        let ctx = ExperimentCtx::small();
-        let rows = ctx.ablate_jhop(&[1, 2]);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!((0.0..=1.0).contains(&r.edge_cut));
-            assert!((0.0..=1.0).contains(&r.khop_locality));
-        }
-    }
-
-    #[test]
-    fn recovery_epoch_survives_primary_crash_with_replication() {
-        let ctx = ExperimentCtx::small();
-        let rows = ctx.recovery_figure(DatasetId::Products);
-        let (unreplicated, replicated) = (&rows[0], &rows[1]);
-        // Without replicas the mid-epoch crash visibly fails batches.
-        assert!(
-            unreplicated.batches_failed > 0,
-            "replication 1 should fail batches under a primary crash"
-        );
-        // With r = 2 the whole epoch completes via failover — zero panics,
-        // zero failed batches.
-        assert!(replicated.epoch_completed, "{:?}", replicated);
-        assert_eq!(replicated.batches_completed, replicated.batches_total);
-        assert!(replicated.robustness.failovers > 0);
-        assert!(replicated.robustness.any_faults());
-        // Same seed, same plan -> identical recovery outcome.
-        let again = ctx.recovery_experiment(DatasetId::Products, 2);
-        assert_eq!(again.robustness, replicated.robustness);
-    }
-
-    #[test]
-    fn fig15_shape() {
-        let ctx = ExperimentCtx::small();
-        let rows = ctx.fig15(DatasetId::Products);
-        assert_eq!(rows.len(), 4);
-        let by_name = |n: &str| {
-            rows.iter()
-                .find(|r| r.system == n)
-                .unwrap()
-                .samples_per_sec
-        };
-        assert!(by_name("bgl") >= by_name("bgl-noiso"));
-        assert!(by_name("bgl-noiso") > by_name("dgl"));
     }
 }
 
@@ -1114,7 +956,7 @@ impl ExperimentCtx {
             &[],
         );
         let model = bgl_gnn::make_model(
-            GnnModelKind::GraphSage.to_gnn(),
+            ModelKind::GraphSage,
             ds.features.dim(),
             16,
             ds.num_classes,
@@ -1130,5 +972,163 @@ impl ExperimentCtx {
             self.seed,
         );
         (engine, users)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn throughput_orders_systems() {
+        let ctx = ExperimentCtx::small();
+        let bgl = ctx.throughput(
+            DatasetId::Products,
+            SystemKind::Bgl,
+            ModelKind::GraphSage,
+            2,
+        );
+        let euler = ctx.throughput(
+            DatasetId::Products,
+            SystemKind::Euler,
+            ModelKind::GraphSage,
+            2,
+        );
+        assert!(!bgl.oom && !euler.oom);
+        assert!(
+            bgl.samples_per_sec > 3.0 * euler.samples_per_sec,
+            "bgl {:.0} vs euler {:.0}",
+            bgl.samples_per_sec,
+            euler.samples_per_sec
+        );
+    }
+
+    #[test]
+    fn oom_rule_matches_paper() {
+        let ctx = ExperimentCtx::small();
+        assert!(ctx.fits(DatasetId::Products, SystemKind::Pyg));
+        assert!(!ctx.fits(DatasetId::Papers, SystemKind::Pyg));
+        assert!(!ctx.fits(DatasetId::UserItem, SystemKind::PaGraph));
+        assert!(ctx.fits(DatasetId::UserItem, SystemKind::Bgl));
+        let row = ctx.throughput(
+            DatasetId::Papers,
+            SystemKind::PaGraph,
+            ModelKind::Gcn,
+            1,
+        );
+        assert!(row.oom);
+        assert_eq!(row.samples_per_sec, 0.0);
+    }
+
+    #[test]
+    fn breakdown_is_preprocessing_dominated_for_baselines() {
+        let ctx = ExperimentCtx::small();
+        for sys in [SystemKind::Dgl, SystemKind::Euler] {
+            let row = ctx.breakdown(sys);
+            assert!(
+                row.preprocessing_fraction > 0.6,
+                "{}: preprocessing fraction {:.2}",
+                row.system,
+                row.preprocessing_fraction
+            );
+            assert!(row.gpu_utilization < 0.4);
+        }
+    }
+
+    #[test]
+    fn cache_experiment_po_beats_random_for_fifo() {
+        // Papers-like at a size where the community structure is real
+        // (the small context's 4K-node variant has too few communities for
+        // ordering to matter either way).
+        // The epoch must not fit inside the cache window, or ordering
+        // cannot matter: 2^15 nodes / 5% cache gives epoch ≈ 2× window.
+        let mut ctx = ExperimentCtx::small();
+        ctx.papers_nodes = 1 << 15;
+        let plain = ctx.cache_experiment(PolicyKind::Fifo, false, 0.05);
+        let po = ctx.cache_experiment(PolicyKind::Fifo, true, 0.05);
+        assert!(
+            po.hit_ratio > plain.hit_ratio,
+            "po {:.3} !> plain {:.3}",
+            po.hit_ratio,
+            plain.hit_ratio
+        );
+    }
+
+    #[test]
+    fn sequence_ablation_tradeoff_shape() {
+        // More sequences -> lower shuffling error (better mixing).
+        let mut ctx = ExperimentCtx::small();
+        ctx.papers_nodes = 1 << 14;
+        let rows = ctx.ablate_sequences(&[1, 8]);
+        assert_eq!(rows.len(), 2);
+        assert!(
+            rows[1].shuffling_error < rows[0].shuffling_error,
+            "8 sequences ({:.4}) should mix better than 1 ({:.4})",
+            rows[1].shuffling_error,
+            rows[0].shuffling_error
+        );
+        assert!(rows.iter().all(|r| r.fifo_hit_ratio >= 0.0));
+    }
+
+    #[test]
+    fn cache_level_ablation_two_level_wins() {
+        let ctx = ExperimentCtx::small();
+        let rows = ctx.ablate_cache_levels();
+        let gpu_only = rows.iter().find(|r| r.levels == "gpu-only").unwrap();
+        let two = rows.iter().find(|r| r.levels == "gpu+cpu").unwrap();
+        assert!(
+            two.hit_ratio > gpu_only.hit_ratio,
+            "two-level {:.3} should beat gpu-only {:.3}",
+            two.hit_ratio,
+            gpu_only.hit_ratio
+        );
+        assert!(two.cpu_hits_fraction > 0.0);
+    }
+
+    #[test]
+    fn jhop_ablation_runs() {
+        let ctx = ExperimentCtx::small();
+        let rows = ctx.ablate_jhop(&[1, 2]);
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert!((0.0..=1.0).contains(&r.edge_cut));
+            assert!((0.0..=1.0).contains(&r.khop_locality));
+        }
+    }
+
+    #[test]
+    fn recovery_epoch_survives_primary_crash_with_replication() {
+        let ctx = ExperimentCtx::small();
+        let rows = ctx.recovery_figure(DatasetId::Products);
+        let (unreplicated, replicated) = (&rows[0], &rows[1]);
+        // Without replicas the mid-epoch crash visibly fails batches.
+        assert!(
+            unreplicated.batches_failed > 0,
+            "replication 1 should fail batches under a primary crash"
+        );
+        // With r = 2 the whole epoch completes via failover — zero panics,
+        // zero failed batches.
+        assert!(replicated.epoch_completed, "{:?}", replicated);
+        assert_eq!(replicated.batches_completed, replicated.batches_total);
+        assert!(replicated.robustness.failovers > 0);
+        assert!(replicated.robustness.any_faults());
+        // Same seed, same plan -> identical recovery outcome.
+        let again = ctx.recovery_experiment(DatasetId::Products, 2);
+        assert_eq!(again.robustness, replicated.robustness);
+    }
+
+    #[test]
+    fn fig15_shape() {
+        let ctx = ExperimentCtx::small();
+        let rows = ctx.fig15(DatasetId::Products);
+        assert_eq!(rows.len(), 4);
+        let by_name = |n: &str| {
+            rows.iter()
+                .find(|r| r.system == n)
+                .unwrap()
+                .samples_per_sec
+        };
+        assert!(by_name("bgl") >= by_name("bgl-noiso"));
+        assert!(by_name("bgl-noiso") > by_name("dgl"));
     }
 }

@@ -18,7 +18,7 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use bgl::config::GnnModelKind;
+//! use bgl::config::ModelKind;
 //! use bgl::experiments::ExperimentCtx;
 //! use bgl::systems::SystemKind;
 //!
@@ -26,7 +26,7 @@
 //! let row = ctx.throughput(
 //!     bgl::experiments::DatasetId::Products,
 //!     SystemKind::Bgl,
-//!     GnnModelKind::GraphSage,
+//!     ModelKind::GraphSage,
 //!     4,
 //! );
 //! println!("BGL @4 GPUs: {:.0} samples/s", row.samples_per_sec);

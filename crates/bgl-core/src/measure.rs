@@ -13,7 +13,7 @@
 //!    constants, solve (or skip) resource isolation, and simulate the
 //!    8-stage pipeline on the V100/NIC/PCIe device models.
 
-use crate::config::{GnnModelKind, OrderingKind, PartitionerKind, SystemConfig};
+use crate::config::{ModelKind, OrderingKind, PartitionerKind, SystemConfig};
 use bgl_cache::{CacheStats, FeatureCacheEngine};
 use bgl_exec::allocator::{solve, Capacities, ContentionModel};
 use bgl_exec::build::{simulate, SystemReport};
@@ -74,7 +74,7 @@ pub struct BatchTrace {
     pub sample_remote_bytes: u64,
     /// Cross-server sampling requests issued for this batch.
     pub sample_remote_requests: u64,
-    /// Per-model forward+backward FLOPs (GCN, SAGE, GAT order).
+    /// Per-model forward+backward FLOPs, indexed by `ModelKind as usize`.
     pub flops: [f64; 3],
 }
 
@@ -191,10 +191,9 @@ pub fn measure_data_path(
             structure_bytes += mb.structure_bytes();
             sample_wire = sample_wire.max(timing.elapsed);
             sample_remote_requests += timing.remote_requests;
-            flops[0] += bgl_gnn::flops::batch_flops(bgl_gnn::ModelKind::Gcn, &mb, &dims);
-            flops[1] +=
-                bgl_gnn::flops::batch_flops(bgl_gnn::ModelKind::GraphSage, &mb, &dims);
-            flops[2] += bgl_gnn::flops::batch_flops(bgl_gnn::ModelKind::Gat, &mb, &dims);
+            for kind in [ModelKind::Gcn, ModelKind::GraphSage, ModelKind::Gat] {
+                flops[kind as usize] += bgl_gnn::flops::batch_flops(kind, &mb, &dims);
+            }
         }
         let sample_remote_bytes = cluster.ledger.remote.bytes - remote_before;
         remote_before = cluster.ledger.remote.bytes;
@@ -246,7 +245,7 @@ impl MeasuredSystem {
     pub fn derive(
         trace: &DataPathTrace,
         sys: &SystemConfig,
-        model: GnnModelKind,
+        model: ModelKind,
         num_gpus: usize,
         machine: &MachineSpec,
     ) -> MeasuredSystem {
@@ -317,18 +316,13 @@ impl MeasuredSystem {
             .map(|b| b.sample_remote_bytes as f64)
             .sum::<f64>()
             / n;
-        let model_idx = match model {
-            GnnModelKind::Gcn => 0,
-            GnnModelKind::GraphSage => 1,
-            GnnModelKind::Gat => 2,
-        };
         let avg_flops =
-            trace.batches.iter().map(|b| b.flops[model_idx]).sum::<f64>() / n;
+            trace.batches.iter().map(|b| b.flops[model as usize]).sum::<f64>() / n;
 
         // --- Stage profile from work × framework cost constants. ---
         let cost = sys.cost;
         let gpu_factor = cost.gpu_factor
-            * if model == GnnModelKind::Gat { cost.gat_gpu_factor / cost.gpu_factor.max(1.0) } else { 1.0 };
+            * if model == ModelKind::Gat { cost.gat_gpu_factor / cost.gpu_factor.max(1.0) } else { 1.0 };
         // Feature wire time for the misses (workers are never colocated
         // with remote stores; single-machine systems fetch via local mem).
         // The *raw* wire time assumes a saturated link, which only BGL's
@@ -485,14 +479,14 @@ mod tests {
         let dgl = MeasuredSystem::derive(
             &t_dgl,
             &SystemKind::Dgl.config(),
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             1,
             &machine,
         );
         let bgl = MeasuredSystem::derive(
             &t_bgl,
             &SystemKind::Bgl.config(),
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             1,
             &machine,
         );
@@ -515,14 +509,14 @@ mod tests {
         let dgl = MeasuredSystem::derive(
             &t_dgl,
             &SystemKind::Dgl.config(),
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             1,
             &machine,
         );
         let bgl = MeasuredSystem::derive(
             &t_bgl,
             &SystemKind::Bgl.config(),
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             1,
             &machine,
         );
@@ -542,14 +536,14 @@ mod tests {
         let with = MeasuredSystem::derive(
             &trace,
             &SystemKind::Bgl.config(),
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             4,
             &machine,
         );
         let without = MeasuredSystem::derive(
             &trace,
             &SystemKind::BglNoIsolation.config(),
-            GnnModelKind::GraphSage,
+            ModelKind::GraphSage,
             4,
             &machine,
         );
@@ -567,9 +561,9 @@ mod tests {
         let machine = MachineSpec::paper_testbed();
         let trace = trace_for(&ds, SystemKind::Bgl);
         let cfg = SystemKind::Bgl.config();
-        let h1 = MeasuredSystem::derive(&trace, &cfg, GnnModelKind::GraphSage, 1, &machine)
+        let h1 = MeasuredSystem::derive(&trace, &cfg, ModelKind::GraphSage, 1, &machine)
             .hit_ratio;
-        let h8 = MeasuredSystem::derive(&trace, &cfg, GnnModelKind::GraphSage, 8, &machine)
+        let h8 = MeasuredSystem::derive(&trace, &cfg, ModelKind::GraphSage, 8, &machine)
             .hit_ratio;
         assert!(
             h8 > h1,

@@ -19,12 +19,15 @@
 //! [magic "BGLCKPT1"][version u32][payload_len u64][payload][fnv64 checksum]
 //! ```
 //!
-//! All integers little-endian. The checksum is FNV-1a 64 over every byte
-//! that precedes it, so a file truncated at *any* offset — a torn write
-//! from a crash mid-checkpoint — fails closed: [`Checkpoint::decode`]
-//! returns a typed [`CkptError`], never garbage state, and
-//! [`CheckpointStore::load_latest`] falls back to the previous retained
-//! checkpoint.
+//! All integers little-endian, read through `bgl_graph::le::Reader`: the
+//! header, the payload's fields and its `u64`-length-prefixed vectors (one
+//! pass each) all meet the same length check, and both the file and the
+//! payload must end exactly where their last field does. The checksum is
+//! FNV-1a 64 over every byte that precedes it, so a file truncated at *any*
+//! offset — a torn write from a crash mid-checkpoint — fails closed:
+//! [`Checkpoint::decode`] returns a typed [`CkptError`], never garbage
+//! state, and [`CheckpointStore::load_latest`] falls back to the previous
+//! retained checkpoint.
 //!
 //! The payload captures everything resumption needs:
 //!
@@ -41,7 +44,9 @@
 //!   step counter — restoring params alone silently changes the
 //!   trajectory; see `bgl_tensor::optim`'s divergence regression test).
 
+use bgl_graph::half::LeScalar;
 use bgl_graph::hash::{fnv1a_64, splitmix64, Fnv1a};
+use bgl_graph::le::{put_le, Reader};
 use bgl_graph::NodeId;
 use bgl_tensor::{Adam, Matrix};
 use std::fs::{self, File};
@@ -197,89 +202,28 @@ pub struct Checkpoint {
     pub digests: Vec<u64>,
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A vector on disk: its `u64` length, then its image in one pass.
+fn put_vec<T: LeScalar>(out: &mut Vec<u8>, v: &[T]) {
+    put_le(out, &[v.len() as u64]);
+    put_le(out, v);
 }
 
-impl<'a> Reader<'a> {
-    /// Bytes not yet consumed. Lengths are compared against this, never
-    /// added to `pos`: a checksum-valid file may still carry a length
-    /// field near `usize::MAX`, and `pos + n` would wrap past the check.
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if n > self.remaining() {
-            return Err(CkptError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, CkptError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, CkptError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Length-prefixed f32 vector with a sanity cap so a corrupt length
-    /// cannot trigger an absurd preallocation.
-    fn f32_vec(&mut self) -> Result<Vec<f32>, CkptError> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(4).is_none_or(|b| b > self.remaining()) {
-            return Err(CkptError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
-    }
-
-    fn u64_vec(&mut self) -> Result<Vec<u64>, CkptError> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(8).is_none_or(|b| b > self.remaining()) {
-            return Err(CkptError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
+/// A `u64` length field as a `usize`; one that does not fit reads as short,
+/// like any other length the payload cannot back.
+fn get_len(r: &mut Reader<'_>) -> Option<usize> {
+    usize::try_from(r.u64()?).ok()
 }
 
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) {
-    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
-    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+/// The inverse of [`put_vec`]. The length is checked against the bytes
+/// that are left before anything is allocated (`Reader::vec`).
+fn get_vec<T: LeScalar>(r: &mut Reader<'_>) -> Result<Vec<T>, CkptError> {
+    get_len(r).and_then(|n| r.vec(n)).ok_or(CkptError::Truncated)
 }
 
 fn read_matrix(r: &mut Reader<'_>) -> Result<Matrix, CkptError> {
-    let rows = r.u64()? as usize;
-    let cols = r.u64()? as usize;
-    let data = r.f32_vec()?;
+    let rows = get_len(r).ok_or(CkptError::Truncated)?;
+    let cols = get_len(r).ok_or(CkptError::Truncated)?;
+    let data: Vec<f32> = get_vec(r)?;
     // Checked product: a crafted rows×cols header must not overflow the
     // shape arithmetic before the comparison rejects it.
     if rows.checked_mul(cols) != Some(data.len()) {
@@ -292,30 +236,22 @@ fn read_matrix(r: &mut Reader<'_>) -> Result<Matrix, CkptError> {
 }
 
 fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
-    out.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-    out.extend_from_slice(&(m.cols() as u64).to_le_bytes());
-    put_f32s(out, m.raw());
+    put_le(out, &[m.rows() as u64, m.cols() as u64]);
+    put_vec(out, m.raw());
 }
 
 impl Checkpoint {
     /// Serialize to the framed, checksummed on-disk format.
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        p.extend_from_slice(&self.seed.to_le_bytes());
-        p.extend_from_slice(&(self.fanouts.len() as u64).to_le_bytes());
-        for &f in &self.fanouts {
-            p.extend_from_slice(&(f as u64).to_le_bytes());
-        }
-        p.extend_from_slice(&self.batches_fingerprint.to_le_bytes());
-        p.extend_from_slice(&self.num_batches.to_le_bytes());
-        p.extend_from_slice(&self.cursor.to_le_bytes());
-        put_f32s(&mut p, &self.params);
-        p.extend_from_slice(&self.opt.lr.to_le_bytes());
-        p.extend_from_slice(&self.opt.beta1.to_le_bytes());
-        p.extend_from_slice(&self.opt.beta2.to_le_bytes());
-        p.extend_from_slice(&self.opt.eps.to_le_bytes());
+        put_le(&mut p, &[self.seed]);
+        let fanouts: Vec<u64> = self.fanouts.iter().map(|&f| f as u64).collect();
+        put_vec(&mut p, &fanouts);
+        put_le(&mut p, &[self.batches_fingerprint, self.num_batches, self.cursor]);
+        put_vec(&mut p, &self.params);
+        put_le(&mut p, &[self.opt.lr, self.opt.beta1, self.opt.beta2, self.opt.eps]);
         p.extend_from_slice(&(self.opt.t as i64).to_le_bytes());
-        p.extend_from_slice(&(self.opt.moments.len() as u64).to_le_bytes());
+        put_le(&mut p, &[self.opt.moments.len() as u64]);
         for slot in &self.opt.moments {
             match slot {
                 None => p.push(0),
@@ -326,85 +262,73 @@ impl Checkpoint {
                 }
             }
         }
-        put_f32s(&mut p, &self.losses);
-        put_u64s(&mut p, &self.train_order);
-        put_u64s(&mut p, &self.digests);
+        put_vec(&mut p, &self.losses);
+        put_vec(&mut p, &self.train_order);
+        put_vec(&mut p, &self.digests);
 
         let mut out = Vec::with_capacity(HEADER_LEN + p.len() + CHECKSUM_LEN);
         out.extend_from_slice(CKPT_MAGIC);
         out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(p.len() as u64).to_le_bytes());
+        put_le(&mut out, &[p.len() as u64]);
         out.extend_from_slice(&p);
         let sum = fnv1a_64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        put_le(&mut out, &[sum]);
         out
     }
 
     /// Decode a file produced by [`Checkpoint::encode`]. Any truncation,
     /// bit flip, trailing garbage, or foreign file is a typed error.
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        if bytes.len() < 8 {
-            return Err(CkptError::Truncated);
-        }
-        if &bytes[..8] != CKPT_MAGIC {
+        use CkptError::Truncated;
+        let mut file = Reader::new(bytes);
+        if file.take(CKPT_MAGIC.len()).ok_or(Truncated)? != CKPT_MAGIC {
             return Err(CkptError::BadMagic);
         }
-        if bytes.len() < HEADER_LEN {
-            return Err(CkptError::Truncated);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        let version = file.u32().ok_or(Truncated)?;
+        let payload_len = get_len(&mut file).ok_or(Truncated)?;
         if version != CKPT_VERSION {
             return Err(CkptError::BadVersion { found: version });
         }
-        let payload_len =
-            u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().unwrap()) as usize;
-        let total = HEADER_LEN
-            .checked_add(payload_len)
-            .and_then(|t| t.checked_add(CHECKSUM_LEN))
-            .ok_or(CkptError::Truncated)?;
-        if bytes.len() < total {
-            return Err(CkptError::Truncated);
-        }
-        if bytes.len() > total {
+        let payload = file.take(payload_len).ok_or(Truncated)?;
+        let found = file.u64().ok_or(Truncated)?;
+        let summed = HEADER_LEN + payload.len();
+        if file.finish().is_none() {
             return Err(CkptError::Mismatch(format!(
                 "{} trailing bytes after checksum",
-                bytes.len() - total
+                bytes.len() - summed - CHECKSUM_LEN
             )));
         }
-        let expected = fnv1a_64(&bytes[..total - CHECKSUM_LEN]);
-        let found = u64::from_le_bytes(bytes[total - CHECKSUM_LEN..].try_into().unwrap());
+        let expected = fnv1a_64(&bytes[..summed]);
         if expected != found {
             return Err(CkptError::ChecksumMismatch { expected, found });
         }
 
-        let mut r = Reader { bytes: &bytes[HEADER_LEN..total - CHECKSUM_LEN], pos: 0 };
-        let seed = r.u64()?;
-        let nf = r.u64()? as usize;
+        let mut r = Reader::new(payload);
+        let seed = r.u64().ok_or(Truncated)?;
+        let nf = get_len(&mut r).ok_or(Truncated)?;
         if nf > 64 {
             return Err(CkptError::Mismatch(format!("implausible fanout count {nf}")));
         }
-        let mut fanouts = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            fanouts.push(r.u64()? as usize);
-        }
-        let batches_fingerprint = r.u64()?;
-        let num_batches = r.u64()?;
-        let cursor = r.u64()?;
-        let params = r.f32_vec()?;
+        let fanouts: Vec<u64> = r.vec(nf).ok_or(Truncated)?;
+        let fanouts = fanouts.into_iter().map(|f| f as usize).collect();
+        let batches_fingerprint = r.u64().ok_or(Truncated)?;
+        let num_batches = r.u64().ok_or(Truncated)?;
+        let cursor = r.u64().ok_or(Truncated)?;
+        let params = get_vec(&mut r)?;
         let opt = {
-            let lr = r.f32()?;
-            let beta1 = r.f32()?;
-            let beta2 = r.f32()?;
-            let eps = r.f32()?;
-            let t = i32::try_from(r.i64()?)
+            let lr = r.f32().ok_or(Truncated)?;
+            let beta1 = r.f32().ok_or(Truncated)?;
+            let beta2 = r.f32().ok_or(Truncated)?;
+            let eps = r.f32().ok_or(Truncated)?;
+            let t = i32::try_from(r.i64().ok_or(Truncated)?)
                 .map_err(|_| CkptError::Mismatch("optimizer step does not fit i32".into()))?;
-            let slots = r.u64()? as usize;
+            let slots = get_len(&mut r).ok_or(Truncated)?;
             if slots > 1 << 20 {
                 return Err(CkptError::Mismatch(format!("implausible slot count {slots}")));
             }
-            let mut moments = Vec::with_capacity(slots);
+            let mut moments = Vec::new();
             for _ in 0..slots {
-                moments.push(match r.u8()? {
+                moments.push(match r.u8().ok_or(Truncated)? {
                     0 => None,
                     1 => Some((read_matrix(&mut r)?, read_matrix(&mut r)?)),
                     tag => {
@@ -414,14 +338,11 @@ impl Checkpoint {
             }
             AdamState { lr, beta1, beta2, eps, t, moments }
         };
-        let losses = r.f32_vec()?;
-        let train_order = r.u64_vec()?;
-        let digests = r.u64_vec()?;
-        if r.pos != r.bytes.len() {
-            return Err(CkptError::Mismatch(format!(
-                "{} unread payload bytes",
-                r.bytes.len() - r.pos
-            )));
+        let losses = get_vec(&mut r)?;
+        let train_order = get_vec(&mut r)?;
+        let digests = get_vec(&mut r)?;
+        if r.finish().is_none() {
+            return Err(CkptError::Mismatch("payload bytes left over after the last field".into()));
         }
         let ckpt = Checkpoint {
             seed,

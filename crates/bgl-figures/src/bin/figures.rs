@@ -21,7 +21,7 @@
 //! (`profile_trace.json`, loadable in Perfetto / `about:tracing`) there.
 
 use bgl_figures::*;
-use bgl::config::GnnModelKind;
+use bgl::config::ModelKind;
 use bgl::experiments::{DatasetId, ExperimentCtx};
 use bgl::report::to_json;
 use bgl::systems::SystemKind;
@@ -208,9 +208,9 @@ fn main() {
         let (epochs, hidden) = if small { (3, 16) } else { (10, 32) };
         let mut rows = Vec::new();
         let models = if small {
-            vec![GnnModelKind::GraphSage]
+            vec![ModelKind::GraphSage]
         } else {
-            vec![GnnModelKind::Gcn, GnnModelKind::GraphSage, GnnModelKind::Gat]
+            vec![ModelKind::Gcn, ModelKind::GraphSage, ModelKind::Gat]
         };
         for model in models {
             rows.extend(acc_ctx.accuracy_experiment(DatasetId::Products, model, epochs, hidden));

@@ -307,7 +307,7 @@ pub fn render_curves(rows: &[AccuracyRow]) -> String {
 mod tests {
     use super::*;
     use bgl::experiments::{DatasetId, ExperimentCtx};
-    use bgl::config::GnnModelKind;
+    use bgl::config::ModelKind;
     use bgl::systems::SystemKind;
 
     #[test]
@@ -316,7 +316,7 @@ mod tests {
         let row = ctx.throughput(
             DatasetId::Products,
             SystemKind::Bgl,
-            GnnModelKind::Gcn,
+            ModelKind::Gcn,
             1,
         );
         let s = render_throughput(&[row]);

@@ -110,7 +110,7 @@ impl<'a> Trainer<'a> {
                 let labels: Vec<u16> =
                     seeds.iter().map(|&v| ds.labels[v as usize]).collect();
                 let (loss, acc) =
-                    model.train_step(&batch, &input, &labels, opt.as_optimizer());
+                    model.train_step(&batch, &input, &labels, &mut opt);
                 loss_sum += loss as f64;
                 acc_sum += acc;
                 count += 1;
@@ -152,18 +152,6 @@ impl<'a> Trainer<'a> {
 /// Gather input-frontier features into a matrix.
 pub fn gather_input(ds: &Dataset, nodes: &[bgl_graph::NodeId]) -> Matrix {
     Matrix::from_vec(nodes.len(), ds.features.dim(), ds.features.gather(nodes))
-}
-
-/// Small helper so `Adam` can be passed as `&mut dyn Optimizer` without the
-/// caller importing the trait.
-trait AsOptimizer {
-    fn as_optimizer(&mut self) -> &mut dyn bgl_tensor::Optimizer;
-}
-
-impl AsOptimizer for Adam {
-    fn as_optimizer(&mut self) -> &mut dyn bgl_tensor::Optimizer {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -150,8 +150,9 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// A scalar as stored: `f32`, or binary16 bits in a `u16`. Its fixed-width
-/// little-endian image is what pages and wire frames hold.
+/// A scalar as stored: `f32`, binary16 bits in a `u16`, or the `u32` ids and
+/// `u64` digests the codecs move as vectors. Its fixed-width little-endian
+/// image is what pages, wire frames and checkpoints hold.
 pub trait LeScalar: Copy {
     /// Bytes of one scalar's image.
     const BYTES: usize;
@@ -161,29 +162,22 @@ pub trait LeScalar: Copy {
     fn get_le(bytes: &[u8]) -> Self;
 }
 
-impl LeScalar for f32 {
-    const BYTES: usize = 4;
-    #[inline]
-    fn put_le(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_le_bytes());
-    }
-    #[inline]
-    fn get_le(bytes: &[u8]) -> f32 {
-        f32::from_le_bytes(bytes.try_into().expect("a 4-byte chunk"))
-    }
+macro_rules! le_scalars {
+    ($($t:ty),*) => {$(
+        impl LeScalar for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get_le(bytes: &[u8]) -> $t {
+                <$t>::from_le_bytes(bytes.try_into().expect("a BYTES-long chunk"))
+            }
+        }
+    )*};
 }
-
-impl LeScalar for u16 {
-    const BYTES: usize = 2;
-    #[inline]
-    fn put_le(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_le_bytes());
-    }
-    #[inline]
-    fn get_le(bytes: &[u8]) -> u16 {
-        u16::from_le_bytes(bytes.try_into().expect("a 2-byte chunk"))
-    }
-}
+le_scalars!(f32, u16, u32, u64);
 
 /// Write `src` into `out` as consecutive little-endian images, in one pass.
 ///

@@ -27,6 +27,9 @@
 //!   halves feature bytes on the wire, in caches and on disk, and
 //!   [`half::RowBuf`], the one in-memory representation of a stored row
 //!   that pages, frames, blocks and cache slots all hold.
+//! * [`le`] — the one little-endian cursor every wire and disk decoder
+//!   reads through, where the single length check against untrusted input
+//!   lives.
 //! * [`hash`] — the one FNV-1a-64 checksum and the one `mix64` integer
 //!   mixer every durable format, digest and seeded draw shares.
 //! * [`FeatureBlock`] — arena-backed feature rows: decoded fetch buffers are
@@ -45,6 +48,7 @@ pub mod features;
 pub mod generate;
 pub mod half;
 pub mod hash;
+pub mod le;
 pub mod subgraph;
 pub mod traversal;
 

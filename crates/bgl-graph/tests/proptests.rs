@@ -254,8 +254,10 @@ proptest! {
         let buf: Vec<f32> = (0..seg_rows * dim).map(|i| i as f32 + 0.5).collect();
         let seg = b.adopt_segment(buf.clone());
         let mut placed = vec![None; rows];
+        // Reduced first: `seed + r * 7` overflows for seeds near u64::MAX.
+        let start = seed as usize % rows;
         for r in 0..seg_rows {
-            let pos = (seed as usize + r * 7) % rows;
+            let pos = (start + r * 7) % rows;
             b.place(pos, seg, r);
             placed[pos] = Some(r);
         }
@@ -280,6 +282,141 @@ proptest! {
         for (i, &v) in ids.iter().enumerate() {
             prop_assert_eq!(&gathered[i * dim..(i + 1) * dim], f.row(v));
         }
+    }
+}
+
+/// One step of a read script against `bgl_graph::le::Reader`.
+#[derive(Clone, Debug)]
+enum Read {
+    U8,
+    U32,
+    U64,
+    I64,
+    F32,
+    Take(usize),
+    VecU16(usize),
+    VecU32(usize),
+    VecU64(usize),
+    VecF32(usize),
+    Finish,
+}
+
+fn arb_read() -> impl Strategy<Value = Read> {
+    // Counts are mostly small (so scripts get somewhere) and sometimes any
+    // usize at all (so the multiply-by-width and the comparison both see
+    // values that would overflow or wrap a `pos + n`).
+    let n = || prop_oneof![0usize..12, 0usize..12, any::<usize>()];
+    prop_oneof![
+        Just(Read::U8),
+        Just(Read::U32),
+        Just(Read::U64),
+        Just(Read::I64),
+        Just(Read::F32),
+        n().prop_map(Read::Take),
+        n().prop_map(Read::VecU16),
+        n().prop_map(Read::VecU32),
+        n().prop_map(Read::VecU64),
+        n().prop_map(Read::VecF32),
+        Just(Read::Finish),
+    ]
+}
+
+proptest! {
+    /// The cursor against a plain model (an offset into the input): any
+    /// script over any bytes never panics; a read succeeds exactly when the
+    /// bytes it needs are left, returns those bytes' little-endian value and
+    /// consumes nothing when it fails; and no vector it returns holds (or
+    /// has reserved) more than the input could back.
+    #[test]
+    fn cursor_follows_its_model_on_arbitrary_bytes_and_scripts(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        script in proptest::collection::vec(arb_read(), 0..24),
+    ) {
+        use bgl_graph::half::LeScalar;
+        use bgl_graph::le::Reader;
+
+        fn check_vec<T: LeScalar + PartialEq + std::fmt::Debug>(
+            got: Option<Vec<T>>,
+            rest: &[u8],
+            n: usize,
+        ) -> Result<usize, TestCaseError> {
+            let need = n.checked_mul(T::BYTES).filter(|&b| b <= rest.len());
+            prop_assert_eq!(got.is_some(), need.is_some());
+            if let (Some(v), Some(need)) = (got, need) {
+                prop_assert_eq!(v.len(), n);
+                prop_assert!(v.capacity() * T::BYTES <= rest.len(), "reserved past the input");
+                let want: Vec<T> = rest[..need].chunks_exact(T::BYTES).map(T::get_le).collect();
+                prop_assert_eq!(v, want);
+            }
+            Ok(need.unwrap_or(0))
+        }
+
+        let mut r = Reader::new(&bytes);
+        let mut at = 0usize;
+        for step in script {
+            let rest = &bytes[at..];
+            let fixed = |n: usize| rest.get(..n);
+            at += match step {
+                Read::U8 => {
+                    prop_assert_eq!(r.u8(), fixed(1).map(|b| b[0]));
+                    fixed(1).map_or(0, <[u8]>::len)
+                }
+                Read::U32 => {
+                    let want = fixed(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()));
+                    prop_assert_eq!(r.u32(), want);
+                    fixed(4).map_or(0, <[u8]>::len)
+                }
+                Read::U64 => {
+                    let want = fixed(8).map(|b| u64::from_le_bytes(b.try_into().unwrap()));
+                    prop_assert_eq!(r.u64(), want);
+                    fixed(8).map_or(0, <[u8]>::len)
+                }
+                Read::I64 => {
+                    let want = fixed(8).map(|b| i64::from_le_bytes(b.try_into().unwrap()));
+                    prop_assert_eq!(r.i64(), want);
+                    fixed(8).map_or(0, <[u8]>::len)
+                }
+                Read::F32 => {
+                    let want = fixed(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()));
+                    prop_assert_eq!(r.f32().map(f32::to_bits), want);
+                    fixed(4).map_or(0, <[u8]>::len)
+                }
+                Read::Take(n) => {
+                    prop_assert_eq!(r.take(n), fixed(n));
+                    fixed(n).map_or(0, <[u8]>::len)
+                }
+                Read::VecU16(n) => check_vec(r.vec::<u16>(n), rest, n)?,
+                Read::VecU32(n) => check_vec(r.vec::<u32>(n), rest, n)?,
+                Read::VecU64(n) => check_vec(r.vec::<u64>(n), rest, n)?,
+                Read::VecF32(n) => {
+                    let got = r.vec::<f32>(n).map(|v| v.into_iter().map(f32::to_bits).collect());
+                    check_vec::<u32>(got, rest, n)?
+                }
+                Read::Finish => {
+                    prop_assert_eq!(r.finish().is_some(), rest.is_empty());
+                    0
+                }
+            };
+        }
+    }
+
+    /// Counts whose byte size overflows, or merely dwarfs any input, are the
+    /// short error at every width — decided before anything is allocated.
+    #[test]
+    fn cursor_refuses_huge_counts_without_allocating(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        shift in 0u32..4,
+    ) {
+        use bgl_graph::le::Reader;
+        let n = usize::MAX >> shift; // MAX, MAX/2, MAX/4, MAX/8
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(r.take(n), None);
+        prop_assert_eq!(r.vec::<u16>(n), None);
+        prop_assert_eq!(r.vec::<u32>(n), None);
+        prop_assert_eq!(r.vec::<f32>(n), None);
+        prop_assert_eq!(r.vec::<u64>(n), None);
+        // Nothing was consumed by the refusals.
+        prop_assert_eq!(r.take(bytes.len()), Some(&bytes[..]));
     }
 }
 

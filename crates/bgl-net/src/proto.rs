@@ -23,10 +23,20 @@
 //!
 //! There is deliberately no goodbye frame — close is a socket close — so
 //! byte counters on both sides reconcile exactly.
+//!
+//! Every payload codec here reads through `bgl_graph::le::Reader` and ends
+//! with its `finish()`: a payload is exactly its value, and bytes after it
+//! are [`TRAILING`], for the handshake, control ops, stats and the error
+//! codec alike.
 
 use crate::NetError;
+use bgl_graph::le::{put_count, put_le, Reader};
 use bgl_store::StoreError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+
+/// What every payload decoder in this crate says about bytes left over
+/// after a complete value: payloads are exact-length, on both planes.
+pub(crate) const TRAILING: NetError = NetError::Malformed("trailing bytes");
 
 /// First bytes of every connection: `"BGLN"` little-endian.
 pub const MAGIC: u32 = 0x4E4C4742;
@@ -133,18 +143,21 @@ impl Hello {
 
     /// Encode the payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8);
-        buf.put_u32_le(self.magic);
-        buf.put_u32_le(self.version);
-        buf.freeze()
+        let mut out = Vec::with_capacity(8);
+        put_le(&mut out, &[self.magic, self.version]);
+        out.into()
     }
 
-    /// Decode the payload.
-    pub fn decode(mut buf: Bytes) -> Result<Hello, NetError> {
-        if buf.remaining() < 8 {
-            return Err(NetError::Malformed("short hello"));
-        }
-        Ok(Hello { magic: buf.get_u32_le(), version: buf.get_u32_le() })
+    /// Decode the payload. Exact-length like every other payload: a longer
+    /// hello from some future version loses nothing by it, because the
+    /// listener answers a malformed hello and a wrong-version hello with the
+    /// same refusal frame.
+    pub fn decode(buf: Bytes) -> Result<Hello, NetError> {
+        const SHORT: NetError = NetError::Malformed("short hello");
+        let mut r = Reader::new(&buf);
+        let hello = Hello { magic: r.u32().ok_or(SHORT)?, version: r.u32().ok_or(SHORT)? };
+        r.finish().ok_or(TRAILING)?;
+        Ok(hello)
     }
 }
 
@@ -166,25 +179,23 @@ pub struct HelloAck {
 impl HelloAck {
     /// Encode the payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u32_le(self.version);
-        buf.put_u32_le(self.server_id);
-        buf.put_u32_le(self.num_servers);
-        buf.put_u32_le(self.feature_dim);
-        buf.freeze()
+        let mut out = Vec::with_capacity(16);
+        put_le(&mut out, &[self.version, self.server_id, self.num_servers, self.feature_dim]);
+        out.into()
     }
 
     /// Decode the payload.
-    pub fn decode(mut buf: Bytes) -> Result<HelloAck, NetError> {
-        if buf.remaining() < 16 {
-            return Err(NetError::Malformed("short hello ack"));
-        }
-        Ok(HelloAck {
-            version: buf.get_u32_le(),
-            server_id: buf.get_u32_le(),
-            num_servers: buf.get_u32_le(),
-            feature_dim: buf.get_u32_le(),
-        })
+    pub fn decode(buf: Bytes) -> Result<HelloAck, NetError> {
+        const SHORT: NetError = NetError::Malformed("short hello ack");
+        let mut r = Reader::new(&buf);
+        let ack = HelloAck {
+            version: r.u32().ok_or(SHORT)?,
+            server_id: r.u32().ok_or(SHORT)?,
+            num_servers: r.u32().ok_or(SHORT)?,
+            feature_dim: r.u32().ok_or(SHORT)?,
+        };
+        r.finish().ok_or(TRAILING)?;
+        Ok(ack)
     }
 }
 
@@ -201,12 +212,14 @@ pub enum ControlOp {
     /// App-level down flag: the server keeps its socket but rejects every
     /// request with `ServerDown` (matches the in-process injection).
     SetDown(bool),
-    /// Propagate the replication layout.
+    /// Propagate the replication layout. The fields are the width they
+    /// travel at, so a layout that does not fit is refused where it is
+    /// built (`TcpTransport::set_replication`), not narrowed here.
     SetReplication {
         /// Replica count r.
-        replication: usize,
+        replication: u32,
         /// Cluster size n.
-        num_servers: usize,
+        num_servers: u32,
     },
     /// Ask for load counters; answered with a [`StatsReply`] payload.
     Stats,
@@ -221,56 +234,45 @@ pub enum ControlOp {
 impl ControlOp {
     /// Encode the payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
+        let mut out = Vec::with_capacity(9);
         match self {
-            ControlOp::SetDown(down) => {
-                buf.put_u8(CTRL_SET_DOWN);
-                buf.put_u8(u8::from(*down));
-            }
+            ControlOp::SetDown(down) => out.extend_from_slice(&[CTRL_SET_DOWN, u8::from(*down)]),
             ControlOp::SetReplication { replication, num_servers } => {
-                buf.put_u8(CTRL_SET_REPLICATION);
-                buf.put_u32_le(*replication as u32);
-                buf.put_u32_le(*num_servers as u32);
+                out.push(CTRL_SET_REPLICATION);
+                put_le(&mut out, &[*replication, *num_servers]);
             }
-            ControlOp::Stats => buf.put_u8(CTRL_STATS),
+            ControlOp::Stats => out.push(CTRL_STATS),
             ControlOp::SetSlow { micros } => {
-                buf.put_u8(CTRL_SET_SLOW);
-                buf.put_u64_le(*micros);
+                out.push(CTRL_SET_SLOW);
+                put_le(&mut out, &[*micros]);
             }
         }
-        buf.freeze()
+        out.into()
     }
 
     /// Decode the payload.
-    pub fn decode(mut buf: Bytes) -> Result<ControlOp, NetError> {
-        if buf.remaining() < 1 {
-            return Err(NetError::Malformed("empty control payload"));
-        }
-        match buf.get_u8() {
+    pub fn decode(buf: Bytes) -> Result<ControlOp, NetError> {
+        use NetError::Malformed;
+        let mut r = Reader::new(&buf);
+        let op = match r.u8().ok_or(Malformed("empty control payload"))? {
             CTRL_SET_DOWN => {
-                if buf.remaining() < 1 {
-                    return Err(NetError::Malformed("short set-down payload"));
-                }
-                Ok(ControlOp::SetDown(buf.get_u8() != 0))
+                ControlOp::SetDown(r.u8().ok_or(Malformed("short set-down payload"))? != 0)
             }
             CTRL_SET_REPLICATION => {
-                if buf.remaining() < 8 {
-                    return Err(NetError::Malformed("short set-replication payload"));
+                const SHORT: NetError = Malformed("short set-replication payload");
+                ControlOp::SetReplication {
+                    replication: r.u32().ok_or(SHORT)?,
+                    num_servers: r.u32().ok_or(SHORT)?,
                 }
-                Ok(ControlOp::SetReplication {
-                    replication: buf.get_u32_le() as usize,
-                    num_servers: buf.get_u32_le() as usize,
-                })
             }
-            CTRL_STATS => Ok(ControlOp::Stats),
+            CTRL_STATS => ControlOp::Stats,
             CTRL_SET_SLOW => {
-                if buf.remaining() < 8 {
-                    return Err(NetError::Malformed("short set-slow payload"));
-                }
-                Ok(ControlOp::SetSlow { micros: buf.get_u64_le() })
+                ControlOp::SetSlow { micros: r.u64().ok_or(Malformed("short set-slow payload"))? }
             }
-            _ => Err(NetError::Malformed("unknown control op")),
-        }
+            _ => return Err(Malformed("unknown control op")),
+        };
+        r.finish().ok_or(TRAILING)?;
+        Ok(op)
     }
 }
 
@@ -286,21 +288,21 @@ pub struct StatsReply {
 impl StatsReply {
     /// Encode the payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u64_le(self.requests_served);
-        buf.put_u64_le(self.nodes_sampled);
-        buf.freeze()
+        let mut out = Vec::with_capacity(16);
+        put_le(&mut out, &[self.requests_served, self.nodes_sampled]);
+        out.into()
     }
 
     /// Decode the payload.
-    pub fn decode(mut buf: Bytes) -> Result<StatsReply, NetError> {
-        if buf.remaining() < 16 {
-            return Err(NetError::Malformed("short stats payload"));
-        }
-        Ok(StatsReply {
-            requests_served: buf.get_u64_le(),
-            nodes_sampled: buf.get_u64_le(),
-        })
+    pub fn decode(buf: Bytes) -> Result<StatsReply, NetError> {
+        const SHORT: NetError = NetError::Malformed("short stats payload");
+        let mut r = Reader::new(&buf);
+        let stats = StatsReply {
+            requests_served: r.u64().ok_or(SHORT)?,
+            nodes_sampled: r.u64().ok_or(SHORT)?,
+        };
+        r.finish().ok_or(TRAILING)?;
+        Ok(stats)
     }
 }
 
@@ -365,7 +367,7 @@ const KNOWN_MALFORMED: &[&str] = &[
     "migrate adjacency mismatch",
     "migrate row dim mismatch",
     "tombstone before commit",
-    "migrate frame length mismatch",
+    "trailing bytes",
     "truncated migrate row",
     "migrate dest",
     "migrate owner",
@@ -401,146 +403,100 @@ const KNOWN_TOO_LARGE: &[&str] = &[
     "node id space",
     "migrate row len",
     "migrate neighbor count",
+    "replication layout",
 ];
+
+/// Start an error payload: the code byte and the fixed `u32` words after it.
+fn coded(code: u8, words: &[u32]) -> Vec<u8> {
+    let mut out = vec![code];
+    put_le(&mut out, words);
+    out
+}
+
+/// An error that carries a label: the code, the label's length, its bytes.
+fn labelled(code: u8, what: &'static str) -> Vec<u8> {
+    let mut out = vec![code];
+    put_count(&mut out, what.len()).expect("a static label is shorter than 4 GiB");
+    out.extend_from_slice(what.as_bytes());
+    out
+}
 
 /// Encode a [`StoreError`] for an `Err` frame payload.
 pub fn encode_store_error(e: &StoreError) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16);
     match e {
-        StoreError::ServerDown(s) => {
-            buf.put_u8(ERR_SERVER_DOWN);
-            buf.put_u32_le(*s as u32);
-        }
-        StoreError::RequestDropped(s) => {
-            buf.put_u8(ERR_REQUEST_DROPPED);
-            buf.put_u32_le(*s as u32);
-        }
-        StoreError::CorruptFrame(s) => {
-            buf.put_u8(ERR_CORRUPT_FRAME);
-            buf.put_u32_le(*s as u32);
-        }
-        StoreError::NotOwned { node, server } => {
-            buf.put_u8(ERR_NOT_OWNED);
-            buf.put_u32_le(*node);
-            buf.put_u32_le(*server as u32);
-        }
-        StoreError::Malformed(what) => {
-            buf.put_u8(ERR_MALFORMED);
-            buf.put_u32_le(what.len() as u32);
-            buf.put_slice(what.as_bytes());
-        }
-        StoreError::InvalidNode(v) => {
-            buf.put_u8(ERR_INVALID_NODE);
-            buf.put_u32_le(*v);
-        }
-        StoreError::InvalidServer(s) => {
-            buf.put_u8(ERR_INVALID_SERVER);
-            buf.put_u32_le(*s as u32);
-        }
-        StoreError::EmptyCluster => buf.put_u8(ERR_EMPTY_CLUSTER),
-        StoreError::DeadlineExceeded => buf.put_u8(ERR_DEADLINE_EXCEEDED),
+        StoreError::ServerDown(s) => coded(ERR_SERVER_DOWN, &[*s as u32]),
+        StoreError::RequestDropped(s) => coded(ERR_REQUEST_DROPPED, &[*s as u32]),
+        StoreError::CorruptFrame(s) => coded(ERR_CORRUPT_FRAME, &[*s as u32]),
+        StoreError::NotOwned { node, server } => coded(ERR_NOT_OWNED, &[*node, *server as u32]),
+        StoreError::Malformed(what) => labelled(ERR_MALFORMED, what),
+        StoreError::InvalidNode(v) => coded(ERR_INVALID_NODE, &[*v]),
+        StoreError::InvalidServer(s) => coded(ERR_INVALID_SERVER, &[*s as u32]),
+        StoreError::EmptyCluster => coded(ERR_EMPTY_CLUSTER, &[]),
+        StoreError::DeadlineExceeded => coded(ERR_DEADLINE_EXCEEDED, &[]),
         StoreError::AllReplicasFailed { node_owner } => {
-            buf.put_u8(ERR_ALL_REPLICAS_FAILED);
-            buf.put_u32_le(*node_owner as u32);
+            coded(ERR_ALL_REPLICAS_FAILED, &[*node_owner as u32])
         }
-        StoreError::Storage(what) => {
-            buf.put_u8(ERR_STORAGE);
-            buf.put_u32_le(what.len() as u32);
-            buf.put_slice(what.as_bytes());
-        }
-        StoreError::TooLarge(what) => {
-            buf.put_u8(ERR_TOO_LARGE);
-            buf.put_u32_le(what.len() as u32);
-            buf.put_slice(what.as_bytes());
-        }
-        StoreError::NotOwner { node, owner } => {
-            buf.put_u8(ERR_NOT_OWNER);
-            buf.put_u32_le(*node);
-            buf.put_u32_le(*owner);
-        }
+        StoreError::Storage(what) => labelled(ERR_STORAGE, what),
+        StoreError::TooLarge(what) => labelled(ERR_TOO_LARGE, what),
+        StoreError::NotOwner { node, owner } => coded(ERR_NOT_OWNER, &[*node, *owner]),
     }
-    buf.freeze()
+    .into()
 }
 
 /// Decode an `Err` frame payload back into a [`StoreError`].
-pub fn decode_store_error(mut buf: Bytes) -> Result<StoreError, NetError> {
-    if buf.remaining() < 1 {
-        return Err(NetError::Malformed("empty error payload"));
-    }
-    let tag = buf.get_u8();
-    fn get_u32(buf: &mut Bytes) -> Result<u32, NetError> {
-        if buf.remaining() < 4 {
-            return Err(NetError::Malformed("short error payload"));
+pub fn decode_store_error(buf: Bytes) -> Result<StoreError, NetError> {
+    const SHORT: NetError = NetError::Malformed("short error payload");
+    let mut r = Reader::new(&buf);
+    // A label travels as text; it comes back as the entry of `known` it
+    // equals, or as `unknown` when a newer peer said something else.
+    let label = |r: &mut Reader<'_>, known: &[&'static str], unknown: &'static str| {
+        let len = r.u32().ok_or(SHORT)? as usize;
+        let raw = r.take(len).ok_or(SHORT)?;
+        Ok(known.iter().copied().find(|k| k.as_bytes() == raw).unwrap_or(unknown))
+    };
+    let e = match r.u8().ok_or(NetError::Malformed("empty error payload"))? {
+        ERR_SERVER_DOWN => StoreError::ServerDown(r.u32().ok_or(SHORT)? as usize),
+        ERR_REQUEST_DROPPED => StoreError::RequestDropped(r.u32().ok_or(SHORT)? as usize),
+        ERR_CORRUPT_FRAME => StoreError::CorruptFrame(r.u32().ok_or(SHORT)? as usize),
+        ERR_NOT_OWNED => StoreError::NotOwned {
+            node: r.u32().ok_or(SHORT)?,
+            server: r.u32().ok_or(SHORT)? as usize,
+        },
+        ERR_MALFORMED => StoreError::Malformed(label(
+            &mut r,
+            KNOWN_MALFORMED,
+            "malformed (reported by remote)",
+        )?),
+        ERR_INVALID_NODE => StoreError::InvalidNode(r.u32().ok_or(SHORT)?),
+        ERR_INVALID_SERVER => StoreError::InvalidServer(r.u32().ok_or(SHORT)? as usize),
+        ERR_EMPTY_CLUSTER => StoreError::EmptyCluster,
+        ERR_DEADLINE_EXCEEDED => StoreError::DeadlineExceeded,
+        ERR_ALL_REPLICAS_FAILED => {
+            StoreError::AllReplicasFailed { node_owner: r.u32().ok_or(SHORT)? as usize }
         }
-        Ok(buf.get_u32_le())
-    }
-    match tag {
-        ERR_SERVER_DOWN => Ok(StoreError::ServerDown(get_u32(&mut buf)? as usize)),
-        ERR_REQUEST_DROPPED => Ok(StoreError::RequestDropped(get_u32(&mut buf)? as usize)),
-        ERR_CORRUPT_FRAME => Ok(StoreError::CorruptFrame(get_u32(&mut buf)? as usize)),
-        ERR_NOT_OWNED => {
-            let node = get_u32(&mut buf)?;
-            let server = get_u32(&mut buf)? as usize;
-            Ok(StoreError::NotOwned { node, server })
-        }
-        ERR_MALFORMED => {
-            let len = get_u32(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(NetError::Malformed("short error payload"));
-            }
-            let raw = buf.to_vec();
-            let what = KNOWN_MALFORMED
-                .iter()
-                .find(|k| k.as_bytes() == &raw[..len])
-                .copied()
-                .unwrap_or("malformed (reported by remote)");
-            Ok(StoreError::Malformed(what))
-        }
-        ERR_INVALID_NODE => Ok(StoreError::InvalidNode(get_u32(&mut buf)?)),
-        ERR_INVALID_SERVER => Ok(StoreError::InvalidServer(get_u32(&mut buf)? as usize)),
-        ERR_EMPTY_CLUSTER => Ok(StoreError::EmptyCluster),
-        ERR_DEADLINE_EXCEEDED => Ok(StoreError::DeadlineExceeded),
-        ERR_ALL_REPLICAS_FAILED => Ok(StoreError::AllReplicasFailed {
-            node_owner: get_u32(&mut buf)? as usize,
-        }),
-        ERR_STORAGE => {
-            let len = get_u32(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(NetError::Malformed("short error payload"));
-            }
-            let raw = buf.to_vec();
-            let what = KNOWN_STORAGE
-                .iter()
-                .find(|k| k.as_bytes() == &raw[..len])
-                .copied()
-                .unwrap_or("storage error (reported by remote)");
-            Ok(StoreError::Storage(what))
-        }
-        ERR_TOO_LARGE => {
-            let len = get_u32(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(NetError::Malformed("short error payload"));
-            }
-            let raw = buf.to_vec();
-            let what = KNOWN_TOO_LARGE
-                .iter()
-                .find(|k| k.as_bytes() == &raw[..len])
-                .copied()
-                .unwrap_or("too large (reported by remote)");
-            Ok(StoreError::TooLarge(what))
-        }
+        ERR_STORAGE => StoreError::Storage(label(
+            &mut r,
+            KNOWN_STORAGE,
+            "storage error (reported by remote)",
+        )?),
+        ERR_TOO_LARGE => StoreError::TooLarge(label(
+            &mut r,
+            KNOWN_TOO_LARGE,
+            "too large (reported by remote)",
+        )?),
         ERR_NOT_OWNER => {
-            let node = get_u32(&mut buf)?;
-            let owner = get_u32(&mut buf)?;
-            Ok(StoreError::NotOwner { node, owner })
+            StoreError::NotOwner { node: r.u32().ok_or(SHORT)?, owner: r.u32().ok_or(SHORT)? }
         }
-        _ => Err(NetError::Malformed("unknown error code")),
-    }
+        _ => return Err(NetError::Malformed("unknown error code")),
+    };
+    r.finish().ok_or(TRAILING)?;
+    Ok(e)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn frame_round_trips_through_encode() {
@@ -663,6 +619,34 @@ mod tests {
         buf.put_slice(b"mystic");
         let decoded = decode_store_error(buf.freeze()).unwrap();
         assert_eq!(decoded, StoreError::TooLarge("too large (reported by remote)"));
+    }
+
+    /// Every payload of this module is exact-length: one byte past a
+    /// complete value is `TRAILING`, not slack that decodes as if absent.
+    #[test]
+    fn every_payload_rejects_a_trailing_byte() {
+        let long = |payload: Bytes| Bytes::from([&payload[..], &[0xAB]].concat());
+        assert_eq!(Hello::decode(long(Hello::ours().encode())), Err(TRAILING));
+        let ack = HelloAck { version: 1, server_id: 2, num_servers: 4, feature_dim: 32 };
+        assert_eq!(HelloAck::decode(long(ack.encode())), Err(TRAILING));
+        for op in [
+            ControlOp::SetDown(true),
+            ControlOp::SetReplication { replication: 2, num_servers: 4 },
+            ControlOp::Stats,
+            ControlOp::SetSlow { micros: 1500 },
+        ] {
+            assert_eq!(ControlOp::decode(long(op.encode())), Err(TRAILING), "{op:?}");
+        }
+        let stats = StatsReply { requests_served: 10, nodes_sampled: 99 };
+        assert_eq!(StatsReply::decode(long(stats.encode())), Err(TRAILING));
+        for e in [
+            StoreError::ServerDown(3),
+            StoreError::EmptyCluster,
+            StoreError::Malformed("salt"),
+            StoreError::NotOwner { node: 12, owner: 2 },
+        ] {
+            assert_eq!(decode_store_error(long(encode_store_error(&e))), Err(TRAILING), "{e:?}");
+        }
     }
 
     #[test]

@@ -13,15 +13,17 @@
 //!   shed from a permanent bad-request.
 //!
 //! The codecs follow the store wire discipline (see
-//! `bgl_store::wire::Message`): explicit little-endian puts/gets, length
-//! checks before every read, u32 length headers validated against the
-//! remaining payload before any allocation, and `&'static str` error
-//! payloads resolved against a known-string table on decode.
+//! `bgl_store::wire::Message`): little-endian fields taken through the one
+//! cursor (`bgl_graph::le::Reader`), so a count is checked against the
+//! bytes present before any allocation; every payload exact-length; and
+//! `&'static str` error payloads resolved against a known-string table on
+//! decode.
 
-use crate::proto::{decode_store_error, encode_store_error};
+use crate::proto::{decode_store_error, encode_store_error, TRAILING};
 use crate::NetError;
+use bgl_graph::le::{put_count, put_le, Reader};
 use bgl_store::StoreError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// A single serving request: score recommendations for `user`.
 ///
@@ -37,20 +39,14 @@ pub struct QueryReq {
 impl QueryReq {
     /// Encode the payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(4);
-        buf.put_u32_le(self.user);
-        buf.freeze()
+        self.user.to_le_bytes().to_vec().into()
     }
 
     /// Decode the payload.
-    pub fn decode(mut buf: Bytes) -> Result<QueryReq, NetError> {
-        if buf.remaining() < 4 {
-            return Err(NetError::Malformed("short query request"));
-        }
-        let user = buf.get_u32_le();
-        if buf.remaining() > 0 {
-            return Err(NetError::Malformed("oversized query request"));
-        }
+    pub fn decode(buf: Bytes) -> Result<QueryReq, NetError> {
+        let mut r = Reader::new(&buf);
+        let user = r.u32().ok_or(NetError::Malformed("short query request"))?;
+        r.finish().ok_or(NetError::Malformed("oversized query request"))?;
         Ok(QueryReq { user })
     }
 }
@@ -70,33 +66,24 @@ pub struct QueryResp {
 impl QueryResp {
     /// Encode the payload.
     pub fn encode(&self) -> Result<Bytes, NetError> {
-        let n = u32::try_from(self.scores.len())
-            .map_err(|_| NetError::Malformed("query scores len"))?;
-        let mut buf = BytesMut::with_capacity(8 + 4 + 4 * self.scores.len());
-        buf.put_u64_le(self.latency_us);
-        buf.put_u32_le(n);
-        for &s in &self.scores {
-            buf.put_f32_le(s);
-        }
-        Ok(buf.freeze())
+        let mut out = Vec::with_capacity(8 + 4 + 4 * self.scores.len());
+        put_le(&mut out, &[self.latency_us]);
+        put_count(&mut out, self.scores.len()).ok_or(NetError::Malformed("query scores len"))?;
+        put_le(&mut out, &self.scores);
+        Ok(out.into())
     }
 
     /// Decode the payload. The claimed score count is validated against
     /// the bytes actually present before any allocation, so a hostile
     /// length header cannot force an over-allocation.
-    pub fn decode(mut buf: Bytes) -> Result<QueryResp, NetError> {
-        if buf.remaining() < 12 {
-            return Err(NetError::Malformed("short query response"));
-        }
-        let latency_us = buf.get_u64_le();
-        let n = buf.get_u32_le() as usize;
-        if buf.remaining() != 4 * n {
-            return Err(NetError::Malformed("query scores length mismatch"));
-        }
-        let mut scores = Vec::with_capacity(n);
-        for _ in 0..n {
-            scores.push(buf.get_f32_le());
-        }
+    pub fn decode(buf: Bytes) -> Result<QueryResp, NetError> {
+        const SHORT: NetError = NetError::Malformed("short query response");
+        const MISMATCH: NetError = NetError::Malformed("query scores length mismatch");
+        let mut r = Reader::new(&buf);
+        let latency_us = r.u64().ok_or(SHORT)?;
+        let n = r.u32().ok_or(SHORT)? as usize;
+        let scores = r.vec(n).ok_or(MISMATCH)?;
+        r.finish().ok_or(MISMATCH)?;
         Ok(QueryResp { latency_us, scores })
     }
 }
@@ -139,47 +126,40 @@ impl QueryError {
 
     /// Encode the payload for a `QueryErr` frame.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8);
+        let mut out = Vec::with_capacity(8);
         match self {
             QueryError::Overloaded { depth } => {
-                buf.put_u8(QERR_OVERLOADED);
-                buf.put_u32_le(*depth);
+                out.push(QERR_OVERLOADED);
+                put_le(&mut out, &[*depth]);
             }
-            QueryError::ShuttingDown => buf.put_u8(QERR_SHUTTING_DOWN),
+            QueryError::ShuttingDown => out.push(QERR_SHUTTING_DOWN),
             QueryError::InvalidNode(v) => {
-                buf.put_u8(QERR_INVALID_NODE);
-                buf.put_u32_le(*v);
+                out.push(QERR_INVALID_NODE);
+                put_le(&mut out, &[*v]);
             }
             QueryError::Store(e) => {
-                buf.put_u8(QERR_STORE);
-                buf.put_slice(&encode_store_error(e));
+                out.push(QERR_STORE);
+                out.extend_from_slice(&encode_store_error(e));
             }
         }
-        buf.freeze()
+        out.into()
     }
 
     /// Decode a `QueryErr` frame payload.
-    pub fn decode(mut buf: Bytes) -> Result<QueryError, NetError> {
-        if buf.remaining() < 1 {
-            return Err(NetError::Malformed("empty query error payload"));
-        }
-        match buf.get_u8() {
-            QERR_OVERLOADED => {
-                if buf.remaining() < 4 {
-                    return Err(NetError::Malformed("short query error payload"));
-                }
-                Ok(QueryError::Overloaded { depth: buf.get_u32_le() })
-            }
-            QERR_SHUTTING_DOWN => Ok(QueryError::ShuttingDown),
-            QERR_INVALID_NODE => {
-                if buf.remaining() < 4 {
-                    return Err(NetError::Malformed("short query error payload"));
-                }
-                Ok(QueryError::InvalidNode(buf.get_u32_le()))
-            }
-            QERR_STORE => Ok(QueryError::Store(decode_store_error(buf)?)),
-            _ => Err(NetError::Malformed("unknown query error code")),
-        }
+    pub fn decode(buf: Bytes) -> Result<QueryError, NetError> {
+        const SHORT: NetError = NetError::Malformed("short query error payload");
+        let mut r = Reader::new(&buf);
+        let e = match r.u8().ok_or(NetError::Malformed("empty query error payload"))? {
+            QERR_OVERLOADED => QueryError::Overloaded { depth: r.u32().ok_or(SHORT)? },
+            QERR_SHUTTING_DOWN => QueryError::ShuttingDown,
+            QERR_INVALID_NODE => QueryError::InvalidNode(r.u32().ok_or(SHORT)?),
+            // The nested store error is the rest of the payload, and holds
+            // itself to exact length.
+            QERR_STORE => return Ok(QueryError::Store(decode_store_error(buf.slice(1..))?)),
+            _ => return Err(NetError::Malformed("unknown query error code")),
+        };
+        r.finish().ok_or(TRAILING)?;
+        Ok(e)
     }
 }
 
@@ -201,6 +181,7 @@ impl std::error::Error for QueryError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn query_payloads_round_trip() {
@@ -238,6 +219,11 @@ mod tests {
         // QueryReq must be exactly 4 bytes.
         assert!(QueryReq::decode(Bytes::from(vec![1u8, 2])).is_err());
         assert!(QueryReq::decode(Bytes::from(vec![1u8, 2, 3, 4, 5])).is_err());
+        // An error payload ends where its error does, nested or not.
+        for e in [QueryError::ShuttingDown, QueryError::Store(StoreError::EmptyCluster)] {
+            let long = Bytes::from([&e.encode()[..], &[0]].concat());
+            assert_eq!(QueryError::decode(long), Err(TRAILING), "{e:?}");
+        }
         // A response claiming more scores than bytes present fails fast
         // without allocating.
         let mut buf = BytesMut::new();

@@ -69,7 +69,7 @@ impl FrameHandler for StoreHandler {
                         ack(Bytes::new())
                     }
                     Ok(ControlOp::SetReplication { replication, num_servers }) => {
-                        self.store.set_replication(replication, num_servers);
+                        self.store.set_replication(replication as usize, num_servers as usize);
                         ack(Bytes::new())
                     }
                     Ok(ControlOp::Stats) => ack(StatsReply {

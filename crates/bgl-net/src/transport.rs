@@ -115,9 +115,16 @@ impl StoreTransport for TcpTransport {
         replication: usize,
         num_servers: usize,
     ) -> Result<(), StoreError> {
+        // The layout travels as two u32 fields: one that does not fit is
+        // refused here, before any server has been told half of it.
+        let narrow = |v| u32::try_from(v).map_err(|_| StoreError::TooLarge("replication layout"));
+        let op = ControlOp::SetReplication {
+            replication: narrow(replication)?,
+            num_servers: narrow(num_servers)?,
+        };
         for server in 0..self.num_servers {
             self.client_mut()
-                .control(server, ControlOp::SetReplication { replication, num_servers })
+                .control(server, op)
                 .map_err(|e| e.into_store_error(server))?;
         }
         Ok(())

@@ -188,6 +188,29 @@ fn replication_control_propagates_to_the_store() {
     lc.shutdown();
 }
 
+/// A layout that does not fit the control frame's u32 fields is a typed
+/// error at the sender — it used to be narrowed with `as` and sent — and no
+/// server is told any part of it.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn oversized_replication_layout_is_refused_before_any_frame_is_sent() {
+    use bgl_store::StoreTransport;
+    let reg = Registry::enabled();
+    let lc = cluster(2, NetServerConfig::default(), &reg);
+    let mut transport =
+        bgl_net::TcpTransport::connect(&lc.addrs(), NetClientConfig::default(), &reg).unwrap();
+    let sent = counter(&reg, "net.frames_sent");
+    for (r, n) in [(u32::MAX as usize + 1, 2), (2, u32::MAX as usize + 3)] {
+        assert_eq!(
+            transport.set_replication(r, n),
+            Err(StoreError::TooLarge("replication layout"))
+        );
+    }
+    assert_eq!(counter(&reg, "net.frames_sent"), sent, "nothing reached the wire");
+    assert_eq!(transport.set_replication(2, 2), Ok(()));
+    lc.shutdown();
+}
+
 #[test]
 fn killed_server_fails_fast_and_reconnect_is_counted() {
     let reg = Registry::enabled();

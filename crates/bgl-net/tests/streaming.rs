@@ -53,7 +53,9 @@ fn all_messages() -> Vec<Message> {
 /// and `TooLarge` carry a `&'static str` the decoder resolves against
 /// `proto.rs`'s tables, so a label the store grows without the table
 /// following comes back as "malformed (reported by remote)" — and fails
-/// here, for every variant and every proper prefix of its encoding.
+/// here, for every variant and every proper prefix of its encoding. The
+/// same goes for the frame with a byte appended: no kind has slack, and the
+/// label that says so is in the table too.
 #[test]
 fn every_truncation_error_survives_the_error_codec() {
     for msg in all_messages() {
@@ -69,6 +71,9 @@ fn every_truncation_error_survives_the_error_codec() {
                 wire.len()
             );
         }
+        let long = Bytes::from([&wire[..], &[0]].concat());
+        let e = Message::decode(long).expect_err(&format!("{msg:?} decodes with a trailing byte"));
+        assert_eq!(decode_store_error(encode_store_error(&e)), Ok(e), "{msg:?} plus one byte");
     }
 }
 

@@ -124,7 +124,7 @@ impl Migration {
             row: self.row.clone(),
             neighbors: self.neighbors.clone(),
         };
-        let payload = req.encoded_len() as u64;
+        let payload = req.encode()?.len() as u64;
         let chain = cluster.replica_chain(self.dest as usize).into_iter().map(|srv| (srv, &req, ()));
         self.phase_times[1] = cluster.fan_out(from, StoreCluster::rpc_retrying, chain, |(), resp| {
             let Message::MigrateCopyResp { node } = resp? else {

@@ -20,8 +20,15 @@
 //! truncated (a crash mid-append tears the last record; nothing behind it
 //! was acked). A frame that passes its checksum but decodes to garbage is a
 //! hard error, not a tail: checksummed bytes do not tear.
+//!
+//! Headers and payloads are read through `bgl_graph::le::Reader` (the one
+//! length check against bytes from disk); a payload must end where its
+//! record does. Lengths are written through `le::put_count`, so a row or a
+//! payload too long for its `u32` field fails [`Wal::append`] with a typed
+//! error instead of wrapping.
 
 use crate::pager::{fnv1a_64, read_exact_at, BackingFile, DiskError};
+use bgl_graph::le::{put_count, put_le, Reader};
 use bgl_obs::Histogram;
 use std::time::Instant;
 
@@ -61,132 +68,111 @@ pub enum WalRecord {
     Tombstone { node: u32, owner: u32 },
 }
 
+/// A length as the `u32` field the log stores it in. One that does not fit
+/// is refused, never narrowed: a wrapped count would checksum fine and
+/// replay as garbage.
+fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), DiskError> {
+    put_count(out, len).ok_or(DiskError::Invariant("WAL length exceeds its u32 field"))
+}
+
+/// A feature row: its scalar count, then its image in one pass.
+fn put_row(out: &mut Vec<u8>, row: &[f32]) -> Result<(), DiskError> {
+    put_len(out, row.len())?;
+    put_le(out, row);
+    Ok(())
+}
+
+/// The two words of a fixed-size record; short is the record's length error.
+fn two_words(r: &mut Reader<'_>, length: &'static str) -> Result<(u32, u32), DiskError> {
+    let mut word = || r.u32().ok_or(DiskError::Invariant(length));
+    Ok((word()?, word()?))
+}
+
 impl WalRecord {
     /// Encode the record payload (what the frame checksum covers).
-    pub fn encode_payload(&self) -> Vec<u8> {
+    pub fn encode_payload(&self) -> Result<Vec<u8>, DiskError> {
+        let mut out = Vec::with_capacity(16);
         match self {
             WalRecord::FeatureUpdate { node, row } => {
-                let mut out = Vec::with_capacity(9 + 4 * row.len());
                 out.push(TAG_FEATURE_UPDATE);
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-                for &x in row {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-                out
+                put_le(&mut out, &[*node]);
+                put_row(&mut out, row)?;
             }
             WalRecord::EdgeInsert { src, dst } => {
-                let mut out = Vec::with_capacity(9);
                 out.push(TAG_EDGE_INSERT);
-                out.extend_from_slice(&src.to_le_bytes());
-                out.extend_from_slice(&dst.to_le_bytes());
-                out
+                put_le(&mut out, &[*src, *dst]);
             }
             WalRecord::NodeAppend { node, owner, row } => {
-                let mut out = Vec::with_capacity(13 + 4 * row.len());
                 out.push(TAG_NODE_APPEND);
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&owner.to_le_bytes());
-                out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-                for &x in row {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-                out
+                put_le(&mut out, &[*node, *owner]);
+                put_row(&mut out, row)?;
             }
             WalRecord::OwnerSet { node, owner } => {
-                let mut out = Vec::with_capacity(9);
                 out.push(TAG_OWNER_SET);
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&owner.to_le_bytes());
-                out
+                put_le(&mut out, &[*node, *owner]);
             }
             WalRecord::Tombstone { node, owner } => {
-                let mut out = Vec::with_capacity(9);
                 out.push(TAG_TOMBSTONE);
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&owner.to_le_bytes());
-                out
+                put_le(&mut out, &[*node, *owner]);
             }
         }
+        Ok(out)
     }
 
     /// Decode a payload. Shape is validated exactly — trailing garbage or a
-    /// row count that disagrees with the payload length is corrupt.
+    /// row count that disagrees with the payload length is corrupt. Each
+    /// arm names its record's length error; the one check that the payload
+    /// ends where the record does sits below the `match`.
     pub fn decode_payload(bytes: &[u8]) -> Result<WalRecord, DiskError> {
-        let (&tag, rest) = bytes
-            .split_first()
-            .ok_or(DiskError::Truncated("empty WAL payload"))?;
-        match tag {
+        use DiskError::{Invariant, Truncated};
+        let mut r = Reader::new(bytes);
+        let (rec, length) = match r.u8().ok_or(Truncated("empty WAL payload"))? {
             TAG_FEATURE_UPDATE => {
-                if rest.len() < 8 {
-                    return Err(DiskError::Truncated("WAL feature-update header"));
-                }
-                let node = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-                let n = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
-                if rest.len() != 8 + 4 * n {
-                    return Err(DiskError::Invariant("WAL feature-update row length"));
-                }
-                let row = rest[8..]
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                Ok(WalRecord::FeatureUpdate { node, row })
+                let header = "WAL feature-update header";
+                let length = "WAL feature-update row length";
+                let node = r.u32().ok_or(Truncated(header))?;
+                let n = r.u32().ok_or(Truncated(header))? as usize;
+                let row = r.vec(n).ok_or(Invariant(length))?;
+                (WalRecord::FeatureUpdate { node, row }, length)
             }
             TAG_EDGE_INSERT => {
-                if rest.len() != 8 {
-                    return Err(DiskError::Invariant("WAL edge-insert length"));
-                }
-                Ok(WalRecord::EdgeInsert {
-                    src: u32::from_le_bytes(rest[0..4].try_into().unwrap()),
-                    dst: u32::from_le_bytes(rest[4..8].try_into().unwrap()),
-                })
+                let length = "WAL edge-insert length";
+                let (src, dst) = two_words(&mut r, length)?;
+                (WalRecord::EdgeInsert { src, dst }, length)
             }
             TAG_NODE_APPEND => {
-                if rest.len() < 12 {
-                    return Err(DiskError::Truncated("WAL node-append header"));
-                }
-                let node = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-                let owner = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-                let n = u32::from_le_bytes(rest[8..12].try_into().unwrap()) as usize;
-                if rest.len() != 12 + 4 * n {
-                    return Err(DiskError::Invariant("WAL node-append row length"));
-                }
-                let row = rest[12..]
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                Ok(WalRecord::NodeAppend { node, owner, row })
+                let header = "WAL node-append header";
+                let length = "WAL node-append row length";
+                let node = r.u32().ok_or(Truncated(header))?;
+                let owner = r.u32().ok_or(Truncated(header))?;
+                let n = r.u32().ok_or(Truncated(header))? as usize;
+                let row = r.vec(n).ok_or(Invariant(length))?;
+                (WalRecord::NodeAppend { node, owner, row }, length)
             }
             TAG_OWNER_SET => {
-                if rest.len() != 8 {
-                    return Err(DiskError::Invariant("WAL owner-set length"));
-                }
-                Ok(WalRecord::OwnerSet {
-                    node: u32::from_le_bytes(rest[0..4].try_into().unwrap()),
-                    owner: u32::from_le_bytes(rest[4..8].try_into().unwrap()),
-                })
+                let length = "WAL owner-set length";
+                let (node, owner) = two_words(&mut r, length)?;
+                (WalRecord::OwnerSet { node, owner }, length)
             }
             TAG_TOMBSTONE => {
-                if rest.len() != 8 {
-                    return Err(DiskError::Invariant("WAL tombstone length"));
-                }
-                Ok(WalRecord::Tombstone {
-                    node: u32::from_le_bytes(rest[0..4].try_into().unwrap()),
-                    owner: u32::from_le_bytes(rest[4..8].try_into().unwrap()),
-                })
+                let length = "WAL tombstone length";
+                let (node, owner) = two_words(&mut r, length)?;
+                (WalRecord::Tombstone { node, owner }, length)
             }
-            _ => Err(DiskError::Invariant("unknown WAL record tag")),
-        }
+            _ => return Err(Invariant("unknown WAL record tag")),
+        };
+        r.finish().ok_or(Invariant(length))?;
+        Ok(rec)
     }
 
     /// Encode the full frame: `[len][fnv64][payload]`.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
+    pub fn encode_frame(&self) -> Result<Vec<u8>, DiskError> {
+        let payload = self.encode_payload()?;
         let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
+        put_len(&mut frame, payload.len())?;
+        put_le(&mut frame, &[fnv1a_64(&payload)]);
         frame.extend_from_slice(&payload);
-        frame
+        Ok(frame)
     }
 }
 
@@ -228,10 +214,8 @@ pub struct Wal {
 impl Wal {
     /// Create an empty log (header only), synced.
     pub fn create(mut file: Box<dyn BackingFile>, fsync_ns: Histogram) -> Result<Wal, DiskError> {
-        let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
+        let mut header = WAL_MAGIC.to_vec();
+        put_le(&mut header, &[WAL_VERSION, 0]);
         file.truncate(0)?;
         file.write_at(0, &header)?;
         file.sync()?;
@@ -251,10 +235,11 @@ impl Wal {
         }
         let mut header = [0u8; WAL_HEADER_LEN as usize];
         read_exact_at(file.as_mut(), 0, &mut header)?;
-        if &header[0..8] != WAL_MAGIC {
+        let mut header = Reader::new(&header);
+        if header.take(WAL_MAGIC.len()) != Some(WAL_MAGIC) {
             return Err(DiskError::BadMagic { expected: "BGLWAL01" });
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        let version = header.u32().ok_or(DiskError::Truncated("WAL header"))?;
         if version != WAL_VERSION {
             return Err(DiskError::BadVersion { found: version });
         }
@@ -269,8 +254,9 @@ impl Wal {
             }
             let mut fh = [0u8; FRAME_OVERHEAD];
             read_exact_at(file.as_mut(), off, &mut fh)?;
-            let plen = u32::from_le_bytes(fh[0..4].try_into().unwrap());
-            let stored = u64::from_le_bytes(fh[4..12].try_into().unwrap());
+            let mut fh = Reader::new(&fh);
+            let plen = fh.u32().ok_or(DiskError::Truncated("WAL frame header"))?;
+            let stored = fh.u64().ok_or(DiskError::Truncated("WAL frame header"))?;
             if plen > MAX_RECORD_LEN || remaining < FRAME_OVERHEAD as u64 + plen as u64 {
                 torn = true;
                 break;
@@ -299,7 +285,7 @@ impl Wal {
 
     /// Append one record at the tail. NOT durable until [`Wal::sync`].
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), DiskError> {
-        let frame = rec.encode_frame();
+        let frame = rec.encode_frame()?;
         self.file.write_at(self.tail, &frame)?;
         self.tail += frame.len() as u64;
         self.stats.appends += 1;
@@ -371,7 +357,7 @@ mod tests {
             (WalRecord::OwnerSet { node: 7, owner: 2 }, "WAL owner-set length"),
             (WalRecord::Tombstone { node: 7, owner: 0 }, "WAL tombstone length"),
         ] {
-            let payload = rec.encode_payload();
+            let payload = rec.encode_payload().unwrap();
             assert_eq!(WalRecord::decode_payload(&payload).unwrap(), rec);
             // A byte short or a byte long is corrupt, not a variant.
             assert!(matches!(
@@ -385,6 +371,22 @@ mod tests {
                 Err(DiskError::Invariant(e)) if e == err
             ));
         }
+    }
+
+    /// The count fields are u32. A length past that is a typed error with
+    /// nothing written, where `as u32` used to wrap it into a record that
+    /// checksums fine and replays as garbage.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_length_past_u32_is_a_typed_error_not_a_wrapped_count() {
+        let mut out = vec![TAG_FEATURE_UPDATE];
+        assert_eq!(
+            put_len(&mut out, u32::MAX as usize + 1),
+            Err(DiskError::Invariant("WAL length exceeds its u32 field"))
+        );
+        assert_eq!(out, [TAG_FEATURE_UPDATE]);
+        assert_eq!(put_len(&mut out, u32::MAX as usize), Ok(()));
+        assert_eq!(out, [TAG_FEATURE_UPDATE, 0xFF, 0xFF, 0xFF, 0xFF]);
     }
 
     #[test]
@@ -426,7 +428,7 @@ mod tests {
         // Frame boundaries, to predict how many records survive a cut.
         let mut bounds = vec![WAL_HEADER_LEN as usize];
         for r in recs() {
-            bounds.push(bounds.last().unwrap() + r.encode_frame().len());
+            bounds.push(bounds.last().unwrap() + r.encode_frame().unwrap().len());
         }
         for cut in WAL_HEADER_LEN as usize..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();

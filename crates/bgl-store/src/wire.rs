@@ -2,27 +2,33 @@
 //!
 //! Every store RPC crosses this codec in both directions, so message sizes
 //! (the quantity the network model charges) are the real encoded sizes.
-//! Format: one type byte, then type-specific little-endian payload. The
-//! decoder is defensive — truncated or corrupt frames return
-//! [`StoreError::Malformed`] instead of panicking (failure-injection tests
-//! feed it garbage) — and the encoder is checked: counts that do not fit
-//! their `u32` wire fields return [`StoreError::TooLarge`] instead of
-//! silently truncating with `as`.
+//! Format: one type byte, then type-specific little-endian payload.
+//!
+//! The decoder takes every field through `bgl_graph::le::Reader`, the one
+//! place a length is compared with the bytes that are left: a truncated or
+//! corrupt frame is a [`StoreError::Malformed`] carrying the label of the
+//! field that ran short, never a panic (failure-injection tests feed it
+//! garbage), a count is checked against the remainder before anything is
+//! allocated for it, and a frame must end where its message does — bytes
+//! after a complete message are `Malformed("trailing bytes")` for every
+//! kind. The encoder is checked too: a count that does not fit its `u32`
+//! field is [`StoreError::TooLarge`], not a silent `as`.
 //!
 //! Feature rows travel in either precision: [`Message::FeatureResp`]
 //! carries f32 scalars (4 B each), [`Message::FeatureRespF16`] carries
 //! IEEE 754 binary16 (2 B each) — the f16 response to an
 //! [`Message::FeatureReqF16`] is literally half the bytes on the wire,
-//! which is what halves D_II in the §3.4 profile. Row payloads move between
-//! the frame and the message's `Vec` in one pass over the bytes
-//! (`bgl_graph::half::{write_le, read_le}`), never converted: an f16
-//! payload decodes to the `u16` bit patterns it carries, and whoever
-//! assembles a minibatch widens them.
+//! which is what halves D_II in the §3.4 profile. Row payloads and id lists
+//! move between the frame and the message's `Vec` in one pass over the
+//! bytes (`le::put_le` / `Reader::vec`), never converted: an f16 payload
+//! decodes to the `u16` bit patterns it carries, and whoever assembles a
+//! minibatch widens them.
 
-use crate::StoreError;
-use bgl_graph::half::{read_le, write_le, LeScalar};
+use crate::StoreError::{self, Malformed};
+use bgl_graph::half::LeScalar;
+use bgl_graph::le::{put_count, put_le, Reader};
 use bgl_graph::NodeId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 const TAG_NEIGHBOR_REQ: u8 = 1;
 const TAG_NEIGHBOR_RESP: u8 = 2;
@@ -130,480 +136,292 @@ pub enum Message {
     TombstoneResp { node: NodeId },
 }
 
-/// Checked narrowing for wire count fields.
-fn u32_len(len: usize, what: &'static str) -> Result<u32, StoreError> {
-    u32::try_from(len).map_err(|_| StoreError::TooLarge(what))
+/// What [`Message::decode`] says about bytes left over after a complete
+/// message, whatever its kind.
+const TRAILING: StoreError = Malformed("trailing bytes");
+
+/// Start a frame: the tag byte and the fixed `u32` words that follow it.
+fn head(out: &mut Vec<u8>, tag: u8, words: &[u32]) {
+    out.push(tag);
+    put_le(out, words);
+}
+
+/// A `u32` count field; [`StoreError::TooLarge`] when `len` does not fit.
+fn put_len(out: &mut Vec<u8>, len: usize, what: &'static str) -> Result<(), StoreError> {
+    put_count(out, len).ok_or(StoreError::TooLarge(what))
+}
+
+/// A counted vector: its `u32` length, then its image in one pass.
+fn put_counted<T: LeScalar>(
+    out: &mut Vec<u8>,
+    v: &[T],
+    what: &'static str,
+) -> Result<(), StoreError> {
+    put_len(out, v.len(), what)?;
+    put_le(out, v);
+    Ok(())
 }
 
 impl Message {
     /// The error for a well-formed reply of the wrong kind — the `else` of
     /// every caller's `let Message::XResp { .. } = resp else { .. }`.
     pub fn unexpected() -> StoreError {
-        StoreError::Malformed("unexpected response")
+        Malformed("unexpected response")
     }
 
     /// Encode into a frame. Fails with [`StoreError::TooLarge`] if any
     /// count exceeds its `u32` wire field.
     pub fn encode(&self) -> Result<Bytes, StoreError> {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        // Room for any fixed head; a bulk vector grows it once, to size.
+        let mut out = Vec::with_capacity(32);
         match self {
             Message::NeighborReq { fanout, nodes } => {
-                buf.put_u8(TAG_NEIGHBOR_REQ);
-                buf.put_u32_le(*fanout);
-                buf.put_u32_le(u32_len(nodes.len(), "neighbor req count")?);
-                for &v in nodes {
-                    buf.put_u32_le(v);
-                }
+                head(&mut out, TAG_NEIGHBOR_REQ, &[*fanout]);
+                put_counted(&mut out, nodes, "neighbor req count")?;
             }
             Message::NeighborReqSeeded { fanout, salt, nodes } => {
-                buf.put_u8(TAG_NEIGHBOR_REQ_SEEDED);
-                buf.put_u32_le(*fanout);
-                buf.put_u64_le(*salt);
-                buf.put_u32_le(u32_len(nodes.len(), "neighbor req count")?);
-                for &v in nodes {
-                    buf.put_u32_le(v);
-                }
+                head(&mut out, TAG_NEIGHBOR_REQ_SEEDED, &[*fanout]);
+                out.extend_from_slice(&salt.to_le_bytes());
+                put_counted(&mut out, nodes, "neighbor req count")?;
             }
             Message::NeighborResp { lists } => {
-                buf.put_u8(TAG_NEIGHBOR_RESP);
-                buf.put_u32_le(u32_len(lists.len(), "neighbor resp count")?);
+                head(&mut out, TAG_NEIGHBOR_RESP, &[]);
+                put_len(&mut out, lists.len(), "neighbor resp count")?;
                 for list in lists {
-                    buf.put_u32_le(u32_len(list.len(), "neighbor list len")?);
-                    for &v in list {
-                        buf.put_u32_le(v);
-                    }
+                    put_counted(&mut out, list, "neighbor list len")?;
                 }
             }
             Message::FeatureReq { nodes } => {
-                buf.put_u8(TAG_FEATURE_REQ);
-                buf.put_u32_le(u32_len(nodes.len(), "feature req count")?);
-                for &v in nodes {
-                    buf.put_u32_le(v);
-                }
+                head(&mut out, TAG_FEATURE_REQ, &[]);
+                put_counted(&mut out, nodes, "feature req count")?;
             }
             Message::FeatureResp { dim, rows } => {
-                buf.put_u8(TAG_FEATURE_RESP);
-                buf.put_u32_le(*dim);
-                buf.put_u32_le(u32_len(rows.len(), "feature row payload")?);
-                put_scalars(&mut buf, rows);
+                head(&mut out, TAG_FEATURE_RESP, &[*dim]);
+                put_counted(&mut out, rows, "feature row payload")?;
             }
             Message::FeatureUpdateReq { dim, nodes, rows } => {
-                buf.put_u8(TAG_FEATURE_UPDATE_REQ);
-                buf.put_u32_le(*dim);
-                buf.put_u32_le(u32_len(nodes.len(), "feature update count")?);
-                for &v in nodes {
-                    buf.put_u32_le(v);
-                }
-                put_scalars(&mut buf, rows);
+                head(&mut out, TAG_FEATURE_UPDATE_REQ, &[*dim]);
+                put_counted(&mut out, nodes, "feature update count")?;
+                put_le(&mut out, rows);
             }
             Message::FeatureUpdateResp { applied } => {
-                buf.put_u8(TAG_FEATURE_UPDATE_RESP);
-                buf.put_u32_le(*applied);
+                head(&mut out, TAG_FEATURE_UPDATE_RESP, &[*applied])
             }
             Message::FeatureReqF16 { nodes } => {
-                buf.put_u8(TAG_FEATURE_REQ_F16);
-                buf.put_u32_le(u32_len(nodes.len(), "feature req count")?);
-                for &v in nodes {
-                    buf.put_u32_le(v);
-                }
+                head(&mut out, TAG_FEATURE_REQ_F16, &[]);
+                put_counted(&mut out, nodes, "feature req count")?;
             }
             Message::FeatureRespF16 { dim, rows } => {
-                buf.put_u8(TAG_FEATURE_RESP_F16);
-                buf.put_u32_le(*dim);
-                buf.put_u32_le(u32_len(rows.len(), "feature row payload")?);
-                put_scalars(&mut buf, rows);
+                head(&mut out, TAG_FEATURE_RESP_F16, &[*dim]);
+                put_counted(&mut out, rows, "feature row payload")?;
             }
             Message::AddEdgeReq { edges } => {
-                buf.put_u8(TAG_ADD_EDGE_REQ);
-                buf.put_u32_le(u32_len(edges.len(), "edge batch count")?);
+                head(&mut out, TAG_ADD_EDGE_REQ, &[]);
+                put_len(&mut out, edges.len(), "edge batch count")?;
                 for &(u, v) in edges {
-                    buf.put_u32_le(u);
-                    buf.put_u32_le(v);
+                    put_le(&mut out, &[u, v]);
                 }
             }
             Message::AddEdgeResp { applied, rejected } => {
-                buf.put_u8(TAG_ADD_EDGE_RESP);
-                buf.put_u32_le(*applied);
-                buf.put_u32_le(*rejected);
+                head(&mut out, TAG_ADD_EDGE_RESP, &[*applied, *rejected])
             }
             Message::AddNodeReq { id, owner, row } => {
-                buf.put_u8(TAG_ADD_NODE_REQ);
-                buf.put_u32_le(*id);
-                buf.put_u32_le(*owner);
-                buf.put_u32_le(u32_len(row.len(), "add-node row len")?);
-                put_scalars(&mut buf, row);
+                head(&mut out, TAG_ADD_NODE_REQ, &[*id, *owner]);
+                put_counted(&mut out, row, "add-node row len")?;
             }
-            Message::AddNodeResp { id } => {
-                buf.put_u8(TAG_ADD_NODE_RESP);
-                buf.put_u32_le(*id);
-            }
+            Message::AddNodeResp { id } => head(&mut out, TAG_ADD_NODE_RESP, &[*id]),
             Message::PrepareMigrateReq { node, dest } => {
-                buf.put_u8(TAG_PREPARE_MIGRATE_REQ);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*dest);
+                head(&mut out, TAG_PREPARE_MIGRATE_REQ, &[*node, *dest])
             }
             Message::PrepareMigrateResp { node, owner, row, neighbors } => {
-                buf.put_u8(TAG_PREPARE_MIGRATE_RESP);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*owner);
-                buf.put_u32_le(u32_len(row.len(), "migrate row len")?);
-                put_scalars(&mut buf, row);
-                buf.put_u32_le(u32_len(neighbors.len(), "migrate neighbor count")?);
-                for &v in neighbors {
-                    buf.put_u32_le(v);
-                }
+                head(&mut out, TAG_PREPARE_MIGRATE_RESP, &[*node, *owner]);
+                put_counted(&mut out, row, "migrate row len")?;
+                put_counted(&mut out, neighbors, "migrate neighbor count")?;
             }
             Message::MigrateCopyReq { node, dest, row, neighbors } => {
-                buf.put_u8(TAG_MIGRATE_COPY_REQ);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*dest);
-                buf.put_u32_le(u32_len(row.len(), "migrate row len")?);
-                put_scalars(&mut buf, row);
-                buf.put_u32_le(u32_len(neighbors.len(), "migrate neighbor count")?);
-                for &v in neighbors {
-                    buf.put_u32_le(v);
-                }
+                head(&mut out, TAG_MIGRATE_COPY_REQ, &[*node, *dest]);
+                put_counted(&mut out, row, "migrate row len")?;
+                put_counted(&mut out, neighbors, "migrate neighbor count")?;
             }
-            Message::MigrateCopyResp { node } => {
-                buf.put_u8(TAG_MIGRATE_COPY_RESP);
-                buf.put_u32_le(*node);
-            }
+            Message::MigrateCopyResp { node } => head(&mut out, TAG_MIGRATE_COPY_RESP, &[*node]),
             Message::CommitMigrateReq { node, owner } => {
-                buf.put_u8(TAG_COMMIT_MIGRATE_REQ);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*owner);
+                head(&mut out, TAG_COMMIT_MIGRATE_REQ, &[*node, *owner])
             }
             Message::CommitMigrateResp { node, owner } => {
-                buf.put_u8(TAG_COMMIT_MIGRATE_RESP);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*owner);
+                head(&mut out, TAG_COMMIT_MIGRATE_RESP, &[*node, *owner])
             }
-            Message::OwnerReq { node } => {
-                buf.put_u8(TAG_OWNER_REQ);
-                buf.put_u32_le(*node);
-            }
+            Message::OwnerReq { node } => head(&mut out, TAG_OWNER_REQ, &[*node]),
             Message::OwnerResp { node, owner } => {
-                buf.put_u8(TAG_OWNER_RESP);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*owner);
+                head(&mut out, TAG_OWNER_RESP, &[*node, *owner])
             }
             Message::TombstoneReq { node, old_owner } => {
-                buf.put_u8(TAG_TOMBSTONE_REQ);
-                buf.put_u32_le(*node);
-                buf.put_u32_le(*old_owner);
+                head(&mut out, TAG_TOMBSTONE_REQ, &[*node, *old_owner])
             }
-            Message::TombstoneResp { node } => {
-                buf.put_u8(TAG_TOMBSTONE_RESP);
-                buf.put_u32_le(*node);
-            }
+            Message::TombstoneResp { node } => head(&mut out, TAG_TOMBSTONE_RESP, &[*node]),
         }
-        Ok(buf.freeze())
+        Ok(Bytes::from(out))
     }
 
-    /// Exact encoded size in bytes — used for network-time accounting
-    /// without re-walking the buffer.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            Message::NeighborReq { nodes, .. } => 1 + 4 + 4 + 4 * nodes.len(),
-            Message::NeighborReqSeeded { nodes, .. } => 1 + 4 + 8 + 4 + 4 * nodes.len(),
-            Message::NeighborResp { lists } => {
-                1 + 4 + lists.iter().map(|l| 4 + 4 * l.len()).sum::<usize>()
-            }
-            Message::FeatureReq { nodes } => 1 + 4 + 4 * nodes.len(),
-            Message::FeatureResp { rows, .. } => 1 + 4 + 4 + 4 * rows.len(),
-            Message::FeatureUpdateReq { nodes, rows, .. } => {
-                1 + 4 + 4 + 4 * nodes.len() + 4 * rows.len()
-            }
-            Message::FeatureUpdateResp { .. } => 1 + 4,
-            Message::FeatureReqF16 { nodes } => 1 + 4 + 4 * nodes.len(),
-            Message::FeatureRespF16 { rows, .. } => 1 + 4 + 4 + 2 * rows.len(),
-            Message::AddEdgeReq { edges } => 1 + 4 + 8 * edges.len(),
-            Message::AddEdgeResp { .. } => 1 + 4 + 4,
-            Message::AddNodeReq { row, .. } => 1 + 4 + 4 + 4 + 4 * row.len(),
-            Message::AddNodeResp { .. } => 1 + 4,
-            Message::PrepareMigrateReq { .. } => 1 + 4 + 4,
-            Message::PrepareMigrateResp { row, neighbors, .. } => {
-                1 + 4 + 4 + 4 + 4 * row.len() + 4 + 4 * neighbors.len()
-            }
-            Message::MigrateCopyReq { row, neighbors, .. } => {
-                1 + 4 + 4 + 4 + 4 * row.len() + 4 + 4 * neighbors.len()
-            }
-            Message::MigrateCopyResp { .. } => 1 + 4,
-            Message::CommitMigrateReq { .. } => 1 + 4 + 4,
-            Message::CommitMigrateResp { .. } => 1 + 4 + 4,
-            Message::OwnerReq { .. } => 1 + 4,
-            Message::OwnerResp { .. } => 1 + 4 + 4,
-            Message::TombstoneReq { .. } => 1 + 4 + 4,
-            Message::TombstoneResp { .. } => 1 + 4,
-        }
-    }
-
-    /// Decode a frame.
-    pub fn decode(mut buf: Bytes) -> Result<Message, StoreError> {
-        if buf.remaining() < 1 {
-            return Err(StoreError::Malformed("empty frame"));
-        }
-        let tag = buf.get_u8();
-        match tag {
-            TAG_NEIGHBOR_REQ => {
-                let fanout = get_u32(&mut buf, "fanout")?;
-                let n = get_u32(&mut buf, "count")? as usize;
-                let nodes = get_ids(&mut buf, n)?;
-                Ok(Message::NeighborReq { fanout, nodes })
-            }
-            TAG_NEIGHBOR_REQ_SEEDED => {
-                let fanout = get_u32(&mut buf, "fanout")?;
-                if buf.remaining() < 8 {
-                    return Err(StoreError::Malformed("salt"));
-                }
-                let salt = buf.get_u64_le();
-                let n = get_u32(&mut buf, "count")? as usize;
-                let nodes = get_ids(&mut buf, n)?;
-                Ok(Message::NeighborReqSeeded { fanout, salt, nodes })
-            }
+    /// Decode a frame. Every field is taken through the one cursor
+    /// ([`Reader`]), and the frame must end where the message does.
+    pub fn decode(buf: Bytes) -> Result<Message, StoreError> {
+        let mut r = Reader::new(&buf);
+        let msg = match r.u8().ok_or(Malformed("empty frame"))? {
+            TAG_NEIGHBOR_REQ => Message::NeighborReq {
+                fanout: r.u32().ok_or(Malformed("fanout"))?,
+                nodes: ids(&mut r)?,
+            },
+            TAG_NEIGHBOR_REQ_SEEDED => Message::NeighborReqSeeded {
+                fanout: r.u32().ok_or(Malformed("fanout"))?,
+                salt: r.u64().ok_or(Malformed("salt"))?,
+                nodes: ids(&mut r)?,
+            },
             TAG_NEIGHBOR_RESP => {
-                let n = get_u32(&mut buf, "count")? as usize;
-                let mut lists = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let len = get_u32(&mut buf, "list len")? as usize;
-                    lists.push(get_ids(&mut buf, len)?);
-                }
-                Ok(Message::NeighborResp { lists })
+                let n = r.u32().ok_or(Malformed("count"))?;
+                let lists = (0..n).map(|_| counted(&mut r, "list len", "truncated id list"));
+                Message::NeighborResp { lists: lists.collect::<Result<_, _>>()? }
             }
-            TAG_FEATURE_REQ => {
-                let n = get_u32(&mut buf, "count")? as usize;
-                let nodes = get_ids(&mut buf, n)?;
-                Ok(Message::FeatureReq { nodes })
-            }
-            TAG_FEATURE_REQ_F16 => {
-                let n = get_u32(&mut buf, "count")? as usize;
-                let nodes = get_ids(&mut buf, n)?;
-                Ok(Message::FeatureReqF16 { nodes })
-            }
+            TAG_FEATURE_REQ => Message::FeatureReq { nodes: ids(&mut r)? },
+            TAG_FEATURE_REQ_F16 => Message::FeatureReqF16 { nodes: ids(&mut r)? },
             TAG_FEATURE_RESP => {
-                let dim = get_u32(&mut buf, "dim")?;
-                let n = get_u32(&mut buf, "row len")? as usize;
-                check_row_shape(dim, n)?;
-                let rows = get_scalars(&mut buf, n, "truncated feature rows")?;
-                Ok(Message::FeatureResp { dim, rows })
+                let (dim, n) = row_shape(&mut r)?;
+                let rows = r.vec(n).ok_or(Malformed("truncated feature rows"))?;
+                Message::FeatureResp { dim, rows }
             }
             TAG_FEATURE_RESP_F16 => {
-                let dim = get_u32(&mut buf, "dim")?;
-                let n = get_u32(&mut buf, "row len")? as usize;
-                check_row_shape(dim, n)?;
-                let rows = get_scalars(&mut buf, n, "truncated feature rows")?;
-                Ok(Message::FeatureRespF16 { dim, rows })
+                let (dim, n) = row_shape(&mut r)?;
+                let rows = r.vec(n).ok_or(Malformed("truncated feature rows"))?;
+                Message::FeatureRespF16 { dim, rows }
             }
             TAG_FEATURE_UPDATE_REQ => {
-                let dim = get_u32(&mut buf, "dim")?;
+                let dim = r.u32().ok_or(Malformed("dim"))?;
                 if dim == 0 {
-                    return Err(StoreError::Malformed("feature update with zero dim"));
+                    return Err(Malformed("feature update with zero dim"));
                 }
-                let n = get_u32(&mut buf, "count")? as usize;
-                let nodes = get_ids(&mut buf, n)?;
-                let want = n.checked_mul(dim as usize).ok_or(StoreError::Malformed(
-                    "feature update row payload overflows",
-                ))?;
-                const MISMATCH: &str = "feature update rows mismatch count×dim";
-                if buf.remaining() != want * 4 {
-                    return Err(StoreError::Malformed(MISMATCH));
-                }
-                let rows = get_scalars(&mut buf, want, MISMATCH)?;
-                Ok(Message::FeatureUpdateReq { dim, nodes, rows })
+                let nodes = ids(&mut r)?;
+                let want = nodes
+                    .len()
+                    .checked_mul(dim as usize)
+                    .ok_or(Malformed("feature update row payload overflows"))?;
+                // The rows carry no count of their own: they are the rest of
+                // the frame, and the rest must be exactly count×dim scalars.
+                const MISMATCH: StoreError = Malformed("feature update rows mismatch count×dim");
+                let rows = r.vec(want).ok_or(MISMATCH)?;
+                r.finish().ok_or(MISMATCH)?;
+                Message::FeatureUpdateReq { dim, nodes, rows }
             }
             TAG_FEATURE_UPDATE_RESP => {
-                let applied = get_u32(&mut buf, "applied")?;
-                Ok(Message::FeatureUpdateResp { applied })
+                Message::FeatureUpdateResp { applied: r.u32().ok_or(Malformed("applied"))? }
             }
             TAG_ADD_EDGE_REQ => {
-                let n = get_u32(&mut buf, "count")? as usize;
-                if buf.remaining() < n.saturating_mul(8) {
-                    return Err(StoreError::Malformed("truncated edge list"));
-                }
-                let mut edges = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let u = buf.get_u32_le();
-                    let v = buf.get_u32_le();
-                    edges.push((u, v));
-                }
-                Ok(Message::AddEdgeReq { edges })
+                let n = r.u32().ok_or(Malformed("count"))? as usize;
+                let ends: Vec<NodeId> =
+                    r.vec(n.saturating_mul(2)).ok_or(Malformed("truncated edge list"))?;
+                Message::AddEdgeReq { edges: ends.chunks_exact(2).map(|e| (e[0], e[1])).collect() }
             }
-            TAG_ADD_EDGE_RESP => {
-                let applied = get_u32(&mut buf, "applied")?;
-                let rejected = get_u32(&mut buf, "rejected")?;
-                Ok(Message::AddEdgeResp { applied, rejected })
-            }
+            TAG_ADD_EDGE_RESP => Message::AddEdgeResp {
+                applied: r.u32().ok_or(Malformed("applied"))?,
+                rejected: r.u32().ok_or(Malformed("rejected"))?,
+            },
             TAG_ADD_NODE_REQ => {
-                let id = get_u32(&mut buf, "node id")?;
-                let owner = get_u32(&mut buf, "owner")?;
-                let n = get_u32(&mut buf, "row len")? as usize;
-                if buf.remaining() != n * 4 {
-                    return Err(StoreError::Malformed("add-node row mismatch"));
-                }
-                let row = get_scalars(&mut buf, n, "add-node row mismatch")?;
-                Ok(Message::AddNodeReq { id, owner, row })
+                // Short or long, a row that disagrees with its length field
+                // is this kind's own shape error.
+                const MISMATCH: &str = "add-node row mismatch";
+                let msg = Message::AddNodeReq {
+                    id: r.u32().ok_or(Malformed("node id"))?,
+                    owner: r.u32().ok_or(Malformed("owner"))?,
+                    row: counted(&mut r, "row len", MISMATCH)?,
+                };
+                r.finish().ok_or(Malformed(MISMATCH))?;
+                msg
             }
-            TAG_ADD_NODE_RESP => {
-                let id = get_u32(&mut buf, "node id")?;
-                Ok(Message::AddNodeResp { id })
-            }
-            TAG_PREPARE_MIGRATE_REQ => {
-                let node = get_u32(&mut buf, "node id")?;
-                let dest = get_u32(&mut buf, "migrate dest")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::PrepareMigrateReq { node, dest })
-            }
-            TAG_PREPARE_MIGRATE_RESP => {
-                let node = get_u32(&mut buf, "node id")?;
-                let owner = get_u32(&mut buf, "migrate owner")?;
-                let n = get_u32(&mut buf, "row len")? as usize;
-                let row = get_scalars(&mut buf, n, "truncated migrate row")?;
-                let m = get_u32(&mut buf, "count")? as usize;
-                let neighbors = get_ids(&mut buf, m)?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::PrepareMigrateResp { node, owner, row, neighbors })
-            }
-            TAG_MIGRATE_COPY_REQ => {
-                let node = get_u32(&mut buf, "node id")?;
-                let dest = get_u32(&mut buf, "migrate dest")?;
-                let n = get_u32(&mut buf, "row len")? as usize;
-                let row = get_scalars(&mut buf, n, "truncated migrate row")?;
-                let m = get_u32(&mut buf, "count")? as usize;
-                let neighbors = get_ids(&mut buf, m)?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::MigrateCopyReq { node, dest, row, neighbors })
-            }
+            TAG_ADD_NODE_RESP => Message::AddNodeResp { id: r.u32().ok_or(Malformed("node id"))? },
+            TAG_PREPARE_MIGRATE_REQ => Message::PrepareMigrateReq {
+                node: r.u32().ok_or(Malformed("node id"))?,
+                dest: r.u32().ok_or(Malformed("migrate dest"))?,
+            },
+            TAG_PREPARE_MIGRATE_RESP => Message::PrepareMigrateResp {
+                node: r.u32().ok_or(Malformed("node id"))?,
+                owner: r.u32().ok_or(Malformed("migrate owner"))?,
+                row: counted(&mut r, "row len", "truncated migrate row")?,
+                neighbors: ids(&mut r)?,
+            },
+            TAG_MIGRATE_COPY_REQ => Message::MigrateCopyReq {
+                node: r.u32().ok_or(Malformed("node id"))?,
+                dest: r.u32().ok_or(Malformed("migrate dest"))?,
+                row: counted(&mut r, "row len", "truncated migrate row")?,
+                neighbors: ids(&mut r)?,
+            },
             TAG_MIGRATE_COPY_RESP => {
-                let node = get_u32(&mut buf, "node id")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::MigrateCopyResp { node })
+                Message::MigrateCopyResp { node: r.u32().ok_or(Malformed("node id"))? }
             }
-            TAG_COMMIT_MIGRATE_REQ => {
-                let node = get_u32(&mut buf, "node id")?;
-                let owner = get_u32(&mut buf, "migrate owner")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::CommitMigrateReq { node, owner })
-            }
-            TAG_COMMIT_MIGRATE_RESP => {
-                let node = get_u32(&mut buf, "node id")?;
-                let owner = get_u32(&mut buf, "migrate owner")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::CommitMigrateResp { node, owner })
-            }
-            TAG_OWNER_REQ => {
-                let node = get_u32(&mut buf, "node id")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::OwnerReq { node })
-            }
-            TAG_OWNER_RESP => {
-                let node = get_u32(&mut buf, "node id")?;
-                let owner = get_u32(&mut buf, "migrate owner")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::OwnerResp { node, owner })
-            }
-            TAG_TOMBSTONE_REQ => {
-                let node = get_u32(&mut buf, "node id")?;
-                let old_owner = get_u32(&mut buf, "migrate owner")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::TombstoneReq { node, old_owner })
-            }
+            TAG_COMMIT_MIGRATE_REQ => Message::CommitMigrateReq {
+                node: r.u32().ok_or(Malformed("node id"))?,
+                owner: r.u32().ok_or(Malformed("migrate owner"))?,
+            },
+            TAG_COMMIT_MIGRATE_RESP => Message::CommitMigrateResp {
+                node: r.u32().ok_or(Malformed("node id"))?,
+                owner: r.u32().ok_or(Malformed("migrate owner"))?,
+            },
+            TAG_OWNER_REQ => Message::OwnerReq { node: r.u32().ok_or(Malformed("node id"))? },
+            TAG_OWNER_RESP => Message::OwnerResp {
+                node: r.u32().ok_or(Malformed("node id"))?,
+                owner: r.u32().ok_or(Malformed("migrate owner"))?,
+            },
+            TAG_TOMBSTONE_REQ => Message::TombstoneReq {
+                node: r.u32().ok_or(Malformed("node id"))?,
+                old_owner: r.u32().ok_or(Malformed("migrate owner"))?,
+            },
             TAG_TOMBSTONE_RESP => {
-                let node = get_u32(&mut buf, "node id")?;
-                if buf.remaining() != 0 {
-                    return Err(StoreError::Malformed("migrate frame length mismatch"));
-                }
-                Ok(Message::TombstoneResp { node })
+                Message::TombstoneResp { node: r.u32().ok_or(Malformed("node id"))? }
             }
-            _ => Err(StoreError::Malformed("unknown tag")),
-        }
+            _ => return Err(Malformed("unknown tag")),
+        };
+        r.finish().ok_or(TRAILING)?;
+        Ok(msg)
     }
 }
 
-/// Shape is validated at the codec boundary, not just by the fetch path: a
-/// payload that is not whole rows is corrupt.
-fn check_row_shape(dim: u32, n: usize) -> Result<(), StoreError> {
+/// A `u32` count, then that many scalars in one pass; each half fails under
+/// its own label.
+fn counted<T: LeScalar>(
+    r: &mut Reader<'_>,
+    count: &'static str,
+    short: &'static str,
+) -> Result<Vec<T>, StoreError> {
+    let n = r.u32().ok_or(Malformed(count))? as usize;
+    r.vec(n).ok_or(Malformed(short))
+}
+
+fn ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, StoreError> {
+    counted(r, "count", "truncated id list")
+}
+
+/// The `dim` and scalar-count fields of a feature response. Shape is
+/// validated at the codec boundary, not just by the fetch path: a payload
+/// that is not whole rows is corrupt, whatever bytes follow.
+fn row_shape(r: &mut Reader<'_>) -> Result<(u32, usize), StoreError> {
+    let dim = r.u32().ok_or(Malformed("dim"))?;
+    let n = r.u32().ok_or(Malformed("row len"))? as usize;
     if dim == 0 && n != 0 {
-        return Err(StoreError::Malformed("feature rows with zero dim"));
+        return Err(Malformed("feature rows with zero dim"));
     }
     if dim != 0 && !n.is_multiple_of(dim as usize) {
-        return Err(StoreError::Malformed("feature rows not a multiple of dim"));
+        return Err(Malformed("feature rows not a multiple of dim"));
     }
-    Ok(())
-}
-
-fn get_u32(buf: &mut Bytes, what: &'static str) -> Result<u32, StoreError> {
-    if buf.remaining() < 4 {
-        return Err(StoreError::Malformed(what));
-    }
-    Ok(buf.get_u32_le())
-}
-
-/// Append `rows` to the frame as little-endian scalars, in one pass.
-fn put_scalars<T: LeScalar>(buf: &mut BytesMut, rows: &[T]) {
-    let at = buf.len();
-    buf.resize(at + rows.len() * T::BYTES, 0);
-    write_le(rows, &mut buf[at..]);
-}
-
-/// Take `n` little-endian scalars off the front of the frame, in one pass.
-/// The length is checked against the bytes actually present before
-/// anything is allocated, so a corrupt count cannot reserve memory.
-fn get_scalars<T: LeScalar>(
-    buf: &mut Bytes,
-    n: usize,
-    truncated: &'static str,
-) -> Result<Vec<T>, StoreError> {
-    let len = n
-        .checked_mul(T::BYTES)
-        .filter(|&len| len <= buf.remaining())
-        .ok_or(StoreError::Malformed(truncated))?;
-    let rows = read_le(&buf.chunk()[..len]).expect("len is a whole number of scalars");
-    buf.advance(len);
-    Ok(rows)
-}
-
-fn get_ids(buf: &mut Bytes, n: usize) -> Result<Vec<NodeId>, StoreError> {
-    if buf.remaining() < n * 4 {
-        return Err(StoreError::Malformed("truncated id list"));
-    }
-    // Cap the preallocation the same way NeighborResp decode does: a
-    // corrupt count cannot make us reserve gigabytes before the length
-    // check above has real bytes behind it.
-    let mut ids = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        ids.push(buf.get_u32_le());
-    }
-    Ok(ids)
+    Ok((dim, n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgl_graph::half::f32_to_f16_bits;
+    use bytes::{BufMut, BytesMut};
 
     #[test]
     fn neighbor_req_roundtrip() {
         let m = Message::NeighborReq { fanout: 15, nodes: vec![1, 2, 99] };
         let encoded = m.encode().unwrap();
-        assert_eq!(encoded.len(), m.encoded_len());
         assert_eq!(Message::decode(encoded).unwrap(), m);
     }
 
@@ -615,7 +433,6 @@ mod tests {
             nodes: vec![0, 7, 42],
         };
         let encoded = m.encode().unwrap();
-        assert_eq!(encoded.len(), m.encoded_len());
         assert_eq!(Message::decode(encoded.clone()).unwrap(), m);
         // Truncating inside the salt is malformed, not a panic.
         assert_eq!(
@@ -630,7 +447,6 @@ mod tests {
             lists: vec![vec![5, 6], vec![], vec![7]],
         };
         let encoded = m.encode().unwrap();
-        assert_eq!(encoded.len(), m.encoded_len());
         assert_eq!(Message::decode(encoded).unwrap(), m);
     }
 
@@ -640,7 +456,6 @@ mod tests {
         assert_eq!(Message::decode(req.encode().unwrap()).unwrap(), req);
         let resp = Message::FeatureResp { dim: 2, rows: vec![1.5, -2.5] };
         let enc = resp.encode().unwrap();
-        assert_eq!(enc.len(), resp.encoded_len());
         assert_eq!(Message::decode(enc).unwrap(), resp);
     }
 
@@ -653,12 +468,11 @@ mod tests {
         let rows: Vec<u16> = rows_f32.iter().map(|&x| f32_to_f16_bits(x)).collect();
         let resp = Message::FeatureRespF16 { dim: 2, rows: rows.clone() };
         let enc = resp.encode().unwrap();
-        assert_eq!(enc.len(), resp.encoded_len());
-        assert_eq!(Message::decode(enc).unwrap(), resp);
+        assert_eq!(Message::decode(enc.clone()).unwrap(), resp);
 
         // Exactly half the row payload of the equivalent f32 response.
-        let f32_resp = Message::FeatureResp { dim: 2, rows: rows_f32.clone() };
-        assert_eq!(resp.encoded_len() - 9, (f32_resp.encoded_len() - 9) / 2);
+        let f32_enc = Message::FeatureResp { dim: 2, rows: rows_f32.clone() }.encode().unwrap();
+        assert_eq!(enc.len() - 9, (f32_enc.len() - 9) / 2);
     }
 
     #[test]
@@ -690,12 +504,14 @@ mod tests {
     fn oversized_counts_error_instead_of_truncating() {
         // The checked conversion itself: a length that does not fit u32
         // must surface TooLarge, not wrap around like `as u32` did.
+        let mut out = Vec::new();
         assert_eq!(
-            u32_len(u32::MAX as usize + 1, "feature req count"),
+            put_len(&mut out, u32::MAX as usize + 1, "feature req count"),
             Err(StoreError::TooLarge("feature req count"))
         );
-        assert_eq!(u32_len(u32::MAX as usize, "x"), Ok(u32::MAX));
-        assert_eq!(u32_len(0, "x"), Ok(0));
+        assert_eq!(put_len(&mut out, u32::MAX as usize, "x"), Ok(()));
+        assert_eq!(put_len(&mut out, 0, "x"), Ok(()));
+        assert_eq!(out, [0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0]);
     }
 
     #[test]
@@ -764,11 +580,9 @@ mod tests {
             rows: vec![1.0, 2.0, 3.0, 4.0],
         };
         let enc = m.encode().unwrap();
-        assert_eq!(enc.len(), m.encoded_len());
         assert_eq!(Message::decode(enc).unwrap(), m);
         let ack = Message::FeatureUpdateResp { applied: 2 };
         let enc = ack.encode().unwrap();
-        assert_eq!(enc.len(), ack.encoded_len());
         assert_eq!(Message::decode(enc).unwrap(), ack);
     }
 
@@ -801,7 +615,6 @@ mod tests {
     fn add_edge_roundtrip_and_truncation() {
         let m = Message::AddEdgeReq { edges: vec![(1, 2), (9, 9), (0, 7)] };
         let enc = m.encode().unwrap();
-        assert_eq!(enc.len(), m.encoded_len());
         assert_eq!(Message::decode(enc.clone()).unwrap(), m);
         // Cutting inside the pair list is malformed, not a panic.
         assert_eq!(
@@ -810,7 +623,6 @@ mod tests {
         );
         let ack = Message::AddEdgeResp { applied: 2, rejected: 1 };
         let enc = ack.encode().unwrap();
-        assert_eq!(enc.len(), ack.encoded_len());
         assert_eq!(Message::decode(enc).unwrap(), ack);
     }
 
@@ -818,7 +630,6 @@ mod tests {
     fn add_node_roundtrip_and_shape_validation() {
         let m = Message::AddNodeReq { id: 100, owner: 3, row: vec![1.5, -2.5] };
         let enc = m.encode().unwrap();
-        assert_eq!(enc.len(), m.encoded_len());
         assert_eq!(Message::decode(enc.clone()).unwrap(), m);
         // Trailing garbage or a short row disagrees with the length field.
         assert_eq!(
@@ -827,7 +638,6 @@ mod tests {
         );
         let ack = Message::AddNodeResp { id: 100 };
         let enc = ack.encode().unwrap();
-        assert_eq!(enc.len(), ack.encoded_len());
         assert_eq!(Message::decode(enc).unwrap(), ack);
     }
 
@@ -879,16 +689,17 @@ mod tests {
         ];
         for m in msgs {
             let enc = m.encode().unwrap();
-            assert_eq!(enc.len(), m.encoded_len(), "{:?}", m);
             assert_eq!(Message::decode(enc).unwrap(), m);
         }
     }
 
     #[test]
-    fn migration_frames_reject_trailing_garbage() {
-        // Fixed-size migration frames validate exact length: a byte of
-        // trailing garbage is protocol corruption, not slack.
+    fn frames_reject_trailing_garbage() {
+        // Every frame validates exact length: a byte of trailing garbage is
+        // protocol corruption, not slack.
         for m in [
+            Message::FeatureReq { nodes: vec![4] },
+            Message::NeighborResp { lists: vec![vec![2]] },
             Message::CommitMigrateReq { node: 1, owner: 0 },
             Message::OwnerResp { node: 1, owner: 0 },
             Message::TombstoneResp { node: 1 },
@@ -900,7 +711,7 @@ mod tests {
             long.put_u8(0xAB);
             assert_eq!(
                 Message::decode(long.freeze()),
-                Err(StoreError::Malformed("migrate frame length mismatch")),
+                Err(TRAILING),
                 "{:?}",
                 m
             );

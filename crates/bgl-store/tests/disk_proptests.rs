@@ -29,7 +29,7 @@ proptest! {
     /// decode(encode(r)) == r for arbitrary WAL records.
     #[test]
     fn wal_record_roundtrip_is_identity(r in arb_record()) {
-        let payload = r.encode_payload();
+        let payload = r.encode_payload().unwrap();
         prop_assert_eq!(WalRecord::decode_payload(&payload).unwrap(), r);
     }
 
@@ -38,7 +38,7 @@ proptest! {
     /// distinguish torn from intact.
     #[test]
     fn wal_payload_truncation_is_rejected(r in arb_record()) {
-        let payload = r.encode_payload();
+        let payload = r.encode_payload().unwrap();
         for cut in 0..payload.len() {
             prop_assert!(
                 WalRecord::decode_payload(&payload[..cut]).is_err(),
@@ -54,7 +54,7 @@ proptest! {
     /// and in a framed log the checksum catches it first).
     #[test]
     fn wal_payload_bit_flip_never_decodes_identically(r in arb_record(), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let mut payload = r.encode_payload();
+        let mut payload = r.encode_payload().unwrap();
         let i = pos.index(payload.len());
         payload[i] ^= 1 << bit;
         match WalRecord::decode_payload(&payload) {

@@ -1,13 +1,14 @@
 //! Property-style roundtrip coverage of the wire codec: every `Message`
-//! variant, across hundreds of randomly shaped instances, must encode to
-//! exactly `encoded_len()` bytes and decode back to itself — and every
-//! mutation of a valid frame must decode to an error or a (different but)
-//! valid message, never panic.
+//! variant, across hundreds of randomly shaped instances, must decode back
+//! to itself and to nothing else — a frame with a byte appended is an
+//! error, whatever its kind — and every mutation of a valid frame must
+//! decode to an error or a (different but) valid message, never panic.
 //!
 //! Plain seeded loops rather than a property-testing framework: the cases
 //! are reproducible from the constants below, with no external machinery.
 
 use bgl_store::wire::Message;
+use bgl_store::StoreError;
 use bytes::Bytes;
 use rand::prelude::*;
 
@@ -128,39 +129,43 @@ fn random_message(rng: &mut StdRng) -> Message {
     }
 }
 
+/// A message's kind, as an index into a `seen` tally.
+fn kind(m: &Message) -> usize {
+    match m {
+        Message::NeighborReq { .. } => 0,
+        Message::NeighborResp { .. } => 1,
+        Message::FeatureReq { .. } => 2,
+        Message::FeatureResp { .. } => 3,
+        Message::FeatureUpdateReq { .. } => 4,
+        Message::FeatureUpdateResp { .. } => 5,
+        Message::FeatureReqF16 { .. } => 6,
+        Message::FeatureRespF16 { .. } => 7,
+        Message::NeighborReqSeeded { .. } => 8,
+        Message::AddEdgeReq { .. } => 9,
+        Message::AddEdgeResp { .. } => 10,
+        Message::AddNodeReq { .. } => 11,
+        Message::AddNodeResp { .. } => 12,
+        Message::PrepareMigrateReq { .. } => 13,
+        Message::PrepareMigrateResp { .. } => 14,
+        Message::MigrateCopyReq { .. } => 15,
+        Message::MigrateCopyResp { .. } => 16,
+        Message::CommitMigrateReq { .. } => 17,
+        Message::CommitMigrateResp { .. } => 18,
+        Message::OwnerReq { .. } => 19,
+        Message::OwnerResp { .. } => 20,
+        Message::TombstoneReq { .. } => 21,
+        Message::TombstoneResp { .. } => 22,
+    }
+}
+
 #[test]
 fn every_variant_roundtrips() {
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut seen = [0usize; 23];
     for _ in 0..CASES {
         let m = random_message(&mut rng);
-        seen[match &m {
-            Message::NeighborReq { .. } => 0,
-            Message::NeighborResp { .. } => 1,
-            Message::FeatureReq { .. } => 2,
-            Message::FeatureResp { .. } => 3,
-            Message::FeatureUpdateReq { .. } => 4,
-            Message::FeatureUpdateResp { .. } => 5,
-            Message::FeatureReqF16 { .. } => 6,
-            Message::FeatureRespF16 { .. } => 7,
-            Message::NeighborReqSeeded { .. } => 8,
-            Message::AddEdgeReq { .. } => 9,
-            Message::AddEdgeResp { .. } => 10,
-            Message::AddNodeReq { .. } => 11,
-            Message::AddNodeResp { .. } => 12,
-            Message::PrepareMigrateReq { .. } => 13,
-            Message::PrepareMigrateResp { .. } => 14,
-            Message::MigrateCopyReq { .. } => 15,
-            Message::MigrateCopyResp { .. } => 16,
-            Message::CommitMigrateReq { .. } => 17,
-            Message::CommitMigrateResp { .. } => 18,
-            Message::OwnerReq { .. } => 19,
-            Message::OwnerResp { .. } => 20,
-            Message::TombstoneReq { .. } => 21,
-            Message::TombstoneResp { .. } => 22,
-        }] += 1;
+        seen[kind(&m)] += 1;
         let encoded = m.encode().unwrap();
-        assert_eq!(encoded.len(), m.encoded_len(), "encoded_len mismatch for {:?}", m);
         assert_eq!(Message::decode(encoded).unwrap(), m);
     }
     assert!(
@@ -168,6 +173,37 @@ fn every_variant_roundtrips() {
         "all twenty-three variants must be exercised: {:?}",
         seen
     );
+}
+
+/// Exact-length discipline, for every kind: a frame followed by garbage is
+/// protocol corruption, never a message with slack after it. Two kinds
+/// whose row payload runs to the end of the frame report the mismatch under
+/// their own shape label; every other kind under the one trailing-bytes
+/// label.
+#[test]
+fn every_variant_rejects_trailing_garbage() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 4);
+    let mut accepted = std::collections::BTreeSet::new();
+    let mut seen = [0usize; 23];
+    for _ in 0..CASES {
+        let m = random_message(&mut rng);
+        seen[kind(&m)] += 1;
+        let long = [&m.encode().unwrap()[..], &[0xAB]].concat();
+        let label = match m {
+            Message::FeatureUpdateReq { .. } => "feature update rows mismatch count×dim",
+            Message::AddNodeReq { .. } => "add-node row mismatch",
+            _ => "trailing bytes",
+        };
+        match Message::decode(Bytes::from(long)) {
+            Ok(_) => {
+                let debug = format!("{m:?}");
+                accepted.insert(debug.split(' ').next().unwrap_or_default().to_owned());
+            }
+            Err(e) => assert_eq!(e, StoreError::Malformed(label), "{:?}", m),
+        }
+    }
+    assert!(seen.iter().all(|&c| c > 0), "every kind drawn: {:?}", seen);
+    assert!(accepted.is_empty(), "kinds that decode with a trailing byte: {:?}", accepted);
 }
 
 #[test]
@@ -272,7 +308,7 @@ fn migration_frames_reject_truncation_bitflips_and_cross_format_payloads() {
         long.push(0xAB);
         assert_eq!(
             Message::decode(Bytes::from(long)).unwrap_err(),
-            bgl_store::StoreError::Malformed("migrate frame length mismatch"),
+            StoreError::Malformed("trailing bytes"),
             "{:?} with trailing garbage",
             m
         );
@@ -330,7 +366,6 @@ fn random_truncations_never_panic() {
 /// scalar by scalar. A codec change that alters one wire byte fails here.
 #[test]
 fn feature_row_frames_match_their_golden_bytes() {
-    use bgl_store::StoreError;
     // 2 rows × 3: an f16-inexact value, the largest finite f16, both zeros.
     let rows = vec![1.0f32, -2.5, 0.1, 65504.0, 0.0, -0.0];
     #[rustfmt::skip]

@@ -13,7 +13,6 @@
 //!     --ckpt-dir /tmp/bgl-ckpt --resume         # finishes it exactly
 //! ```
 
-use bgl::config::GnnModelKind;
 use bgl::experiments::{DatasetId, ExperimentCtx};
 use bgl::systems::SystemKind;
 use bgl_exec::{
@@ -102,7 +101,7 @@ fn main() {
     println!("\nsimulated testbed throughput (GraphSAGE, 4 GPUs):");
     let ctx = ExperimentCtx::small();
     for sys in [SystemKind::Dgl, SystemKind::Bgl] {
-        let row = ctx.throughput(DatasetId::Products, sys, GnnModelKind::GraphSage, 4);
+        let row = ctx.throughput(DatasetId::Products, sys, ModelKind::GraphSage, 4);
         println!(
             "  {:10} {:>10.0} samples/s   GPU util {:>3.0}%   cache hit {:.2}",
             row.system,

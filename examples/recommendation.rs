@@ -7,7 +7,7 @@
 //! cargo run --release -p bgl --example recommendation
 //! ```
 
-use bgl::config::GnnModelKind;
+use bgl::config::ModelKind;
 use bgl::experiments::{DatasetId, ExperimentCtx};
 use bgl::measure::make_partitioner;
 use bgl::systems::SystemKind;
@@ -79,7 +79,7 @@ fn main() {
     println!("\nsimulated throughput (GraphSAGE, 8 GPUs, User-Item-like):");
     let ctx = ExperimentCtx::small();
     for sys in [SystemKind::Euler, SystemKind::Dgl, SystemKind::Bgl] {
-        let row = ctx.throughput(DatasetId::UserItem, sys, GnnModelKind::GraphSage, 8);
+        let row = ctx.throughput(DatasetId::UserItem, sys, ModelKind::GraphSage, 8);
         println!(
             "  {:10} {:>10.0} samples/s   GPU util {:>3.0}%",
             row.system,

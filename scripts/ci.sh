@@ -66,6 +66,17 @@ if grep -n 'HashSet' crates/bgl-sampler/src/neighbor.rs; then
     echo "hashed set in the sampler: pick keeps at most fanout indices in a Vec" >&2
     exit 1
 fi
+# Bytes from a socket or a disk are read through one cursor (DESIGN.md §12):
+# a decoder that compares a length to what is left on its own, or pulls
+# fields out of a slice by hand, has re-grown a bounds check beside the one
+# in bgl_graph::le::Reader::take.
+if grep -nE 'remaining\(\) *(<|!=|>)' crates/bgl-store/src/wire.rs crates/bgl-net/src/{proto,query}.rs ||
+    awk 'FNR == 1 { tests = 0 } /#\[cfg\(test\)\]/ { tests = 1 }
+         !tests && /from_le_bytes/ { print FILENAME ":" FNR ":" $0; hit = 1 } END { exit !hit }' \
+        crates/bgl-store/src/wal.rs crates/bgl-exec/src/checkpoint.rs; then
+    echo "hand-rolled length check or field read in a decoder: read through bgl_graph::le::Reader" >&2
+    exit 1
+fi
 
 cargo build --release
 cargo test -q
@@ -95,7 +106,7 @@ debug,release  -p bgl --test exec_runtime
 debug          -p bgl-net
 # training epoch over loopback TCP, including the mid-epoch server kill
 debug          -p bgl --test net_transport
-# connection runtime conformance (both handlers), live serving and mid-load store kill
+# connection runtime conformance (both handlers, hostile Control/Query/Req frames), live serving and mid-load store kill
 debug,release  -p bgl --test conn_runtime --test serve
 # checkpoint/resume chaos: pipelines killed at seeded batches and resumed
 debug,release  -p bgl --test ckpt_recovery
@@ -109,8 +120,8 @@ debug,release  -p bgl-ingest
 debug,release  -p bgl --test migrate
 # registry counter names: every ledger attach site against the pinned literal list
 debug          -p bgl --test metric_names
-# cluster request order: literal events, per-server counts, ledger and clock under a scripted plan
-debug          -p bgl --test request_order
+# pinned literals: cluster request order (events, per-server counts, ledger, clock) and every codec's golden bytes
+debug          -p bgl --test request_order --test golden_corpus
 # induce against its HashMap + GraphBuilder reference: the branch-free filter and in-place row sort are what the optimizer rewrites
 release        -p bgl-graph --test proptests
 # feature miss path, tier × wire × cache precision: every assembled position against the quantization its pairing implies

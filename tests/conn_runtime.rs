@@ -16,8 +16,9 @@
 //!   reply still deferred — unresolved tickets included — before closing;
 //! * `kill` mid-conversation surfaces as a retryable transport error;
 //! * a connection that goes quiet is closed at `idle_timeout`;
-//! * truncated, bit-flipped and oversize-announcing `Control` / `Query`
-//!   frames never panic or hang a connection thread.
+//! * truncated, bit-flipped, padded and oversize-announcing `Control` /
+//!   `Query` / `Req` frames never panic or hang a connection thread, and a
+//!   `Req` that arrives whole is always answered.
 //!
 //! Two plane-specific cases close the loop on this PR's fixes: the typed
 //! permanent refusal `ServeClient` sees for a wrong-version hello, and
@@ -49,7 +50,7 @@ use bgl_sim::network::NetworkModel;
 use bgl_store::wire::Message;
 use bgl_store::{GraphStoreServer, StoreCluster, StoreError};
 use proptest::test_runner::{Config as ProptestConfig, TestRunner};
-use proptest::{prop_assert, strategy::Strategy};
+use proptest::{prop_assert, prop_assert_eq, strategy::Strategy};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -402,6 +403,22 @@ fn hostile_frames_never_panic_or_hang<P: Plane>(seed: impl Strategy<Value = Fram
                 frames.first().is_some_and(|f| f.kind == FrameKind::HelloAck),
                 "the valid hello is acked before the damage is read"
             );
+            // A `Req` whose framing is intact reaches the store handler,
+            // which owes every payload an answer — a reply or a typed
+            // error, never a silent close — and owes a payload with bytes
+            // after its message the error: no kind has slack.
+            if frame.kind == FrameKind::Req {
+                let answer = frames.get(1).map(|f| f.kind);
+                match mutation {
+                    hostile::Mutation::Append(_) => prop_assert_eq!(answer, Some(FrameKind::Err)),
+                    hostile::Mutation::Payload(_) => prop_assert!(
+                        matches!(answer, Some(FrameKind::Resp | FrameKind::Err)),
+                        "unanswered: {:?}",
+                        answer
+                    ),
+                    _ => {}
+                }
+            }
             Ok(())
         })
         .unwrap_or_else(|e| panic!("{e}"));
@@ -449,6 +466,13 @@ conformance! {
 #[test]
 fn store_hostile_control_frames_never_panic_or_hang() {
     hostile_frames_never_panic_or_hang::<StorePlane>(hostile::arb_control_frame());
+}
+
+/// The `Req` plane, all 23 message kinds — migration tags 14–23 included —
+/// at a live store server.
+#[test]
+fn store_hostile_req_frames_never_panic_or_hang() {
+    hostile_frames_never_panic_or_hang::<StorePlane>(hostile::arb_req_frame());
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 mod common;
 
-use bgl::config::GnnModelKind;
+use bgl::config::ModelKind;
 use bgl::experiments::DatasetId;
 use bgl::systems::SystemKind;
 use bgl_cache::PolicyKind;
@@ -16,7 +16,7 @@ fn bgl_wins_on_every_dataset() {
         let mut best_other = 0.0f64;
         let mut bgl = 0.0f64;
         for sys in SystemKind::all() {
-            let row = ctx.throughput(id, sys, GnnModelKind::GraphSage, 4);
+            let row = ctx.throughput(id, sys, ModelKind::GraphSage, 4);
             if row.oom {
                 continue;
             }
@@ -41,11 +41,11 @@ fn bgl_wins_on_every_dataset() {
 fn euler_is_slowest_on_products() {
     let ctx = common::small_ctx();
     let euler = ctx
-        .throughput(DatasetId::Products, SystemKind::Euler, GnnModelKind::GraphSage, 1)
+        .throughput(DatasetId::Products, SystemKind::Euler, ModelKind::GraphSage, 1)
         .samples_per_sec;
     for sys in [SystemKind::Dgl, SystemKind::Pyg, SystemKind::PaGraph, SystemKind::Bgl] {
         let other = ctx
-            .throughput(DatasetId::Products, sys, GnnModelKind::GraphSage, 1)
+            .throughput(DatasetId::Products, sys, ModelKind::GraphSage, 1)
             .samples_per_sec;
         assert!(
             other > euler,
@@ -65,7 +65,7 @@ fn gat_narrows_the_gap() {
     // Measured at 1 GPU: with many GPUs the simulated GPU stage is
     // divided across workers and even GAT stops being compute-bound at
     // this scale, hiding the effect the paper reports.
-    let ratio = |model: GnnModelKind| {
+    let ratio = |model: ModelKind| {
         let bgl = ctx
             .throughput(DatasetId::Products, SystemKind::Bgl, model, 1)
             .samples_per_sec;
@@ -74,8 +74,8 @@ fn gat_narrows_the_gap() {
             .samples_per_sec;
         bgl / dgl
     };
-    let sage_gain = ratio(GnnModelKind::GraphSage);
-    let gat_gain = ratio(GnnModelKind::Gat);
+    let sage_gain = ratio(ModelKind::GraphSage);
+    let gat_gain = ratio(ModelKind::Gat);
     assert!(
         gat_gain < sage_gain,
         "gat gain {:.1}x should be below graphsage gain {:.1}x",
@@ -91,10 +91,10 @@ fn bgl_scales_better_than_dgl() {
     let ctx = common::small_ctx();
     let scaling = |sys: SystemKind| {
         let t1 = ctx
-            .throughput(DatasetId::Products, sys, GnnModelKind::GraphSage, 1)
+            .throughput(DatasetId::Products, sys, ModelKind::GraphSage, 1)
             .samples_per_sec;
         let t8 = ctx
-            .throughput(DatasetId::Products, sys, GnnModelKind::GraphSage, 8)
+            .throughput(DatasetId::Products, sys, ModelKind::GraphSage, 8)
             .samples_per_sec;
         t8 / t1
     };
@@ -114,10 +114,10 @@ fn bgl_scales_better_than_dgl() {
 fn bgl_utilization_beats_dgl() {
     let ctx = common::small_ctx();
     let bgl = ctx
-        .throughput(DatasetId::Products, SystemKind::Bgl, GnnModelKind::GraphSage, 8)
+        .throughput(DatasetId::Products, SystemKind::Bgl, ModelKind::GraphSage, 8)
         .gpu_utilization;
     let dgl = ctx
-        .throughput(DatasetId::Products, SystemKind::Dgl, GnnModelKind::GraphSage, 8)
+        .throughput(DatasetId::Products, SystemKind::Dgl, ModelKind::GraphSage, 8)
         .gpu_utilization;
     assert!(
         bgl > 2.0 * dgl,
@@ -164,8 +164,8 @@ fn accuracy_delta_under_f16_features_is_small() {
     let ctx32 = common::small_ctx();
     let mut ctx16 = common::small_ctx();
     ctx16.feature_precision = bgl::FeaturePrecision::F16;
-    let r32 = ctx32.accuracy_experiment(DatasetId::Products, GnnModelKind::GraphSage, 4, 16);
-    let r16 = ctx16.accuracy_experiment(DatasetId::Products, GnnModelKind::GraphSage, 4, 16);
+    let r32 = ctx32.accuracy_experiment(DatasetId::Products, ModelKind::GraphSage, 4, 16);
+    let r16 = ctx16.accuracy_experiment(DatasetId::Products, ModelKind::GraphSage, 4, 16);
     assert_eq!(r32.len(), r16.len());
     for (a, b) in r32.iter().zip(&r16) {
         let delta = (a.final_test_acc - b.final_test_acc).abs();
@@ -185,7 +185,7 @@ fn accuracy_delta_under_f16_features_is_small() {
 #[test]
 fn accuracy_parity_between_orderings() {
     let ctx = common::small_ctx();
-    let rows = ctx.accuracy_experiment(DatasetId::Products, GnnModelKind::GraphSage, 8, 16);
+    let rows = ctx.accuracy_experiment(DatasetId::Products, ModelKind::GraphSage, 8, 16);
     assert_eq!(rows.len(), 2);
     let diff = (rows[0].final_test_acc - rows[1].final_test_acc).abs();
     assert!(
