@@ -19,9 +19,9 @@
 
 use crate::policy::PolicyKind;
 use crate::stats::CacheStats;
+use bgl_graph::hash::IdMap;
 use bgl_graph::NodeId;
 use bgl_obs::{AtomicLedger, Mirror};
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -42,7 +42,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 fn dedup_keys(nodes: &[NodeId]) -> (Vec<NodeId>, Vec<Vec<usize>>) {
     let mut keys: Vec<NodeId> = Vec::new();
     let mut positions: Vec<Vec<usize>> = Vec::new();
-    let mut index: HashMap<NodeId, usize> = HashMap::new();
+    let mut index: IdMap<usize> = IdMap::default();
     for (i, &v) in nodes.iter().enumerate() {
         let u = *index.entry(v).or_insert_with(|| {
             keys.push(v);

@@ -11,9 +11,9 @@ use crate::cost::CacheCostModel;
 use crate::policy::{make_policy, CachePolicy, PolicyKind};
 use crate::stats::CacheStats;
 use bgl_graph::half::{RowBuf, RowRef};
+use bgl_graph::hash::IdMap;
 use bgl_graph::{FeatureBlock, FeaturePrecision, FeatureStore, NodeId};
 use bgl_obs::{Ledger, Mirror};
-use std::collections::HashMap;
 
 /// One cache shard: a policy plus the slot buffer it indexes. The slots are
 /// a [`RowBuf`] at the shard's configured precision (f16 slots hold the
@@ -292,7 +292,7 @@ impl FeatureCacheEngine {
         // once, with the one row fanned out to every position it fills.
         let mut missing_keys: Vec<NodeId> = Vec::new();
         let mut missing_pos: Vec<Vec<usize>> = Vec::new();
-        let mut miss_index: HashMap<NodeId, usize> = HashMap::new();
+        let mut miss_index: IdMap<usize> = IdMap::default();
         let mut gpu_lookups = 0u64;
         let mut gpu_hits = 0u64;
         let mut gpu_inserts = 0u64;

@@ -7,9 +7,9 @@
 //! inserts once full — that *is* PaGraph's behaviour (pre-filled, no
 //! replacement at runtime).
 
+use bgl_graph::hash::{id_map, IdMap};
 use bgl_graph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which policy a configuration names (used by experiment harnesses).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,14 +73,14 @@ pub trait CachePolicy: Send {
 /// system it is a single atomic shared by the OpenMP insert threads (§4),
 /// which is why FIFO's update cost is so much lower than LRU/LFU's.
 pub struct Fifo {
-    map: HashMap<NodeId, u32>,
+    map: IdMap<u32>,
     slots: Vec<Option<NodeId>>,
     tail: usize,
 }
 
 impl Fifo {
     pub fn new(capacity: usize) -> Self {
-        Fifo { map: HashMap::with_capacity(capacity), slots: vec![None; capacity.max(1)], tail: 0 }
+        Fifo { map: id_map(capacity), slots: vec![None; capacity.max(1)], tail: 0 }
     }
 }
 
@@ -137,7 +137,7 @@ const NIL: u32 = u32::MAX;
 
 /// O(1) LRU: hashmap + doubly linked list threaded through slot arrays.
 pub struct LruO1 {
-    map: HashMap<NodeId, u32>,
+    map: IdMap<u32>,
     keys: Vec<NodeId>,
     prev: Vec<u32>,
     next: Vec<u32>,
@@ -150,7 +150,7 @@ impl LruO1 {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LruO1 {
-            map: HashMap::with_capacity(capacity),
+            map: id_map(capacity),
             keys: vec![0; capacity],
             prev: vec![NIL; capacity],
             next: vec![NIL; capacity],
@@ -250,7 +250,7 @@ impl CachePolicy for LruO1 {
 /// per frequency value (frequencies form their own linked list, so both
 /// increment and evict-minimum are O(1)).
 pub struct LfuO1 {
-    map: HashMap<NodeId, u32>,
+    map: IdMap<u32>,
     keys: Vec<NodeId>,
     freq: Vec<u64>,
     // Slot list links within a frequency bucket.
@@ -272,7 +272,7 @@ impl LfuO1 {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LfuO1 {
-            map: HashMap::with_capacity(capacity),
+            map: id_map(capacity),
             keys: vec![0; capacity],
             freq: vec![0; capacity],
             prev: vec![NIL; capacity],
@@ -388,7 +388,7 @@ impl CachePolicy for LfuO1 {
 /// PaGraph's static cache: pre-filled with the predicted hottest nodes
 /// (highest degree), never replaced at runtime.
 pub struct StaticDegree {
-    map: HashMap<NodeId, u32>,
+    map: IdMap<u32>,
     capacity: usize,
 }
 

@@ -1,87 +1,122 @@
-//! Block aggregation kernels (forward + backward).
+//! Block aggregation kernels (forward + backward), writing into the
+//! caller's step workspace.
+//!
+//! Every sum here keeps the order the allocate-everything formulation had
+//! (`tests/step_equiv.rs` keeps that formulation and holds these to it
+//! bitwise): a mean starts from `0.0`, adds the destination's own row first
+//! when it is included, then the sampled neighbours in block order, then
+//! divides; a scatter walks the destinations in order and adds `g / denom`
+//! per element.
 
 use bgl_sampler::LayerBlock;
 use bgl_tensor::Matrix;
+use std::ops::Range;
 
-/// Mean-aggregate source features into destinations.
-///
-/// `include_self = true` averages over `{d} ∪ sampled N(d)` (GCN style);
-/// `false` averages over the sampled neighbors only (GraphSAGE's neighbor
-/// aggregate), yielding zeros for isolated destinations.
-pub fn mean_aggregate(block: &LayerBlock, h_src: &Matrix, include_self: bool) -> Matrix {
-    let dim = h_src.cols();
-    let d_count = block.num_dst();
-    let mut out = Matrix::zeros(d_count, dim);
-    for d in 0..d_count {
-        let nbrs = block.neighbors_of(d);
-        let denom = (nbrs.len() + usize::from(include_self)) as f32;
-        if denom == 0.0 {
-            continue;
-        }
-        let row = out.row_mut(d);
-        if include_self {
-            for (o, &x) in row.iter_mut().zip(h_src.row(d)) {
-                *o += x;
-            }
-        }
-        for &sl in nbrs {
-            for (o, &x) in row.iter_mut().zip(h_src.row(sl as usize)) {
-                *o += x;
-            }
-        }
-        for o in row.iter_mut() {
-            *o /= denom;
+/// `seg = mean(h[d] if include_self, h[s] for s in nbrs)`; zeros when the
+/// set is empty (an isolated GraphSAGE destination).
+fn mean_row(h: &Matrix, d: usize, nbrs: &[u32], include_self: bool, seg: &mut [f32]) {
+    seg.fill(0.0);
+    let denom = (nbrs.len() + usize::from(include_self)) as f32;
+    if denom == 0.0 {
+        return;
+    }
+    if include_self {
+        for (o, &x) in seg.iter_mut().zip(h.row(d)) {
+            *o += x;
         }
     }
-    out
+    for &sl in nbrs {
+        for (o, &x) in seg.iter_mut().zip(h.row(sl as usize)) {
+            *o += x;
+        }
+    }
+    for o in seg.iter_mut() {
+        *o /= denom;
+    }
 }
 
-/// Backward of [`mean_aggregate`]: scatter `grad_out` back to the sources.
-/// Returns a `num_src × dim` gradient.
-pub fn mean_aggregate_backward(
-    block: &LayerBlock,
-    grad_out: &Matrix,
+/// GCN's aggregate: `agg[d] = mean(h over {d} ∪ sampled N(d))`.
+pub(crate) fn gather_mean(block: &LayerBlock, h: &Matrix, agg: &mut Matrix) {
+    agg.resize(block.num_dst(), h.cols());
+    for d in 0..block.num_dst() {
+        mean_row(h, d, block.neighbors_of(d), true, agg.row_mut(d));
+    }
+}
+
+/// GraphSAGE's GEMM operand in one pass: `concat[d] = [h[d] ‖ mean(h over
+/// sampled N(d))]`, each half written where the product reads it.
+pub(crate) fn gather_concat(block: &LayerBlock, h: &Matrix, concat: &mut Matrix) {
+    let dim = h.cols();
+    concat.resize(block.num_dst(), 2 * dim);
+    for d in 0..block.num_dst() {
+        let (own, neigh) = concat.row_mut(d).split_at_mut(dim);
+        own.copy_from_slice(h.row(d));
+        mean_row(h, d, block.neighbors_of(d), false, neigh);
+    }
+}
+
+/// The part of a sampled block `backward` reads — its CSR arrays — copied
+/// into reused vectors by `forward` (the node-id lists are not needed again).
+#[derive(Default)]
+pub(crate) struct BlockCsr {
+    pub offsets: Vec<usize>,
+    srcs: Vec<u32>,
+}
+
+impl BlockCsr {
+    pub fn copy_from(&mut self, block: &LayerBlock) {
+        self.offsets.clear();
+        self.offsets.extend_from_slice(&block.offsets);
+        self.srcs.clear();
+        self.srcs.extend_from_slice(&block.srcs);
+    }
+
+    pub fn num_dst(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The sampled neighbor slice (local src indices) of local dst `d`.
+    pub fn neighbors_of(&self, d: usize) -> &[u32] {
+        &self.srcs[self.offsets[d]..self.offsets[d + 1]]
+    }
+}
+
+/// Backward of the two gathers' mean: scatter columns `cols` of `grad`
+/// (one row per destination of `block`) back to the `num_src` sources as
+/// `dh`.
+pub(crate) fn scatter_mean(
+    block: &BlockCsr,
+    grad: &Matrix,
+    cols: Range<usize>,
     include_self: bool,
     num_src: usize,
-) -> Matrix {
-    let dim = grad_out.cols();
-    let mut grad_src = Matrix::zeros(num_src, dim);
+    dh: &mut Matrix,
+) {
+    dh.resize(num_src, cols.len());
+    dh.fill(0.0);
     for d in 0..block.num_dst() {
         let nbrs = block.neighbors_of(d);
         let denom = (nbrs.len() + usize::from(include_self)) as f32;
         if denom == 0.0 {
             continue;
         }
-        let g = grad_out.row(d);
+        let g = &grad.row(d)[cols.clone()];
         if include_self {
-            let row = grad_src.row_mut(d);
-            for (r, &x) in row.iter_mut().zip(g) {
+            for (r, &x) in dh.row_mut(d).iter_mut().zip(g) {
                 *r += x / denom;
             }
         }
         for &sl in nbrs {
-            let row = grad_src.row_mut(sl as usize);
-            for (r, &x) in row.iter_mut().zip(g) {
+            for (r, &x) in dh.row_mut(sl as usize).iter_mut().zip(g) {
                 *r += x / denom;
             }
         }
     }
-    grad_src
-}
-
-/// Slice the first `n` rows of a matrix (the dst prefix of a src matrix).
-pub fn top_rows(m: &Matrix, n: usize) -> Matrix {
-    let mut out = Matrix::zeros(n, m.cols());
-    for i in 0..n {
-        out.row_mut(i).copy_from_slice(m.row(i));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_sampler::LayerBlock;
 
     /// Block: 2 dsts; dst0 has srcs {2,3}, dst1 has none. 4 srcs total.
     fn block() -> LayerBlock {
@@ -97,9 +132,16 @@ mod tests {
         Matrix::from_vec(4, 2, vec![1., 2., 3., 4., 5., 6., 7., 8.])
     }
 
+    /// A buffer that arrives with another shape and stale values.
+    fn dirty() -> Matrix {
+        Matrix::from_vec(3, 3, vec![f32::NAN; 9])
+    }
+
     #[test]
     fn mean_with_self() {
-        let out = mean_aggregate(&block(), &h_src(), true);
+        let mut out = dirty();
+        gather_mean(&block(), &h_src(), &mut out);
+        assert_eq!((out.rows(), out.cols()), (2, 2));
         // dst0: mean of rows 0,2,3 = (1+5+7)/3, (2+6+8)/3
         assert_eq!(out.row(0), &[13.0 / 3.0, 16.0 / 3.0]);
         // dst1: only self
@@ -107,28 +149,37 @@ mod tests {
     }
 
     #[test]
-    fn mean_without_self() {
-        let out = mean_aggregate(&block(), &h_src(), false);
-        assert_eq!(out.row(0), &[6.0, 7.0]);
-        assert_eq!(out.row(1), &[0.0, 0.0], "isolated dst aggregates to zero");
+    fn concat_is_self_then_neighbor_mean() {
+        let mut out = dirty();
+        gather_concat(&block(), &h_src(), &mut out);
+        assert_eq!((out.rows(), out.cols()), (2, 4));
+        assert_eq!(out.row(0), &[1.0, 2.0, 6.0, 7.0]);
+        assert_eq!(out.row(1), &[3.0, 4.0, 0.0, 0.0], "isolated dst aggregates to zero");
     }
 
     #[test]
-    fn backward_matches_finite_difference() {
+    fn scatter_matches_finite_difference() {
+        let b = block();
+        let h = h_src();
+        // Scalar loss = Σ weights ∘ mean(...), so every gradient entry is
+        // exercised; the means sit in columns 2..4 of the concat layout.
+        let weights = Matrix::from_vec(2, 4, vec![0.0, 0.0, 0.3, -0.7, 0.0, 0.0, 1.1, 0.5]);
         for include_self in [true, false] {
-            let b = block();
-            let h = h_src();
-            // Scalar loss = sum(mean_aggregate(...)) with per-element
-            // weights, so every gradient entry is exercised.
-            let weights = Matrix::from_vec(2, 2, vec![0.3, -0.7, 1.1, 0.5]);
             let loss = |h: &Matrix| -> f32 {
-                mean_aggregate(&b, h, include_self)
-                    .hadamard(&weights)
-                    .raw()
-                    .iter()
-                    .sum()
+                let mut out = Matrix::zeros(0, 0);
+                if include_self {
+                    gather_mean(&b, h, &mut out);
+                    out.raw().iter().zip([0.3, -0.7, 1.1, 0.5]).map(|(&m, w)| m * w).sum()
+                } else {
+                    gather_concat(&b, h, &mut out);
+                    out.raw().iter().zip(weights.raw()).map(|(&m, &w)| m * w).sum()
+                }
             };
-            let grad = mean_aggregate_backward(&b, &weights, include_self, 4);
+            let mut grad = dirty();
+            let mut csr = BlockCsr::default();
+            csr.copy_from(&b);
+            scatter_mean(&csr, &weights, 2..4, include_self, 4, &mut grad);
+            assert_eq!((grad.rows(), grad.cols()), (4, 2));
             let eps = 1e-3;
             for i in 0..4 {
                 for j in 0..2 {
@@ -149,13 +200,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn top_rows_slices_prefix() {
-        let m = h_src();
-        let t = top_rows(&m, 2);
-        assert_eq!(t.rows(), 2);
-        assert_eq!(t.row(1), m.row(1));
     }
 }

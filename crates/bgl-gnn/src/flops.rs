@@ -3,7 +3,10 @@
 //! The throughput experiments run model compute on the simulated V100
 //! (`bgl_sim::devices::GpuSpec`), which needs the work per mini-batch.
 //! Forward + backward ≈ 3× the forward matmul cost; aggregation adds one
-//! multiply-add per edge per channel.
+//! multiply-add per edge per channel. (The CPU step in this crate now does
+//! 2× at layer 0 — it takes no gradient for the untrained input features —
+//! but the device model keeps the paper-calibrated 3× at every layer:
+//! EXPERIMENTS.md's figures are calibrated on it.)
 
 use crate::ModelKind;
 use bgl_sampler::MiniBatch;

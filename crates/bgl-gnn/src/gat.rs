@@ -13,26 +13,57 @@
 //! is also the most FLOP-heavy of the three models, which is why the paper
 //! sees the smallest relative gains on GAT (compute-bound, §5.2).
 
+use crate::agg::BlockCsr;
 use crate::{GnnModel, ModelKind};
 use bgl_sampler::MiniBatch;
 use bgl_tensor::init::xavier_uniform;
-use bgl_tensor::ops::{relu, relu_backward};
+use bgl_tensor::ops::{relu_in_place, relu_mask_in_place};
 use bgl_tensor::{Matrix, Optimizer};
 use rand::prelude::*;
 
 const LEAKY: f32 = 0.2;
 
-struct LayerCache {
-    h_src: Matrix,
+/// One layer's share of the step workspace (see `sage.rs`): sized by the
+/// first batch, reused by every later one; scratch, not state.
+#[derive(Default)]
+struct LayerBufs {
+    /// The block's CSR arrays. Dst `d` attends over `{d} ∪ N(d)`; see
+    /// [`scores_of`] for where its scores sit in `raw` and `alpha`.
+    csr: BlockCsr,
     zh: Matrix,
-    /// Per dst: candidate local indices ({d} ∪ N(d)).
-    cands: Vec<Vec<u32>>,
-    /// Per dst: raw (pre-LeakyReLU) attention scores.
-    raw: Vec<Vec<f32>>,
-    /// Per dst: softmax attention weights.
-    alpha: Vec<Vec<f32>>,
-    /// Pre-activation layer output.
-    z: Matrix,
+    /// Per src: the right attention term `aᵣ·zh[s]`.
+    er: Vec<f32>,
+    /// Per candidate: raw (pre-LeakyReLU) attention score.
+    raw: Vec<f32>,
+    /// Per candidate: softmax attention weight.
+    alpha: Vec<f32>,
+    /// Hidden layers: the activation `relu(z)` — the next layer's input and
+    /// the ReLU mask. The last layer's output is returned, not kept.
+    out: Matrix,
+    dzh: Matrix,
+    /// `h_srcᵀ · dzh` before it is added into `grad_w`.
+    gw: Matrix,
+    /// Layers ≥ 1: gradient of the layer's input, masked in place into the
+    /// `dz` of the layer below.
+    dh: Matrix,
+}
+
+/// Where dst `d`'s `1 + |N(d)|` scores sit in `raw` / `alpha`.
+fn scores_of(csr: &BlockCsr, d: usize) -> std::ops::Range<usize> {
+    csr.offsets[d] + d..csr.offsets[d + 1] + d + 1
+}
+
+/// Dst `d`'s candidates as local src indices: itself, then its neighbors.
+fn cands(d: usize, nbrs: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    std::iter::once(d).chain(nbrs.iter().map(|&c| c as usize))
+}
+
+fn leaky(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        LEAKY * x
+    }
 }
 
 /// Single-head GAT with `num_layers` attention layers.
@@ -46,8 +77,14 @@ pub struct Gat {
     grad_al: Vec<Matrix>,
     grad_ar: Vec<Matrix>,
     grad_b: Vec<Matrix>,
-    cache: Vec<LayerCache>,
-    batch_blocks: Vec<bgl_sampler::LayerBlock>,
+    /// The one owned copy of the input features a step keeps: unlike GCN
+    /// and GraphSAGE, GAT transforms every source row first, so layer 0's
+    /// `grad_w = inputᵀ · dzh` reads them again, and `backward` is not
+    /// handed the caller's matrix.
+    input: Matrix,
+    bufs: Vec<LayerBufs>,
+    /// Whether `bufs` holds a forward pass for `backward` to read.
+    forwarded: bool,
 }
 
 impl Gat {
@@ -81,8 +118,9 @@ impl Gat {
             attn_l,
             attn_r,
             biases,
-            cache: Vec::new(),
-            batch_blocks: Vec::new(),
+            input: Matrix::default(),
+            bufs: (0..num_layers).map(|_| LayerBufs::default()).collect(),
+            forwarded: false,
         }
     }
 
@@ -108,79 +146,93 @@ impl GnnModel for Gat {
         assert_eq!(batch.blocks.len(), self.num_layers());
         assert_eq!(input.rows(), batch.num_input_nodes());
         assert_eq!(input.cols(), self.dims[0]);
-        self.cache.clear();
-        self.batch_blocks = batch.blocks.clone();
-        let mut h = input.clone();
+        self.input.resize(input.rows(), input.cols());
+        self.input.raw_mut().copy_from_slice(input.raw());
+        let last = self.num_layers() - 1;
+        let mut logits = Matrix::default();
         for (l, block) in batch.blocks.iter().enumerate() {
-            let dout = self.dims[l + 1];
-            let zh = h.matmul(&self.weights[l]);
+            let (below, rest) = self.bufs.split_at_mut(l);
+            let LayerBufs { csr, zh, er, raw, alpha, out, .. } = &mut rest[0];
+            csr.copy_from(block);
+            let h = if l == 0 { input } else { &below[l - 1].out };
+            h.matmul_into(&self.weights[l], zh);
             let al = self.attn_l[l].row(0);
             let ar = self.attn_r[l].row(0);
             // Per-src right attention term, computed once.
-            let er: Vec<f32> = (0..zh.rows()).map(|s| dot(ar, zh.row(s))).collect();
-            let mut z = Matrix::zeros(block.num_dst(), dout);
-            let mut cands = Vec::with_capacity(block.num_dst());
-            let mut raws = Vec::with_capacity(block.num_dst());
-            let mut alphas = Vec::with_capacity(block.num_dst());
+            er.clear();
+            er.extend((0..zh.rows()).map(|s| dot(ar, zh.row(s))));
+            let scores = block.num_edges() + block.num_dst();
+            raw.resize(scores, 0.0);
+            alpha.resize(scores, 0.0);
+            let z = if l == last { &mut logits } else { out };
+            z.resize(block.num_dst(), self.dims[l + 1]);
+            z.fill(0.0);
             for d in 0..block.num_dst() {
-                let mut cand: Vec<u32> = Vec::with_capacity(block.neighbors_of(d).len() + 1);
-                cand.push(d as u32);
-                cand.extend_from_slice(block.neighbors_of(d));
+                let nbrs = csr.neighbors_of(d);
+                let at = scores_of(csr, d);
+                let (raw, alpha) = (&mut raw[at.clone()], &mut alpha[at]);
                 let el_d = dot(al, zh.row(d));
-                let raw: Vec<f32> = cand.iter().map(|&c| el_d + er[c as usize]).collect();
+                for (r, c) in raw.iter_mut().zip(cands(d, nbrs)) {
+                    *r = el_d + er[c];
+                }
                 // LeakyReLU then stabilized softmax.
-                let scores: Vec<f32> = raw
-                    .iter()
-                    .map(|&x| if x > 0.0 { x } else { LEAKY * x })
-                    .collect();
-                let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let exp: Vec<f32> = scores.iter().map(|&s| (s - max).exp()).collect();
-                let sum: f32 = exp.iter().sum();
-                let alpha: Vec<f32> = exp.iter().map(|&e| e / sum).collect();
+                let max = raw.iter().map(|&x| leaky(x)).fold(f32::NEG_INFINITY, f32::max);
+                for (a, &x) in alpha.iter_mut().zip(raw.iter()) {
+                    *a = (leaky(x) - max).exp();
+                }
+                let sum: f32 = alpha.iter().sum();
+                for a in alpha.iter_mut() {
+                    *a /= sum;
+                }
                 let row = z.row_mut(d);
-                for (&c, &a) in cand.iter().zip(&alpha) {
-                    for (r, &x) in row.iter_mut().zip(zh.row(c as usize)) {
+                for (c, &a) in cands(d, nbrs).zip(alpha.iter()) {
+                    for (r, &x) in row.iter_mut().zip(zh.row(c)) {
                         *r += a * x;
                     }
                 }
-                cands.push(cand);
-                raws.push(raw);
-                alphas.push(alpha);
             }
             z.add_row_broadcast(self.biases[l].row(0));
-            let out = if l + 1 < self.num_layers() { relu(&z) } else { z.clone() };
-            self.cache.push(LayerCache { h_src: h, zh, cands, raw: raws, alpha: alphas, z });
-            h = out;
+            if l < last {
+                relu_in_place(z);
+            }
         }
-        h
+        self.forwarded = true;
+        logits
     }
 
     fn backward(&mut self, grad_logits: &Matrix) {
-        let mut grad = grad_logits.clone();
-        for l in (0..self.num_layers()).rev() {
-            let cache = &self.cache[l];
-            let dz = if l + 1 < self.num_layers() {
-                relu_backward(&cache.z, &grad)
+        assert!(self.forwarded, "backward requires a prior forward on the same batch");
+        let last = self.num_layers() - 1;
+        let mut dalpha = Vec::new();
+        for l in (0..=last).rev() {
+            let (lower, upper) = self.bufs.split_at_mut(l + 1);
+            let (below, cur) = lower.split_at_mut(l);
+            let LayerBufs { csr, zh, raw, alpha, out, dzh, gw, dh, .. } = &mut cur[0];
+            // Through the activation (last layer is linear).
+            let dz = if l == last {
+                grad_logits
             } else {
-                grad.clone()
+                let g = &mut upper[0].dh;
+                relu_mask_in_place(out, g);
+                &*g
             };
             self.grad_b[l].add_assign(&Matrix::from_vec(1, dz.cols(), dz.col_sums()));
-            let al = self.attn_l[l].row(0).to_vec();
-            let ar = self.attn_r[l].row(0).to_vec();
-            let mut dzh = Matrix::zeros(cache.zh.rows(), cache.zh.cols());
+            let al = self.attn_l[l].row(0);
+            let ar = self.attn_r[l].row(0);
+            dzh.resize(zh.rows(), zh.cols());
+            dzh.fill(0.0);
             let mut dal = vec![0.0f32; al.len()];
             let mut dar = vec![0.0f32; ar.len()];
-            for d in 0..cache.cands.len() {
+            for d in 0..dz.rows() {
                 let g = dz.row(d);
-                let cand = &cache.cands[d];
-                let alpha = &cache.alpha[d];
-                let raw = &cache.raw[d];
+                let nbrs = csr.neighbors_of(d);
+                let at = scores_of(csr, d);
+                let (raw, alpha) = (&raw[at.clone()], &alpha[at]);
                 // dα_c = g · zh[c]; value path dzh[c] += α_c g.
-                let mut dalpha = Vec::with_capacity(cand.len());
-                for (&c, &a) in cand.iter().zip(alpha) {
-                    dalpha.push(dot(g, cache.zh.row(c as usize)));
-                    let row = dzh.row_mut(c as usize);
-                    for (r, &x) in row.iter_mut().zip(g) {
+                dalpha.clear();
+                for (c, &a) in cands(d, nbrs).zip(alpha) {
+                    dalpha.push(dot(g, zh.row(c)));
+                    for (r, &x) in dzh.row_mut(c).iter_mut().zip(g) {
                         *r += a * x;
                     }
                 }
@@ -189,30 +241,34 @@ impl GnnModel for Gat {
                 // LeakyReLU backward on the raw scores, then fan out to
                 // attention vectors and zh.
                 let mut del_d = 0.0f32;
-                for (k, &c) in cand.iter().enumerate() {
+                for (k, c) in cands(d, nbrs).enumerate() {
                     let ds = alpha[k] * (dalpha[k] - dot_ad);
                     let draw = if raw[k] > 0.0 { ds } else { LEAKY * ds };
                     del_d += draw;
-                    for (gr, &x) in dar.iter_mut().zip(cache.zh.row(c as usize)) {
+                    for (gr, &x) in dar.iter_mut().zip(zh.row(c)) {
                         *gr += draw * x;
                     }
-                    let row = dzh.row_mut(c as usize);
-                    for (r, &a) in row.iter_mut().zip(&ar) {
+                    for (r, &a) in dzh.row_mut(c).iter_mut().zip(ar) {
                         *r += draw * a;
                     }
                 }
-                for (gl, &x) in dal.iter_mut().zip(cache.zh.row(d)) {
+                for (gl, &x) in dal.iter_mut().zip(zh.row(d)) {
                     *gl += del_d * x;
                 }
-                let row = dzh.row_mut(d);
-                for (r, &a) in row.iter_mut().zip(&al) {
+                for (r, &a) in dzh.row_mut(d).iter_mut().zip(al) {
                     *r += del_d * a;
                 }
             }
             self.grad_al[l].add_assign(&Matrix::from_vec(1, dal.len(), dal));
             self.grad_ar[l].add_assign(&Matrix::from_vec(1, dar.len(), dar));
-            self.grad_w[l].add_assign(&cache.h_src.matmul_tn(&dzh));
-            grad = dzh.matmul_nt(&self.weights[l]);
+            let h_src = if l == 0 { &self.input } else { &below[l - 1].out };
+            h_src.matmul_tn_into(dzh, gw);
+            self.grad_w[l].add_assign(gw);
+            // Layer 0 stops here: the input features are not parameters,
+            // so nothing reads d(loss)/d(input) and it is not computed.
+            if l > 0 {
+                dzh.matmul_nt_into(&self.weights[l], dh);
+            }
         }
     }
 
@@ -222,10 +278,12 @@ impl GnnModel for Gat {
             opt.step(4 * l + 1, &mut self.attn_l[l], &self.grad_al[l]);
             opt.step(4 * l + 2, &mut self.attn_r[l], &self.grad_ar[l]);
             opt.step(4 * l + 3, &mut self.biases[l], &self.grad_b[l]);
-            self.grad_w[l].scale(0.0);
-            self.grad_al[l].scale(0.0);
-            self.grad_ar[l].scale(0.0);
-            self.grad_b[l].scale(0.0);
+            // By assignment: `scale(0.0)` keeps a NaN or ∞ gradient alive
+            // (0·∞ = NaN) into every later step.
+            self.grad_w[l].fill(0.0);
+            self.grad_al[l].fill(0.0);
+            self.grad_ar[l].fill(0.0);
+            self.grad_b[l].fill(0.0);
         }
     }
 
@@ -264,8 +322,10 @@ mod tests {
         let mut m = Gat::new(5, 6, 4, 2, 1);
         let logits = m.forward(&batch, &input);
         assert_eq!((logits.rows(), logits.cols()), (3, 4));
-        for layer in &m.cache {
-            for alpha in &layer.alpha {
+        for (layer, block) in m.bufs.iter().zip(&batch.blocks) {
+            for d in 0..block.num_dst() {
+                let alpha = &layer.alpha[scores_of(&layer.csr, d)];
+                assert_eq!(alpha.len(), 1 + block.neighbors_of(d).len());
                 let sum: f32 = alpha.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-5, "attention rows must sum to 1");
                 assert!(alpha.iter().all(|&a| a >= 0.0));

@@ -6,21 +6,33 @@
 //! see — this is also what DGL's `GraphConv(norm='right')` computes on
 //! blocks, plus self edges). ReLU between layers, linear logits at the end.
 
-use crate::agg::{mean_aggregate, mean_aggregate_backward};
+use crate::agg::{gather_mean, scatter_mean, BlockCsr};
 use crate::{GnnModel, ModelKind};
 use bgl_sampler::MiniBatch;
 use bgl_tensor::init::xavier_uniform;
-use bgl_tensor::ops::{relu, relu_backward};
+use bgl_tensor::ops::{relu_in_place, relu_mask_in_place};
 use bgl_tensor::{Matrix, Optimizer};
 use rand::prelude::*;
 
-struct LayerCache {
-    /// Input activations of the layer (src side).
-    h_src: Matrix,
-    /// Aggregated features (dst side), before the linear map.
+/// One layer's share of the step workspace (see `sage.rs`): sized by the
+/// first batch, reused by every later one; scratch, not state.
+#[derive(Default)]
+struct LayerBufs {
+    /// Aggregated features (dst side), the linear-map input; `backward`
+    /// reads it for `grad_w`.
     agg: Matrix,
-    /// Pre-activation output.
-    z: Matrix,
+    /// Hidden layers: the activation `relu(z)` — the next layer's input and
+    /// the ReLU mask. The last layer's output is returned, not kept.
+    out: Matrix,
+    /// Layers ≥ 1: the block's CSR arrays, which `backward` scatters along.
+    csr: BlockCsr,
+    /// `aggᵀ · dz` before it is added into `grad_w`.
+    gw: Matrix,
+    /// Layers ≥ 1: `dz · Wᵀ`.
+    dagg: Matrix,
+    /// Layers ≥ 1: gradient of the layer's input, masked in place into the
+    /// `dz` of the layer below.
+    dh: Matrix,
 }
 
 /// A GCN with `num_layers` graph convolutions.
@@ -30,8 +42,9 @@ pub struct Gcn {
     biases: Vec<Matrix>,
     grad_w: Vec<Matrix>,
     grad_b: Vec<Matrix>,
-    cache: Vec<LayerCache>,
-    batch_blocks: Vec<bgl_sampler::LayerBlock>,
+    bufs: Vec<LayerBufs>,
+    /// Whether `bufs` holds a forward pass for `backward` to read.
+    forwarded: bool,
 }
 
 impl Gcn {
@@ -51,7 +64,15 @@ impl Gcn {
         }
         let grad_w = weights.iter().map(|w| Matrix::zeros(w.rows(), w.cols())).collect();
         let grad_b = biases.iter().map(|b| Matrix::zeros(1, b.cols())).collect();
-        Gcn { dims, weights, biases, grad_w, grad_b, cache: Vec::new(), batch_blocks: Vec::new() }
+        Gcn {
+            dims,
+            weights,
+            biases,
+            grad_w,
+            grad_b,
+            bufs: (0..num_layers).map(|_| LayerBufs::default()).collect(),
+            forwarded: false,
+        }
     }
 
     fn num_layers(&self) -> usize {
@@ -76,35 +97,55 @@ impl GnnModel for Gcn {
         );
         assert_eq!(input.rows(), batch.num_input_nodes());
         assert_eq!(input.cols(), self.dims[0]);
-        self.cache.clear();
-        self.batch_blocks = batch.blocks.clone();
-        let mut h = input.clone();
+        let last = self.num_layers() - 1;
+        let mut logits = Matrix::default();
         for (l, block) in batch.blocks.iter().enumerate() {
-            let agg = mean_aggregate(block, &h, true);
-            let mut z = agg.matmul(&self.weights[l]);
+            let (below, rest) = self.bufs.split_at_mut(l);
+            let LayerBufs { agg, out, csr, .. } = &mut rest[0];
+            // Layer 0 reads the caller's features in place: they are not
+            // trained, so `backward` never needs them again.
+            let h = if l == 0 { input } else { &below[l - 1].out };
+            gather_mean(block, h, agg);
+            let z = if l == last { &mut logits } else { out };
+            agg.matmul_into(&self.weights[l], z);
             z.add_row_broadcast(self.biases[l].row(0));
-            let out = if l + 1 < self.num_layers() { relu(&z) } else { z.clone() };
-            self.cache.push(LayerCache { h_src: h, agg, z });
-            h = out;
+            if l < last {
+                relu_in_place(z);
+            }
+            if l > 0 {
+                csr.copy_from(block);
+            }
         }
-        h
+        self.forwarded = true;
+        logits
     }
 
     fn backward(&mut self, grad_logits: &Matrix) {
-        let mut grad = grad_logits.clone();
-        for l in (0..self.num_layers()).rev() {
-            let cache = &self.cache[l];
-            let block = &self.batch_blocks[l];
+        assert!(self.forwarded, "backward requires a prior forward on the same batch");
+        let last = self.num_layers() - 1;
+        for l in (0..=last).rev() {
+            let (lower, upper) = self.bufs.split_at_mut(l + 1);
+            let (below, cur) = lower.split_at_mut(l);
+            let LayerBufs { agg, out, csr, gw, dagg, dh } = &mut cur[0];
             // Through the activation (last layer is linear).
-            let dz = if l + 1 < self.num_layers() {
-                relu_backward(&cache.z, &grad)
+            let dz = if l == last {
+                grad_logits
             } else {
-                grad.clone()
+                let g = &mut upper[0].dh;
+                relu_mask_in_place(out, g);
+                &*g
             };
-            self.grad_w[l].add_assign(&cache.agg.matmul_tn(&dz));
+            agg.matmul_tn_into(dz, gw);
+            self.grad_w[l].add_assign(gw);
             self.grad_b[l].add_assign(&Matrix::from_vec(1, dz.cols(), dz.col_sums()));
-            let dagg = dz.matmul_nt(&self.weights[l]);
-            grad = mean_aggregate_backward(block, &dagg, true, cache.h_src.rows());
+            if l == 0 {
+                // The input features are not parameters: nothing reads
+                // d(loss)/d(input), so it is not computed.
+                break;
+            }
+            dz.matmul_nt_into(&self.weights[l], dagg);
+            let num_src = below[l - 1].out.rows();
+            scatter_mean(csr, dagg, 0..self.dims[l], true, num_src, dh);
         }
     }
 
@@ -112,8 +153,10 @@ impl GnnModel for Gcn {
         for l in 0..self.num_layers() {
             opt.step(2 * l, &mut self.weights[l], &self.grad_w[l]);
             opt.step(2 * l + 1, &mut self.biases[l], &self.grad_b[l]);
-            self.grad_w[l].scale(0.0);
-            self.grad_b[l].scale(0.0);
+            // By assignment: `scale(0.0)` keeps a NaN or ∞ gradient alive
+            // (0·∞ = NaN) into every later step.
+            self.grad_w[l].fill(0.0);
+            self.grad_b[l].fill(0.0);
         }
     }
 
@@ -166,6 +209,12 @@ pub(crate) mod gradcheck {
 
     /// Check d(loss)/d(weights[l][i][j]) for a sample of entries against
     /// finite differences. `get_w`/`set_w` expose one weight matrix.
+    ///
+    /// Parameters are all this probes — which is why the gradient the
+    /// models used to take with respect to the input features went
+    /// unnoticed: nothing read it, so nothing checked it, and `backward`
+    /// no longer computes it. Gradients flowing *through* hidden layers are
+    /// covered by the layer-0 probes.
     #[allow(clippy::too_many_arguments)]
     pub fn check_model<M: GnnModel>(
         make: impl Fn() -> M,

@@ -7,7 +7,10 @@
 //! [`bgl_sampler::MiniBatch`] message-flow blocks directly.
 //!
 //! Backward passes are hand-written (no autograd) and validated against
-//! finite differences in every model's tests. The paper's
+//! finite differences in every model's tests. Each model owns a step
+//! workspace — per-layer buffers sized by the first batch and reused —
+//! and `tests/step_equiv.rs` holds the step bitwise to the
+//! allocate-everything formulation it replaced (DESIGN.md §15). The paper's
 //! hyper-parameters are the defaults: 3 layers, 128 hidden units.
 //!
 //! [`trainer`] drives full training runs (ordering → sampling → feature
@@ -15,7 +18,7 @@
 //! and [`flops`] estimates per-batch FLOPs for the GPU device model used by
 //! the throughput experiments.
 
-pub mod agg;
+mod agg;
 pub mod flops;
 pub mod gat;
 pub mod gcn;
@@ -53,7 +56,9 @@ impl ModelKind {
 /// `forward` consumes a mini-batch plus the input-frontier features
 /// (`batch.input_nodes().len() × in_dim`) and returns seed logits;
 /// `backward` consumes the logits gradient and accumulates parameter
-/// gradients; `apply` hands them to an optimizer.
+/// gradients — only those: the input features are not trained, so no
+/// gradient with respect to them is formed; `apply` hands the parameter
+/// gradients to an optimizer.
 pub trait GnnModel {
     fn kind(&self) -> ModelKind;
 
@@ -63,8 +68,10 @@ pub trait GnnModel {
     /// Forward pass; caches activations for `backward`.
     fn forward(&mut self, batch: &MiniBatch, input: &Matrix) -> Matrix;
 
-    /// Backward pass from the logits gradient (requires a prior `forward`
-    /// on the same batch).
+    /// Backward pass from the logits gradient (panics without a prior
+    /// `forward` on the same batch). Produces parameter gradients only:
+    /// layer 0 stops at its weights and does not back-propagate into
+    /// `input`.
     fn backward(&mut self, grad_logits: &Matrix);
 
     /// Apply accumulated gradients through `opt` and clear them.
@@ -142,6 +149,33 @@ mod tests {
             assert_ne!(a.param_vec(), b.param_vec(), "{kind:?}: differently seeded inits");
             b.load_param_vec(&a.param_vec());
             assert_eq!(a.param_vec(), b.param_vec(), "{kind:?}: load must be exact");
+        }
+    }
+
+    /// One non-finite gradient must not outlive the step that produced it:
+    /// `apply` clears the accumulators by assignment (`0.0 · ∞` is NaN), so
+    /// restoring good parameters really does restore the model.
+    #[test]
+    fn a_non_finite_gradient_does_not_poison_later_steps() {
+        use bgl_tensor::Adam;
+        let (batch, input, labels) = crate::gcn::gradcheck::small_batch(2, 6);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for kind in [ModelKind::Gcn, ModelKind::GraphSage, ModelKind::Gat] {
+            let mut m = make_model(kind, 6, 8, 4, 2, 11);
+            let snapshot = m.param_vec();
+            let logits = m.forward(&batch, &input);
+            let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+            grad.set(0, 0, f32::INFINITY);
+            m.backward(&grad);
+            m.apply(&mut Adam::new(0.01));
+            assert!(m.param_vec().iter().any(|p| !p.is_finite()), "{kind:?}: the step diverged");
+
+            m.load_param_vec(&snapshot);
+            let got = m.train_step(&batch, &input, &labels, &mut Adam::new(0.01));
+            let mut fresh = make_model(kind, 6, 8, 4, 2, 11);
+            let want = fresh.train_step(&batch, &input, &labels, &mut Adam::new(0.01));
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{kind:?}: loss");
+            assert_eq!(bits(m.param_vec()), bits(fresh.param_vec()), "{kind:?}: parameters");
         }
     }
 

@@ -5,19 +5,35 @@
 //! the paper benchmarks ("GraphSAGE ... uses neighbor sampling to learn
 //! different aggregation functions").
 
-use crate::agg::{mean_aggregate, mean_aggregate_backward, top_rows};
+use crate::agg::{gather_concat, scatter_mean, BlockCsr};
 use crate::{GnnModel, ModelKind};
 use bgl_sampler::MiniBatch;
 use bgl_tensor::init::he_uniform;
-use bgl_tensor::ops::{relu, relu_backward};
+use bgl_tensor::ops::{relu_in_place, relu_mask_in_place};
 use bgl_tensor::{Matrix, Optimizer};
 use rand::prelude::*;
 
-struct LayerCache {
-    h_src: Matrix,
-    /// `[self ‖ neighbor-mean]`, the linear-map input.
+/// One layer's share of the step workspace: sized by the first batch,
+/// reused by every later one. Scratch, not state — nothing here outlives
+/// a step or reaches a checkpoint.
+#[derive(Default)]
+struct LayerBufs {
+    /// `[self ‖ neighbor-mean]`, the linear-map input; `backward` reads it
+    /// for `grad_w`.
     concat: Matrix,
-    z: Matrix,
+    /// Hidden layers: the activation `relu(z)`, the next layer's input and
+    /// the ReLU mask (`out > 0 ⇔ z > 0`). The last layer's output is the
+    /// logits, which `forward` returns instead of keeping.
+    out: Matrix,
+    /// Layers ≥ 1: the block's CSR arrays, which `backward` scatters along.
+    csr: BlockCsr,
+    /// `concatᵀ · dz` before it is added into `grad_w`.
+    gw: Matrix,
+    /// Layers ≥ 1: `dz · Wᵀ`, read by column range (self half, mean half).
+    dconcat: Matrix,
+    /// Layers ≥ 1: gradient of the layer's input, masked in place into the
+    /// `dz` of the layer below.
+    dh: Matrix,
 }
 
 /// GraphSAGE-mean with `num_layers` layers.
@@ -28,8 +44,9 @@ pub struct GraphSage {
     biases: Vec<Matrix>,
     grad_w: Vec<Matrix>,
     grad_b: Vec<Matrix>,
-    cache: Vec<LayerCache>,
-    batch_blocks: Vec<bgl_sampler::LayerBlock>,
+    bufs: Vec<LayerBufs>,
+    /// Whether `bufs` holds a forward pass for `backward` to read.
+    forwarded: bool,
 }
 
 impl GraphSage {
@@ -55,13 +72,23 @@ impl GraphSage {
             biases,
             grad_w,
             grad_b,
-            cache: Vec::new(),
-            batch_blocks: Vec::new(),
+            bufs: (0..num_layers).map(|_| LayerBufs::default()).collect(),
+            forwarded: false,
         }
     }
 
     fn num_layers(&self) -> usize {
         self.weights.len()
+    }
+
+    /// Address and length of every per-batch-sized workspace buffer, so a
+    /// test can assert that a repeated batch shape allocates none anew.
+    pub fn workspace_buffers(&self) -> Vec<(usize, usize)> {
+        self.bufs
+            .iter()
+            .flat_map(|b| [&b.concat, &b.out, &b.dconcat, &b.dh])
+            .map(|m| (m.raw().as_ptr() as usize, m.raw().len()))
+            .collect()
     }
 }
 
@@ -78,46 +105,63 @@ impl GnnModel for GraphSage {
         assert_eq!(batch.blocks.len(), self.num_layers());
         assert_eq!(input.rows(), batch.num_input_nodes());
         assert_eq!(input.cols(), self.dims[0]);
-        self.cache.clear();
-        self.batch_blocks = batch.blocks.clone();
-        let mut h = input.clone();
+        let last = self.num_layers() - 1;
+        let mut logits = Matrix::default();
         for (l, block) in batch.blocks.iter().enumerate() {
-            let self_h = top_rows(&h, block.num_dst());
-            let neigh = mean_aggregate(block, &h, false);
-            let concat = self_h.hconcat(&neigh);
-            let mut z = concat.matmul(&self.weights[l]);
+            let (below, rest) = self.bufs.split_at_mut(l);
+            let LayerBufs { concat, out, csr, .. } = &mut rest[0];
+            // Layer 0 reads the caller's features in place: they are not
+            // trained, so `backward` never needs them again.
+            let h = if l == 0 { input } else { &below[l - 1].out };
+            gather_concat(block, h, concat);
+            let z = if l == last { &mut logits } else { out };
+            concat.matmul_into(&self.weights[l], z);
             z.add_row_broadcast(self.biases[l].row(0));
-            let out = if l + 1 < self.num_layers() { relu(&z) } else { z.clone() };
-            self.cache.push(LayerCache { h_src: h, concat, z });
-            h = out;
+            if l < last {
+                relu_in_place(z);
+            }
+            if l > 0 {
+                csr.copy_from(block);
+            }
         }
-        h
+        self.forwarded = true;
+        logits
     }
 
     fn backward(&mut self, grad_logits: &Matrix) {
-        let mut grad = grad_logits.clone();
-        for l in (0..self.num_layers()).rev() {
-            let cache = &self.cache[l];
-            let block = &self.batch_blocks[l];
-            let dz = if l + 1 < self.num_layers() {
-                relu_backward(&cache.z, &grad)
+        assert!(self.forwarded, "backward requires a prior forward on the same batch");
+        let last = self.num_layers() - 1;
+        for l in (0..=last).rev() {
+            let (lower, upper) = self.bufs.split_at_mut(l + 1);
+            let (below, cur) = lower.split_at_mut(l);
+            let LayerBufs { concat, out, csr, gw, dconcat, dh } = &mut cur[0];
+            // Through the activation (last layer is linear).
+            let dz = if l == last {
+                grad_logits
             } else {
-                grad.clone()
+                let g = &mut upper[0].dh;
+                relu_mask_in_place(out, g);
+                &*g
             };
-            self.grad_w[l].add_assign(&cache.concat.matmul_tn(&dz));
+            concat.matmul_tn_into(dz, gw);
+            self.grad_w[l].add_assign(gw);
             self.grad_b[l].add_assign(&Matrix::from_vec(1, dz.cols(), dz.col_sums()));
-            let dconcat = dz.matmul_nt(&self.weights[l]);
+            if l == 0 {
+                // The input features are not parameters: nothing reads
+                // d(loss)/d(input), so it is not computed.
+                break;
+            }
+            dz.matmul_nt_into(&self.weights[l], dconcat);
             let in_dim = self.dims[l];
-            let (dself, dneigh) = dconcat.hsplit(in_dim);
             // Neighbor-mean path back to all sources…
-            let mut dh = mean_aggregate_backward(block, &dneigh, false, cache.h_src.rows());
+            let num_src = below[l - 1].out.rows();
+            scatter_mean(csr, dconcat, in_dim..2 * in_dim, false, num_src, dh);
             // …plus the self path back to the dst prefix.
-            for d in 0..block.num_dst() {
-                for (r, &x) in dh.row_mut(d).iter_mut().zip(dself.row(d)) {
+            for d in 0..dconcat.rows() {
+                for (r, &x) in dh.row_mut(d).iter_mut().zip(&dconcat.row(d)[..in_dim]) {
                     *r += x;
                 }
             }
-            grad = dh;
         }
     }
 
@@ -125,8 +169,10 @@ impl GnnModel for GraphSage {
         for l in 0..self.num_layers() {
             opt.step(2 * l, &mut self.weights[l], &self.grad_w[l]);
             opt.step(2 * l + 1, &mut self.biases[l], &self.grad_b[l]);
-            self.grad_w[l].scale(0.0);
-            self.grad_b[l].scale(0.0);
+            // By assignment: `scale(0.0)` keeps a NaN or ∞ gradient alive
+            // (0·∞ = NaN) into every later step.
+            self.grad_w[l].fill(0.0);
+            self.grad_b[l].fill(0.0);
         }
     }
 

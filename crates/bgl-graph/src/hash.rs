@@ -18,7 +18,8 @@
 //! flip); see its doc comment.
 //!
 //! [`mix64`] turns `(seed, key)` into a well-spread 64-bit value: per-node
-//! sampling seeds, open-loop arrival draws and [`page_sum64`]'s lane fold;
+//! sampling seeds, open-loop arrival draws, [`page_sum64`]'s lane fold and
+//! the hash of every [`IdMap`] (the feature cache's key → slot maps);
 //! [`splitmix64`] is the same finaliser stepped from a single state word,
 //! for the fault plans' seeded choices.
 //!
@@ -143,9 +144,61 @@ pub fn splitmix64(x: u64) -> u64 {
     mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15), 0)
 }
 
+/// Hasher of [`IdMap`]: one [`mix64`] per `u32` key where the default
+/// SipHash runs a dozen rounds — on the feature cache's per-key path that
+/// was most of a lookup. `mix64(0, ·)` is a bijection of `u64`, so distinct
+/// ids never share a hash; unlike SipHash it is unkeyed, which is acceptable
+/// for node ids: they are dense and bounded by the graph's node count, so a
+/// chosen key set can crowd a probe group no further than ids ÷ buckets.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Only `NodeId` keys are hashed; this is the trait's required fallback.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0, b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.0 = mix64(self.0, x as u64);
+    }
+}
+
+/// A `NodeId`-keyed map that is only ever probed, never iterated: what an
+/// iteration would yield depends on the hasher, a probe does not.
+pub type IdMap<V> =
+    std::collections::HashMap<crate::NodeId, V, std::hash::BuildHasherDefault<IdHasher>>;
+
+/// An empty [`IdMap`] with room for `capacity` keys.
+pub fn id_map<V>(capacity: usize) -> IdMap<V> {
+    IdMap::with_capacity_and_hasher(capacity, Default::default())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_map_behaves_like_a_map() {
+        let mut m: IdMap<u32> = id_map(16);
+        for v in (0..5000u32).map(|i| i.wrapping_mul(2_654_435_761)) {
+            assert_eq!(m.insert(v, !v), None);
+        }
+        assert_eq!(m.len(), 5000);
+        for v in (0..5000u32).map(|i| i.wrapping_mul(2_654_435_761)) {
+            assert_eq!(m.get(&v), Some(&!v));
+        }
+        assert_eq!(m.remove(&0), Some(!0));
+        assert!(!m.contains_key(&0) && !m.contains_key(&1));
+    }
 
     #[test]
     fn fnv1a_matches_the_published_vectors() {

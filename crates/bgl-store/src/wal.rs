@@ -37,6 +37,8 @@ pub const WAL_VERSION: u32 = 1;
 pub const WAL_HEADER_LEN: u64 = 16;
 const FRAME_OVERHEAD: usize = 12;
 /// Cap on a single record: a torn length field cannot drive allocation.
+/// [`Wal::open`] reads a longer length as a torn tail, so
+/// [`WalRecord::encode_frame`] refuses to write one.
 const MAX_RECORD_LEN: u32 = 1 << 24;
 
 const TAG_FEATURE_UPDATE: u8 = 1;
@@ -165,9 +167,15 @@ impl WalRecord {
         Ok(rec)
     }
 
-    /// Encode the full frame: `[len][fnv64][payload]`.
+    /// Encode the full frame: `[len][fnv64][payload]`. A payload over
+    /// [`MAX_RECORD_LEN`] is refused here, before a byte is written: replay
+    /// would take its length for a torn tail and truncate the record, and
+    /// every acked record after it, away.
     pub fn encode_frame(&self) -> Result<Vec<u8>, DiskError> {
         let payload = self.encode_payload()?;
+        if payload.len() > MAX_RECORD_LEN as usize {
+            return Err(DiskError::Invariant("WAL record exceeds the replayable record length"));
+        }
         let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
         put_len(&mut frame, payload.len())?;
         put_le(&mut frame, &[fnv1a_64(&payload)]);
@@ -407,6 +415,42 @@ mod tests {
         assert_eq!(rec.records, recs());
         assert_eq!(rec.torn_bytes, 0);
         assert_eq!(w.stats.replayed, recs().len() as u64);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The record cap from both sides. Payloads are a tag byte plus words,
+    /// so the longest that fits is `MAX_RECORD_LEN - 3` and the next row
+    /// length lands one byte over: the first must survive `sync` + `open`,
+    /// the second must be refused with the log left as it was.
+    #[test]
+    fn record_length_cap_is_enforced_at_append_not_at_replay() {
+        let fits = (MAX_RECORD_LEN as usize - 9) / 4;
+        let at_cap = WalRecord::FeatureUpdate { node: 7, row: vec![0.5; fits] };
+        let over = WalRecord::FeatureUpdate { node: 8, row: vec![0.5; fits + 1] };
+        assert_eq!(at_cap.encode_payload().unwrap().len(), MAX_RECORD_LEN as usize - 3);
+        assert_eq!(over.encode_payload().unwrap().len(), MAX_RECORD_LEN as usize + 1);
+        let path = tmp("cap");
+        let mut logged = recs();
+        {
+            let f = Box::new(RealFile::open(&path).unwrap());
+            let mut w = Wal::create(f, Histogram::noop()).unwrap();
+            for r in &logged {
+                w.append(r).unwrap();
+            }
+            let (tail, appends) = (w.tail_bytes(), w.stats.appends);
+            assert!(matches!(w.append(&over), Err(DiskError::Invariant(_))));
+            assert_eq!((w.tail_bytes(), w.stats.appends), (tail, appends));
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), tail, "nothing was written");
+            w.append(&at_cap).unwrap();
+            w.append(&logged[0]).unwrap();
+            w.sync().unwrap();
+        }
+        logged.push(at_cap);
+        logged.push(logged[0].clone());
+        let f = Box::new(RealFile::open(&path).unwrap());
+        let (_, rec) = Wal::open(f, Histogram::noop()).unwrap();
+        assert_eq!(rec.torn_bytes, 0);
+        assert!(rec.records == logged, "every acked record replays, the one at the cap included");
         std::fs::remove_file(path).ok();
     }
 

@@ -47,8 +47,9 @@ impl OutPtr {
     }
 }
 
-/// Row-major dense matrix.
-#[derive(Clone, Debug, PartialEq)]
+/// Row-major dense matrix. The default is the empty `0 × 0` matrix — what
+/// a workspace buffer is before its first use.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -68,6 +69,21 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/buffer mismatch");
         Matrix { rows, cols, data }
+    }
+
+    /// Reshape in place, keeping the allocation when it is large enough —
+    /// what lets a step workspace be sized on first use and reused. Element
+    /// values are whatever the buffer held (zeros where it grew): the caller
+    /// overwrites every element or calls [`Matrix::fill`].
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Set every element to `v`.
+    pub fn fill(&mut self, v: f32) {
+        self.data.fill(v);
     }
 
     /// Number of rows.
@@ -120,8 +136,16 @@ impl Matrix {
     /// fanned out across the kernel pool for large products; bitwise-equal
     /// to [`Matrix::matmul_serial`] (see the module docs).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into a caller-owned `out`, which is reshaped and
+    /// zero-filled first: whatever it held, the result is the same bits.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        self.mm_dispatch(other, other.cols, mm_rows)
+        self.mm_dispatch_shape(other, self.rows, other.cols, self.cols, mm_rows, out);
     }
 
     /// Serial path of [`Matrix::matmul`], kept for the determinism
@@ -138,8 +162,15 @@ impl Matrix {
     /// the A operand is gathered column-wise at stride m (only RU·KU
     /// scalars per register block, so the strided reads never dominate).
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_tn_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_tn`] into a caller-owned `out` (reshaped, zero-filled).
+    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
-        self.mm_dispatch_shape(other, self.cols, other.cols, self.rows, mm_tn_rows)
+        self.mm_dispatch_shape(other, self.cols, other.cols, self.rows, mm_tn_rows, out);
     }
 
     /// Serial path of [`Matrix::matmul_tn`].
@@ -157,9 +188,16 @@ impl Matrix {
     /// strictly increasing-p order, so this is bitwise-equal to the
     /// per-element dot form.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_nt_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_nt`] into a caller-owned `out` (reshaped, zero-filled).
+    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
         let bt = other.transposed();
-        self.mm_dispatch(&bt, bt.cols, mm_rows)
+        self.mm_dispatch_shape(&bt, self.rows, bt.cols, self.cols, mm_rows, out);
     }
 
     /// Serial path of [`Matrix::matmul_nt`].
@@ -171,19 +209,8 @@ impl Matrix {
         out
     }
 
-    /// Shared dispatch for the (m, ·) -> (m, n) variants: output rows ==
-    /// `self.rows`.
-    fn mm_dispatch(
-        &self,
-        other: &Matrix,
-        n: usize,
-        kernel: fn(&Matrix, &Matrix, usize, usize, &mut [f32]),
-    ) -> Matrix {
-        self.mm_dispatch_shape(other, self.rows, n, self.cols, kernel)
-    }
-
-    /// Run `kernel` over the output rows, in row panels on the pool when
-    /// the product is big enough to amortize it.
+    /// Zero `out` as an `m × n` matrix and run `kernel` over its rows, in
+    /// row panels on the pool when the product is big enough to amortize it.
     fn mm_dispatch_shape(
         &self,
         other: &Matrix,
@@ -191,13 +218,15 @@ impl Matrix {
         n: usize,
         k: usize,
         kernel: fn(&Matrix, &Matrix, usize, usize, &mut [f32]),
-    ) -> Matrix {
-        let mut out = Matrix::zeros(m, n);
+        out: &mut Matrix,
+    ) {
+        out.resize(m, n);
+        out.fill(0.0);
         let pool = pool::global();
         let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
         if pool.threads() == 1 || flops < PAR_MIN_FLOPS || m < 2 {
             kernel(self, other, 0, m, &mut out.data);
-            return out;
+            return;
         }
         // Panel size: enough panels to balance the pool, but never so small
         // that queue traffic dominates.
@@ -208,13 +237,12 @@ impl Matrix {
             let i0 = c * panel;
             let i1 = (i0 + panel).min(m);
             // SAFETY: panels are disjoint row ranges of `out`, and
-            // parallel_for joins every worker before `out` is returned.
+            // parallel_for joins every worker before `out` is read again.
             let out_rows = unsafe {
                 std::slice::from_raw_parts_mut(base.at(i0 * n), (i1 - i0) * n)
             };
             kernel(self, other, i0, i1, out_rows);
         });
-        out
     }
 
     /// Transposed copy.
@@ -291,30 +319,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).collect(),
         }
-    }
-
-    /// Concatenate two matrices horizontally: (m,a) ++ (m,b) -> (m,a+b).
-    pub fn hconcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hconcat row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        out
-    }
-
-    /// Split a horizontally concatenated matrix back into (m,a) and (m,b).
-    pub fn hsplit(&self, a: usize) -> (Matrix, Matrix) {
-        assert!(a <= self.cols);
-        let b = self.cols - a;
-        let mut left = Matrix::zeros(self.rows, a);
-        let mut right = Matrix::zeros(self.rows, b);
-        for i in 0..self.rows {
-            left.row_mut(i).copy_from_slice(&self.row(i)[..a]);
-            right.row_mut(i).copy_from_slice(&self.row(i)[a..]);
-        }
-        (left, right)
     }
 }
 
@@ -452,17 +456,6 @@ mod tests {
         let mut a = Matrix::zeros(3, 2);
         a.add_row_broadcast(&[1.0, 2.0]);
         assert_eq!(a.col_sums(), vec![3.0, 6.0]);
-    }
-
-    #[test]
-    fn hconcat_hsplit_roundtrip() {
-        let a = m(2, 2, &[1., 2., 3., 4.]);
-        let b = m(2, 1, &[5., 6.]);
-        let c = a.hconcat(&b);
-        assert_eq!(c.cols(), 3);
-        let (l, r) = c.hsplit(2);
-        assert_eq!(l, a);
-        assert_eq!(r, b);
     }
 
     #[test]

@@ -4,21 +4,21 @@
 use crate::Matrix;
 use rand::prelude::*;
 
-/// ReLU forward.
-pub fn relu(x: &Matrix) -> Matrix {
-    x.map(|v| v.max(0.0))
+/// ReLU, in place.
+pub fn relu_in_place(x: &mut Matrix) {
+    for v in x.raw_mut() {
+        *v = v.max(0.0);
+    }
 }
 
-/// ReLU backward: `dL/dx = dL/dy * 1[x > 0]`.
-pub fn relu_backward(x: &Matrix, grad_out: &Matrix) -> Matrix {
-    assert_eq!((x.rows(), x.cols()), (grad_out.rows(), grad_out.cols()));
-    let data = x
-        .raw()
-        .iter()
-        .zip(grad_out.raw())
-        .map(|(&xv, &g)| if xv > 0.0 { g } else { 0.0 })
-        .collect();
-    Matrix::from_vec(x.rows(), x.cols(), data)
+/// ReLU backward, in place on the gradient: `dL/dx = dL/dy · 1[y > 0]`,
+/// masking on the kept activation `y = relu(x)` (`y > 0 ⇔ x > 0`, so the
+/// pre-activation need not be kept).
+pub fn relu_mask_in_place(y: &Matrix, grad: &mut Matrix) {
+    assert_eq!((y.rows(), y.cols()), (grad.rows(), grad.cols()));
+    for (g, &yv) in grad.raw_mut().iter_mut().zip(y.raw()) {
+        *g = if yv > 0.0 { *g } else { 0.0 };
+    }
 }
 
 /// Row-wise softmax (numerically stabilized).
@@ -149,11 +149,13 @@ mod tests {
     }
 
     #[test]
-    fn relu_backward_masks() {
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        let g = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let dx = relu_backward(&x, &g);
-        assert_eq!(dx.raw(), &[0.0, 0.0, 1.0, 1.0]);
+    fn relu_masks_on_the_activation() {
+        let mut y = Matrix::from_vec(1, 5, vec![-1.0, 0.0, 0.5, 2.0, f32::NAN]);
+        relu_in_place(&mut y);
+        assert_eq!(y.raw(), &[0.0, 0.0, 0.5, 2.0, 0.0]);
+        let mut g = Matrix::from_vec(1, 5, vec![1.0; 5]);
+        relu_mask_in_place(&y, &mut g);
+        assert_eq!(g.raw(), &[0.0, 0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]

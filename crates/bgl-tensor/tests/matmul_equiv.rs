@@ -1,6 +1,6 @@
 //! The matmul equivalence suite.
 //!
-//! Three properties, each asserted *bitwise* (`assert_eq!` on the raw
+//! Four properties, each asserted *bitwise* (`assert_eq!` on the raw
 //! buffers, not approximate comparison):
 //!
 //! 1. every blocked variant agrees with a naive triple-loop reference on
@@ -8,7 +8,10 @@
 //! 2. the pool-parallel entry points are bitwise-identical to the kept
 //!    serial paths (the executor determinism contract);
 //! 3. the transpose identities (`Aᵀ@B == transpose(A)@B`,
-//!    `A@Bᵀ == A@transpose(B)`) hold exactly.
+//!    `A@Bᵀ == A@transpose(B)`) hold exactly;
+//! 4. every `*_into` form leaves in a reused `out` — dirty, and last shaped
+//!    for some other product — exactly what its allocating form returns,
+//!    with the pool at its default size and at `BGL_TENSOR_THREADS=1`.
 //!
 //! ci.sh runs this suite under `--release` as well: the blocked kernels
 //! take different code paths once the optimizer vectorizes them, and the
@@ -110,6 +113,54 @@ fn parallel_is_bitwise_identical_to_serial_on_large_products() {
             "nt {m}x{k}x{n}"
         );
     }
+}
+
+/// One `out` is carried through every shape, so each product finds the
+/// previous one's values and shape in it (larger, smaller, empty), and is
+/// poisoned with NaN in between: a kernel that skipped its zero-fill, or
+/// kept a stale row count, shows up as a bit difference.
+#[test]
+fn into_forms_equal_allocating_forms_on_a_dirty_output() {
+    let mut rng = StdRng::seed_from_u64(0xD1A7);
+    let bits = |mat: &Matrix| -> Vec<u32> { mat.raw().iter().map(|x| x.to_bits()).collect() };
+    let mut out = Matrix::from_vec(2, 3, vec![f32::NAN; 6]);
+    let mut shapes = pinned_shapes();
+    shapes.extend([(997, 64, 33), (5, 3, 2), (256, 128, 128)]); // pooled, then small again
+    for (m, k, n) in shapes {
+        let a = random_matrix(m, k, &mut rng);
+        let b = random_matrix(k, n, &mut rng);
+        let (at, bt) = (a.transposed(), b.transposed());
+        let mut check = |what: &str, want: Matrix, run: &dyn Fn(&mut Matrix)| {
+            out.fill(f32::NAN);
+            run(&mut out);
+            assert_eq!((out.rows(), out.cols()), (m, n), "{what} {m}x{k}x{n}: shape");
+            assert_eq!(bits(&out), bits(&want), "{what} {m}x{k}x{n}");
+        };
+        check("matmul_into", a.matmul(&b), &|o| a.matmul_into(&b, o));
+        check("matmul_into vs serial", a.matmul_serial(&b), &|o| a.matmul_into(&b, o));
+        check("matmul_tn_into", at.matmul_tn(&b), &|o| at.matmul_tn_into(&b, o));
+        check("matmul_tn_into vs serial", at.matmul_tn_serial(&b), &|o| at.matmul_tn_into(&b, o));
+        check("matmul_nt_into", a.matmul_nt(&bt), &|o| a.matmul_nt_into(&bt, o));
+        check("matmul_nt_into vs serial", a.matmul_nt_serial(&bt), &|o| a.matmul_nt_into(&bt, o));
+    }
+}
+
+/// The pool is sized once per process, so the single-threaded leg of the
+/// property above runs in a child: this test binary again, that one test,
+/// `BGL_TENSOR_THREADS=1`.
+#[test]
+fn into_forms_hold_with_a_single_kernel_thread() {
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "into_forms_equal_allocating_forms_on_a_dirty_output"])
+        .env("BGL_TENSOR_THREADS", "1")
+        .output()
+        .expect("re-run this test binary");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success() && stdout.contains("1 passed"),
+        "single-threaded run failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&child.stderr)
+    );
 }
 
 #[test]

@@ -66,6 +66,15 @@ if grep -n 'HashSet' crates/bgl-sampler/src/neighbor.rs; then
     echo "hashed set in the sampler: pick keeps at most fanout indices in a Vec" >&2
     exit 1
 fi
+# A train step computes what the loss needs and writes it into the model's
+# own workspace (DESIGN.md §15): layer 0 borrows the caller's features, and
+# the gather writes the GEMM operand in place. A cloned input or a
+# top_rows / hconcat / hsplit matrix is a per-batch copy coming back.
+if grep -n 'input\.clone()' crates/bgl-gnn/src/{sage,gcn}.rs ||
+    grep -rnE 'hconcat|hsplit|top_rows' crates/bgl-gnn/src; then
+    echo "the step re-grew a per-batch copy: write into the workspace" >&2
+    exit 1
+fi
 # Bytes from a socket or a disk are read through one cursor (DESIGN.md §12):
 # a decoder that compares a length to what is left on its own, or pulls
 # fields out of a slice by hand, has re-grown a bounds check beside the one
@@ -112,6 +121,8 @@ debug,release  -p bgl --test conn_runtime --test serve
 debug,release  -p bgl --test ckpt_recovery
 # blocked matmul: serial/parallel bitwise equivalence (fast-math hazards need optimized code)
 release        -p bgl-tensor --test matmul_equiv
+# train step against the allocate-everything reference, bitwise: in-place kernels are what the optimizer rewrites
+release        -p bgl-gnn --test step_equiv
 # disk tier and WAL: torn crashes behind in-process and TCP transports, bitwise recovery
 debug,release  -p bgl --test disk_recovery
 # streaming ingestion: churn through the write-all broadcast path, TCP parity, crash replay
