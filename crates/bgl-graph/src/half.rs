@@ -24,8 +24,9 @@
 //!
 //! The conversions are hand-written (no external crate): round-to-nearest-
 //! even on narrowing, exact on widening, with subnormals, ±inf and NaN
-//! payloads handled explicitly. Both directions are pure bit manipulation —
-//! no float arithmetic — so they are bit-exact across platforms, and
+//! payloads handled explicitly. Narrowing is pure bit manipulation and
+//! widening's one float operation is an exact power-of-two rescale, so both
+//! are bit-exact across platforms, and
 //! `narrow(widen(h)) == h` for every non-NaN `h`: holding bits instead of
 //! round-tripping them through f32 changes no value anyone reads.
 
@@ -123,31 +124,22 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 }
 
 /// Widen binary16 bits to `f32` exactly (every f16 value is representable).
+///
+/// Branch-free, so [`RowRef::widen_into`]'s row loop vectorises: exponent
+/// and mantissa move to their f32 positions, and one multiply by 2¹¹²
+/// rebiases the exponent (15 → 127). The product of a power of two and a
+/// value with 10 significant bits is exact, and an f16 subnormal — which
+/// arrives here as an f32 subnormal — comes out of the same multiply
+/// renormalised. Inf and NaN (all exponent bits set) keep their payload
+/// under an all-ones f32 exponent instead.
 #[inline]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
+    const RESCALE: f32 = f32::from_bits(0x7780_0000); // 2^112
     let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let mant = (h & 0x03FF) as u32;
-
-    let bits = if exp == 0x1F {
-        // Inf / NaN: shift the payload back up.
-        sign | 0x7F80_0000 | (mant << 13)
-    } else if exp == 0 {
-        if mant == 0 {
-            sign // ±0
-        } else {
-            // Subnormal: value is mant·2⁻²⁴. Renormalize — the leading bit's
-            // position becomes the exponent (unbiased `lead - 24`, so biased
-            // `lead + 103`) and the rest shifts up into the f32 mantissa.
-            let lead = 31 - mant.leading_zeros(); // 0..=9
-            let m = (mant << (23 - lead)) & 0x7F_FFFF;
-            sign | ((lead + 103) << 23) | m
-        }
-    } else {
-        // Normal: rebias 15 -> 127.
-        sign | ((exp + 112) << 23) | (mant << 13)
-    };
-    f32::from_bits(bits)
+    let em = ((h & 0x7FFF) as u32) << 13;
+    let finite = (f32::from_bits(em) * RESCALE).to_bits();
+    let bits = if em >= 0x0F80_0000 { em | 0x7F80_0000 } else { finite };
+    f32::from_bits(sign | bits)
 }
 
 /// A scalar as stored: `f32`, binary16 bits in a `u16`, or the `u32` ids and
@@ -351,13 +343,26 @@ impl RowBuf {
         }
     }
 
-    /// Rebuild a buffer from its little-endian byte image. `None` when
-    /// `bytes` is not a whole number of `precision` scalars.
-    pub fn from_le_bytes(precision: FeaturePrecision, bytes: &[u8]) -> Option<RowBuf> {
-        match precision {
-            FeaturePrecision::F32 => read_le(bytes).map(RowBuf::F32),
-            FeaturePrecision::F16 => read_le(bytes).map(RowBuf::F16),
+    /// Overwrite the buffer with the scalars of a little-endian byte image
+    /// at `precision`, reusing the allocation when the buffer is already at
+    /// that precision. `false` — and the buffer untouched — when `bytes` is
+    /// not a whole number of `precision` scalars.
+    pub fn fill_from_le_bytes(&mut self, precision: FeaturePrecision, bytes: &[u8]) -> bool {
+        fn refill<T: LeScalar>(out: &mut Vec<T>, bytes: &[u8]) {
+            out.clear();
+            out.extend(bytes.chunks_exact(T::BYTES).map(T::get_le));
         }
+        if !bytes.len().is_multiple_of(precision.bytes_per_scalar()) {
+            return false;
+        }
+        if self.precision() != precision {
+            *self = RowBuf::with_capacity(precision, 0);
+        }
+        match self {
+            RowBuf::F32(b) => refill(b, bytes),
+            RowBuf::F16(b) => refill(b, bytes),
+        }
+        true
     }
 }
 
@@ -371,6 +376,49 @@ pub fn quantize_f16(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The widening as it was first written, case by case: the reference
+    /// [`f16_bits_to_f32`] is held to.
+    fn widen_by_cases(h: u16) -> f32 {
+        let sign = ((h & 0x8000) as u32) << 16;
+        let exp = ((h >> 10) & 0x1F) as u32;
+        let mant = (h & 0x03FF) as u32;
+
+        let bits = if exp == 0x1F {
+            // Inf / NaN: shift the payload back up.
+            sign | 0x7F80_0000 | (mant << 13)
+        } else if exp == 0 {
+            if mant == 0 {
+                sign // ±0
+            } else {
+                // Subnormal: value is mant·2⁻²⁴. Renormalize — the leading bit's
+                // position becomes the exponent (unbiased `lead - 24`, so biased
+                // `lead + 103`) and the rest shifts up into the f32 mantissa.
+                let lead = 31 - mant.leading_zeros(); // 0..=9
+                let m = (mant << (23 - lead)) & 0x7F_FFFF;
+                sign | ((lead + 103) << 23) | m
+            }
+        } else {
+            // Normal: rebias 15 -> 127.
+            sign | ((exp + 112) << 23) | (mant << 13)
+        };
+        f32::from_bits(bits)
+    }
+
+    #[test]
+    fn branch_free_widen_equals_the_case_analysis_on_every_pattern() {
+        for h in 0..=u16::MAX {
+            let (got, want) = (f16_bits_to_f32(h).to_bits(), widen_by_cases(h).to_bits());
+            assert_eq!(got, want, "{h:#06x}: {got:#010x} != {want:#010x}");
+        }
+        // The same through the row loop the compiler vectorises.
+        let all: Vec<u16> = (0..=u16::MAX).collect();
+        let mut wide = vec![0.0f32; all.len()];
+        RowRef::F16(&all).widen_into(&mut wide);
+        for (&h, w) in all.iter().zip(&wide) {
+            assert_eq!(w.to_bits(), widen_by_cases(h).to_bits(), "{h:#06x} in a row");
+        }
+    }
 
     #[test]
     fn exact_small_values_round_trip() {
@@ -505,12 +553,15 @@ mod tests {
         let mut image = vec![0u8; half.byte_len()];
         half.as_row().write_le_bytes(&mut image);
         assert_eq!(&image[..6], &[0, 0, 1, 0, 2, 0], "little-endian, scalar by scalar");
-        assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F16, &image), Some(half));
+        let decode = |precision, bytes: &[u8]| {
+            let mut buf = RowBuf::with_capacity(precision, 0);
+            buf.fill_from_le_bytes(precision, bytes).then_some(buf)
+        };
+        assert_eq!(decode(FeaturePrecision::F16, &image), Some(half.clone()));
 
         // The same bytes as f32 scalars (NaN patterns included, so compare
-        // bits): from_le_bytes(to_le_bytes(b)) == b.
-        let RowBuf::F32(wide) = RowBuf::from_le_bytes(FeaturePrecision::F32, &image).unwrap()
-        else {
+        // bits): decode(encode(b)) == b.
+        let RowBuf::F32(wide) = decode(FeaturePrecision::F32, &image).unwrap() else {
             panic!("an f32 image decodes to an f32 buffer");
         };
         assert_eq!(wide.len(), all.len() / 2);
@@ -519,13 +570,22 @@ mod tests {
         assert_eq!(again, image);
 
         // Odd and short lengths are not whole scalars.
-        assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F16, &image[..5]), None);
-        assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F16, &image[..1]), None);
+        assert_eq!(decode(FeaturePrecision::F16, &image[..5]), None);
+        assert_eq!(decode(FeaturePrecision::F16, &image[..1]), None);
         for cut in 1..4 {
-            assert_eq!(RowBuf::from_le_bytes(FeaturePrecision::F32, &image[..4 + cut]), None);
+            assert_eq!(decode(FeaturePrecision::F32, &image[..4 + cut]), None);
         }
-        let empty = RowBuf::from_le_bytes(FeaturePrecision::F32, &[]).unwrap();
-        assert!(empty.is_empty());
+        assert!(decode(FeaturePrecision::F32, &[]).unwrap().is_empty());
+
+        // A refill replaces everything the buffer held — longer, shorter or
+        // at the other precision — and a refused image replaces nothing.
+        let mut buf = RowBuf::from(vec![7.0f32; 9]);
+        assert!(buf.fill_from_le_bytes(FeaturePrecision::F16, &image));
+        assert_eq!(buf, half);
+        assert!(buf.fill_from_le_bytes(FeaturePrecision::F16, &image[..6]));
+        assert_eq!(buf, RowBuf::from(vec![0u16, 1, 2]));
+        assert!(!buf.fill_from_le_bytes(FeaturePrecision::F32, &image[..6]));
+        assert_eq!(buf, RowBuf::from(vec![0u16, 1, 2]));
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The request front-end: bounded admission queue, micro-batching window,
-//! and the `serve.*` metrics ledger.
+//! The request front-end: bounded admission queue, work-conserving
+//! micro-batching, and the `serve.*` metrics ledger.
 //!
 //! One driver thread owns the [`ServeEngine`] and loops: pop the oldest
-//! queued request, open a window that closes at `now + max_delay`,
-//! accumulate up to `max_batch` requests (waking early if the batch
-//! fills), then answer the whole window with one shared inference pass.
-//! Submitters get a [`Ticket`] — a oneshot receiver — immediately;
-//! admission never blocks on inference.
+//! queued request, take up to `max_batch − 1` more that are already
+//! queued, answer them with one shared inference pass. It never holds a
+//! request back to wait for company: an idle engine gains nothing from a
+//! wait, and a busy one finds its next batch in the queue that formed
+//! while it worked. Submitters get a [`Ticket`] — a oneshot receiver —
+//! immediately; admission never blocks on inference.
 //!
 //! Backpressure is shed-on-arrival: when `queue_depth` requests are
 //! already waiting, [`ServeHandle::try_submit`] returns
@@ -18,8 +19,8 @@
 //! The metrics form a ledger the tests reconcile exactly:
 //! `serve.offered = serve.accepted + serve.shed`, and every accepted
 //! request resolves to exactly one of `serve.completed` / `serve.failed`
-//! (shutdown drains the queue and fails the remainder typed — no ticket
-//! ever hangs).
+//! (shutdown has the driver answer what is queued, or, when the driver
+//! was never started, fails it typed — no ticket ever hangs).
 
 use crate::engine::ServeEngine;
 use crate::ServeConfig;
@@ -45,7 +46,7 @@ struct Pending {
 pub struct Reply {
     /// The model's output row for the queried user.
     pub scores: Vec<f32>,
-    /// Queue wait + batch window + inference, measured by the driver.
+    /// Queue wait + inference, measured by the driver.
     pub latency: Duration,
 }
 
@@ -181,65 +182,53 @@ impl ServeFrontend {
     }
 
     /// Graceful shutdown: stop admitting, let the driver drain every
-    /// queued request (answered, not abandoned), then join it.
+    /// queued request (answered, not abandoned), then join it. With no
+    /// driver (never started) nothing could answer them, and a live
+    /// [`ServeHandle`] would keep their reply senders alive: they resolve
+    /// as [`QueryError::ShuttingDown`] here instead.
     pub fn shutdown(mut self) {
-        {
-            let mut q = self.shared.q.lock().unwrap_or_else(|p| p.into_inner());
-            q.shutdown = true;
-        }
-        self.shared.arrived.notify_one();
-        if let Some(d) = self.driver.take() {
-            let _ = d.join();
+        let mut q = self.shared.q.lock().unwrap_or_else(|p| p.into_inner());
+        q.shutdown = true;
+        match self.driver.take() {
+            Some(driver) => {
+                drop(q);
+                self.shared.arrived.notify_one();
+                let _ = driver.join();
+            }
+            None => {
+                let orphaned = std::mem::take(&mut q.items);
+                self.shared.queue_depth.set(0);
+                drop(q);
+                for p in orphaned {
+                    resolve(&self.shared, p, Err(QueryError::ShuttingDown));
+                }
+            }
         }
     }
 }
 
-/// The driver loop. Window discipline: the deadline is pinned by the
-/// *oldest* request in the window (pop time + `max_delay`), so a trickle
-/// of late arrivals cannot starve the first request — its worst-case
-/// added latency is exactly `max_delay`.
+/// The driver loop, work-conserving: block for the oldest request, take
+/// whatever else is *already* queued (up to `max_batch`), answer it in one
+/// pass, repeat. There is no hold timer: while the engine is idle a wait
+/// only adds latency, and while it is busy the queue that forms behind
+/// the running pass is the next batch.
 fn drive(mut engine: ServeEngine, sh: &Shared) {
     loop {
-        let mut batch: Vec<Pending> = Vec::with_capacity(sh.cfg.max_batch);
-        {
+        let mut batch: Vec<Pending> = {
             let mut q = sh.q.lock().unwrap_or_else(|p| p.into_inner());
-            // Wait for the first request (or shutdown).
-            loop {
-                if let Some(p) = q.items.pop_front() {
-                    batch.push(p);
-                    break;
-                }
+            // A shutdown with requests still queued keeps looping until
+            // they are answered.
+            while q.items.is_empty() {
                 if q.shutdown {
                     return;
                 }
                 q = sh.arrived.wait(q).unwrap_or_else(|p| p.into_inner());
             }
-            // Window open: accumulate until full, deadline, or drain-time
-            // shutdown (which flushes everything left in one pass).
-            let deadline = Instant::now() + sh.cfg.max_delay;
-            while batch.len() < sh.cfg.max_batch {
-                if let Some(p) = q.items.pop_front() {
-                    batch.push(p);
-                    continue;
-                }
-                if q.shutdown {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = sh
-                    .arrived
-                    .wait_timeout(q, deadline - now)
-                    .unwrap_or_else(|p| p.into_inner());
-                q = guard;
-                if timeout.timed_out() && q.items.is_empty() {
-                    break;
-                }
-            }
+            let n = q.items.len().min(sh.cfg.max_batch);
+            let batch = q.items.drain(..n).collect();
             sh.queue_depth.set(q.items.len() as i64);
-        }
+            batch
+        };
 
         sh.batches.incr();
         sh.batch_size.record(batch.len() as u64);
@@ -252,7 +241,7 @@ fn drive(mut engine: ServeEngine, sh: &Shared) {
             }
             Err(_) if batch.len() > 1 => {
                 // One bad user must poison only its own reply: retry the
-                // window as singletons so a batch-mate's InvalidNode (or
+                // batch as singletons so a batch-mate's InvalidNode (or
                 // a transient store fault mid-pass) cannot fail innocent
                 // bystanders. The seeded sampler makes the retry rows
                 // bitwise-equal to what the batch would have produced.

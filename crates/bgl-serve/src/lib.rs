@@ -7,10 +7,12 @@
 //! sampler, cache, and blocked matmul kernels on the read path. Three
 //! mechanisms carry the design:
 //!
-//! * **Cross-request micro-batching** ([`frontend`]): requests accumulate
-//!   in a bounded queue until `max_batch` are waiting or the oldest has
-//!   waited `max_delay`, then one shared sample→fetch→forward pass
-//!   answers the whole window. Batching is a *latency knob, not a
+//! * **Cross-request micro-batching** ([`frontend`]): requests queue
+//!   (bounded) while the driver is busy; when it is free it takes up to
+//!   `max_batch` of what is waiting and one shared sample→fetch→forward
+//!   pass answers them all. It is work-conserving — an idle engine starts
+//!   on a lone request at once; batches form only behind a running pass,
+//!   which is the only time they pay. Batching is a *latency knob, not a
 //!   numerics knob*: responses are bitwise-identical to one-at-a-time
 //!   execution, which rests on
 //!   [`bgl_store::StoreCluster::sample_batch_seeded`] (per-`(salt, hop,
@@ -45,16 +47,11 @@ pub use frontend::{ServeFrontend, ServeHandle, Ticket};
 pub use loadgen::{open_loop, LoadReport};
 pub use net::{spawn_serve_server, QueryHandler, ServeClient};
 
-use std::time::Duration;
-
 /// Tuning knobs for the serving front-end.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Maximum requests answered by one shared inference pass.
     pub max_batch: usize,
-    /// Maximum time the oldest queued request waits for the batch to
-    /// fill before the window closes anyway.
-    pub max_delay: Duration,
     /// Admission-queue capacity; submissions beyond it shed with
     /// [`ServeError::Overloaded`].
     pub queue_depth: usize,
@@ -62,10 +59,6 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            max_batch: 16,
-            max_delay: Duration::from_micros(500),
-            queue_depth: 256,
-        }
+        ServeConfig { max_batch: 16, queue_depth: 256 }
     }
 }

@@ -8,7 +8,7 @@
 //! Because admission returns a [`Ticket`] immediately, a connection's
 //! state is its list of in-flight `(corr_id, Ticket)` pairs, answered
 //! from the runtime's `poll` hook: pipelined queries on one socket batch
-//! together in the front-end window instead of serializing, which is the
+//! together in the front-end's queue instead of serializing, which is the
 //! whole point of cross-request micro-batching. A reply leaves at the
 //! first poll after its ticket resolves, so on a quiet socket
 //! `NetServerConfig::read_poll` bounds the latency the wire adds.
@@ -82,7 +82,7 @@ impl FrameHandler for QueryHandler {
     }
 
     /// Send replies for every resolved ticket; pipelined queries answer
-    /// out of submission order if the batching windows cut that way. With
+    /// out of submission order if the batches cut that way. With
     /// `block`, waits for all of them (the front-end's drain guarantee
     /// makes this finite).
     fn poll(&self, inflight: &mut Self::Conn, block: bool, wire: &mut Wire<'_>) -> Deferred {
@@ -202,7 +202,7 @@ impl ServeClient {
     }
 
     /// Write all queries before reading any answer: on the server they
-    /// land in one (or few) micro-batch windows instead of serializing.
+    /// land in one (or few) micro-batches instead of serializing.
     /// Per-query errors surface per slot.
     pub fn query_pipelined(
         &mut self,

@@ -23,10 +23,15 @@
 //! into an f16 frame, [`BufferPool::read_row`] hands stored bits on, and
 //! only [`BufferPool::read_row_into`], the f32 read API, widens (the one
 //! row it reads). What a read returns never depends on residency.
+//!
+//! A miss costs what the page needs and nothing else: the pager decodes the
+//! new page over the buffer of the frame the miss evicted (no allocation
+//! once the pool is full), and the page table is a flat array indexed by
+//! page id. Neither is visible to SIEVE.
 
 use crate::pager::{DiskError, PageBuf, Pager};
 use bgl_graph::half::{RowBuf, RowRef};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Cumulative pool counters (mirrored into `store.disk.*` by the tier).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -59,13 +64,23 @@ struct Frame {
     dirty: bool,
 }
 
+/// Page-table entry of a page that is not resident.
+const ABSENT: u32 = u32::MAX;
+
 /// The pool: a fixed set of frames over a [`Pager`], a page table, and the
 /// SIEVE queue.
 pub struct BufferPool {
     pager: Pager,
     frames: Vec<Option<Frame>>,
     free: Vec<usize>,
-    table: HashMap<u64, usize>,
+    /// Frame of each page, or [`ABSENT`]: one entry per page of the file.
+    /// The pager validated that count against the file's length at open,
+    /// and it is looked up once per *row* read, so it is a flat array
+    /// rather than a hashed map.
+    table: Vec<u32>,
+    /// The buffer of a miss whose read failed, kept for the next miss
+    /// (which finds its frame in `free`, so there is never a second one).
+    spare: Option<PageBuf>,
     /// Resident frames, front = oldest. New frames push to the back; hits
     /// never touch the queue.
     queue: VecDeque<usize>,
@@ -81,11 +96,14 @@ const EIO_RETRIES: u32 = 3;
 impl BufferPool {
     pub fn new(pager: Pager, capacity: usize) -> Self {
         let capacity = capacity.max(1);
+        assert!(capacity < ABSENT as usize, "frame indices must fit the page table");
+        let pages = usize::try_from(pager.num_pages()).expect("an opened file's pages are addressable");
         BufferPool {
             pager,
             frames: (0..capacity).map(|_| None).collect(),
             free: (0..capacity).rev().collect(),
-            table: HashMap::new(),
+            table: vec![ABSENT; pages],
+            spare: None,
             queue: VecDeque::with_capacity(capacity),
             visited: vec![false; capacity],
             hand: 0,
@@ -147,15 +165,21 @@ impl BufferPool {
     /// Pin page `pid` into a frame, returning the frame index. The caller
     /// must [`BufferPool::unpin`] it.
     pub fn pin(&mut self, pid: u64) -> Result<usize, DiskError> {
-        if let Some(&f) = self.table.get(&pid) {
+        let Some(&slot) = usize::try_from(pid).ok().and_then(|p| self.table.get(p)) else {
+            return Err(DiskError::Invariant("page id out of range"));
+        };
+        if slot != ABSENT {
+            let f = slot as usize;
             self.stats.hits += 1;
             self.visited[f] = true;
             self.frames[f].as_mut().expect("page table points at a live frame").pin += 1;
             return Ok(f);
         }
         self.stats.misses += 1;
-        let f = match self.free.pop() {
-            Some(f) => f,
+        // A frame and a buffer to read into: the victim's own when the pool
+        // is full, so a miss in steady state allocates nothing.
+        let (f, mut page) = match self.free.pop() {
+            Some(f) => (f, self.spare.take().unwrap_or_else(|| self.pager.blank_page())),
             None => {
                 let h = self.sieve_victim().ok_or(DiskError::AllFramesPinned)?;
                 let victim = self.queue[h];
@@ -167,8 +191,8 @@ impl BufferPool {
                     Self::retrying(&mut self.stats, || pager.write_page(&old.page))?;
                     self.stats.writebacks += 1;
                 }
-                self.table.remove(&old.pid);
-                self.frames[victim] = None;
+                let old = self.frames[victim].take().expect("victim frame is live");
+                self.table[old.pid as usize] = ABSENT;
                 self.stats.evictions += 1;
                 // The hand stays at the same position, now pointing at the
                 // next (newer) entry — SIEVE's defining trait.
@@ -176,19 +200,17 @@ impl BufferPool {
                 if h >= self.queue.len() {
                     self.hand = 0;
                 }
-                victim
+                (victim, old.page)
             }
         };
         let pager = &mut self.pager;
-        let page = match Self::retrying(&mut self.stats, || pager.read_page(pid)) {
-            Ok(p) => p,
-            Err(e) => {
-                self.free.push(f);
-                return Err(e);
-            }
-        };
+        if let Err(e) = Self::retrying(&mut self.stats, || pager.read_page_into(pid, &mut page)) {
+            self.free.push(f);
+            self.spare = Some(page);
+            return Err(e);
+        }
         self.frames[f] = Some(Frame { pid, page, pin: 1, dirty: false });
-        self.table.insert(pid, f);
+        self.table[pid as usize] = f as u32;
         self.visited[f] = false;
         self.queue.push_back(f);
         Ok(f)
@@ -276,7 +298,7 @@ impl BufferPool {
 
     /// Resident page count (tests).
     pub fn resident(&self) -> usize {
-        self.table.len()
+        self.queue.len()
     }
 }
 
@@ -299,6 +321,14 @@ mod tests {
         let f = Box::new(RealFile::open(&path).unwrap());
         let pager = Pager::create(f, 2, &rows, 64).unwrap();
         (BufferPool::new(pager, capacity), path)
+    }
+
+    /// Reopen the file `pool(name, _)` created behind an injector running
+    /// `plan`, under a pool of `capacity` frames.
+    fn faulty_pool(path: &std::path::Path, plan: IoFaultPlan, capacity: usize) -> BufferPool {
+        let injector = Arc::new(Mutex::new(IoFaultInjector::new(plan)));
+        let file = FaultFile::new(Box::new(RealFile::open(path).unwrap()), injector);
+        BufferPool::new(Pager::open(Box::new(file)).unwrap(), capacity)
     }
 
     #[test]
@@ -379,6 +409,59 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// A miss decodes into the buffer of the frame it evicts. Whatever that
+    /// buffer held — a full page, or the last page's zero tail — the frame
+    /// must afterwards be exactly what a fresh read of the page gives.
+    #[test]
+    fn a_recycled_buffer_serves_no_stale_row() {
+        let (mut pool, path) = pool("recycle", 2);
+        let mut fresh = Pager::open(Box::new(RealFile::open(&path).unwrap())).unwrap();
+        // Page 10 is the short one: 4 rows, then zeros.
+        for pid in [0, 1, 2, 0, 1, 10, 0, 10] {
+            let f = pool.pin(pid).unwrap();
+            let frame = pool.frames[f].as_ref().unwrap();
+            assert_eq!(frame.page, fresh.read_page(pid).unwrap(), "page {pid}");
+            pool.unpin(f, false);
+            let mut row = Vec::new();
+            let v = (pid * 6) as u32;
+            pool.read_row_into(v, &mut row).unwrap();
+            assert_eq!(row, vec![(2 * v) as f32, (2 * v + 1) as f32], "node {v}");
+        }
+        assert!(pool.stats.misses >= 6, "three pages cycle through two frames");
+        assert_eq!(pool.stats.evictions, pool.stats.misses - 2, "every later miss recycled a frame");
+        assert!(pool.spare.is_none());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn failed_read_after_an_eviction_leaks_no_frame_entry_or_buffer() {
+        let (healthy, path) = pool("rd-eio", 2);
+        drop(healthy);
+        // Reads 0 and 1 are open's header and double-write slot, 2 and 3
+        // the first two page reads; fail the third page read and its whole
+        // retry budget.
+        let plan = (4..=4 + EIO_RETRIES as u64).fold(IoFaultPlan::new(1), IoFaultPlan::eio_read);
+        let mut pool = faulty_pool(&path, plan, 2);
+        let mut sink = Vec::new();
+        pool.read_row_into(0, &mut sink).unwrap(); // page 0
+        pool.read_row_into(6, &mut sink).unwrap(); // page 1: pool is full
+        // Page 2 evicts page 0, then cannot be read.
+        assert!(matches!(pool.read_row_into(12, &mut sink), Err(DiskError::TransientIo(_))));
+        assert_eq!(pool.stats.eio_retries, EIO_RETRIES as u64);
+        assert_eq!(pool.table[..3], [ABSENT, 1, ABSENT], "neither the victim nor the failed page");
+        assert_eq!((pool.resident(), pool.free.len()), (1, 1), "the frame went back to free");
+        assert!(pool.spare.is_some(), "and its buffer is kept for the next miss");
+        // The disk healed: the freed frame and the kept buffer serve page 2,
+        // and page 0 comes back intact through the next eviction.
+        let mut out = Vec::new();
+        pool.read_row_into(12, &mut out).unwrap();
+        pool.read_row_into(0, &mut out).unwrap();
+        assert_eq!(out, vec![24.0, 25.0, 0.0, 1.0]);
+        assert!(pool.spare.is_none());
+        assert_eq!((pool.resident(), pool.free.len()), (2, 0));
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn failed_writeback_keeps_the_victim_resident_and_dirty() {
         let (healthy, path) = pool("wb-eio", 2);
@@ -386,9 +469,7 @@ mod tests {
         // Reopen behind an injector that fails write indices 0..=3: one
         // logical page write plus its whole EIO retry budget.
         let plan = (0..=EIO_RETRIES as u64).fold(IoFaultPlan::new(1), IoFaultPlan::eio_write);
-        let injector = Arc::new(Mutex::new(IoFaultInjector::new(plan)));
-        let file = FaultFile::new(Box::new(RealFile::open(&path).unwrap()), injector);
-        let mut pool = BufferPool::new(Pager::open(Box::new(file)).unwrap(), 2);
+        let mut pool = faulty_pool(&path, plan, 2);
         let mut sink = Vec::new();
         pool.update_row(0, &[5.5, -1.0]).unwrap(); // page 0, dirty
         pool.read_row_into(6, &mut sink).unwrap(); // page 1: pool is full

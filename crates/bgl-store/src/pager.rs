@@ -49,7 +49,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -174,15 +175,15 @@ impl RealFile {
     }
 }
 
+// Positional I/O (`pread` / `pwrite`): one syscall per page and no shared
+// file cursor to move first.
 impl BackingFile for RealFile {
     fn read_at(&mut self, off: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read(buf)
+        self.file.read_at(buf, off)
     }
 
     fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(data)
+        self.file.write_all_at(data, off)
     }
 
     fn file_len(&mut self) -> io::Result<u64> {
@@ -229,8 +230,7 @@ impl ShadowFile {
 
     fn persist(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(bytes)?;
+        self.file.write_all_at(bytes, 0)?;
         self.file.sync_all()
     }
 
@@ -537,7 +537,7 @@ pub struct Pager {
     num_nodes: u64,
     num_pages: u64,
     precision: FeaturePrecision,
-    /// The one page image [`Pager::read_page`] reads into.
+    /// The one page image [`Pager::read_page_into`] reads into.
     image: Vec<u8>,
     pub stats: PagerStats,
 }
@@ -695,13 +695,12 @@ impl Pager {
         // unconditionally is idempotent.
         let mut slot = vec![0u8; pager.page_size as usize];
         read_exact_at(pager.file.as_mut(), PAGE_HEADER_LEN, &mut slot)?;
-        if let Ok(page) = pager.decode_page(&slot, None) {
-            if page.pid < pager.num_pages {
-                let image = pager.encode_page(&page);
-                pager.file.write_at(pager.page_off(page.pid), &image)?;
-                pager.file.sync()?;
-                pager.stats.dw_redo += 1;
-            }
+        let mut page = pager.blank_page();
+        if pager.decode_page_into(&slot, None, &mut page).is_ok() && page.pid < pager.num_pages {
+            let image = pager.encode_page(&page);
+            pager.file.write_at(pager.page_off(page.pid), &image)?;
+            pager.file.sync()?;
+            pager.stats.dw_redo += 1;
         }
         Ok(pager)
     }
@@ -725,7 +724,20 @@ impl Pager {
         image
     }
 
-    fn decode_page(&self, image: &[u8], expect_pid: Option<u64>) -> Result<PageBuf, DiskError> {
+    /// A page buffer at the file's precision holding nothing yet: what
+    /// [`Pager::read_page_into`] fills when there is no frame to recycle.
+    pub fn blank_page(&self) -> PageBuf {
+        PageBuf { pid: 0, rows: RowBuf::with_capacity(self.precision, 0) }
+    }
+
+    /// Verify `image` (checksum, then page id) and only then decode it over
+    /// whatever `into` held: a refused image leaves `into` as it was.
+    fn decode_page_into(
+        &self,
+        image: &[u8],
+        expect_pid: Option<u64>,
+        into: &mut PageBuf,
+    ) -> Result<(), DiskError> {
         let ps = self.page_size as usize;
         debug_assert_eq!(image.len(), ps);
         let stored = u64::from_le_bytes(image[ps - 8..].try_into().unwrap());
@@ -744,20 +756,30 @@ impl Pager {
             }
         }
         let row_bytes = self.page_scalars() * self.precision.bytes_per_scalar();
-        let rows = RowBuf::from_le_bytes(self.precision, &image[8..8 + row_bytes])
-            .expect("page geometry holds whole scalars");
-        Ok(PageBuf { pid, rows })
+        let whole = into.rows.fill_from_le_bytes(self.precision, &image[8..8 + row_bytes]);
+        assert!(whole, "page geometry holds whole scalars");
+        into.pid = pid;
+        Ok(())
     }
 
-    /// Read and verify page `pid`.
-    pub fn read_page(&mut self, pid: u64) -> Result<PageBuf, DiskError> {
+    /// Read and verify page `pid` into `into`, reusing its allocation — the
+    /// buffer pool hands in the frame it just evicted. On any error `into`
+    /// keeps what it held (and must not be served as `pid`).
+    pub fn read_page_into(&mut self, pid: u64, into: &mut PageBuf) -> Result<(), DiskError> {
         if pid >= self.num_pages {
             return Err(DiskError::Invariant("page id out of range"));
         }
         let off = self.page_off(pid);
         read_exact_at(self.file.as_mut(), off, &mut self.image)?;
         self.stats.page_reads += 1;
-        self.decode_page(&self.image, Some(pid))
+        self.decode_page_into(&self.image, Some(pid), into)
+    }
+
+    /// [`Pager::read_page_into`] a fresh buffer.
+    pub fn read_page(&mut self, pid: u64) -> Result<PageBuf, DiskError> {
+        let mut page = self.blank_page();
+        self.read_page_into(pid, &mut page)?;
+        Ok(page)
     }
 
     /// Write page `pid` back: double-write slot first, then in place.
@@ -888,6 +910,47 @@ mod tests {
                 "bit {bit} of page 0 flipped and the page was served"
             );
             assert!(p.read_page(1).is_ok(), "page 1 is untouched");
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    /// `read_page_into` replaces everything its buffer held, whatever that
+    /// was, and adopts nothing from a page that fails verification.
+    #[test]
+    fn read_page_into_overwrites_any_buffer_and_adopts_no_bad_page() {
+        let path = tmp("into");
+        let rows = sample_rows(30, 2); // 12 f16 rows per page: 3 pages
+        {
+            let f = Box::new(RealFile::open(&path).unwrap());
+            Pager::create_with_precision(f, 2, &rows, 64, FeaturePrecision::F16).unwrap();
+        }
+        let f = Box::new(RealFile::open(&path).unwrap());
+        let mut p = Pager::open(f).unwrap();
+        // Longer than a page, full of other values, at the wrong precision.
+        let dirty = PageBuf { pid: 77, rows: RowBuf::from(vec![9.5f32; 40]) };
+        for pid in 0..p.num_pages() {
+            let mut into = dirty.clone();
+            p.read_page_into(pid, &mut into).unwrap();
+            assert_eq!(into, p.read_page(pid).unwrap(), "page {pid}");
+            assert_eq!(into.rows.precision(), FeaturePrecision::F16);
+        }
+        assert_eq!(p.read_page_into(p.num_pages(), &mut dirty.clone()), Err(DiskError::Invariant("page id out of range")));
+
+        // Page 1 rots on disk; page 0 is written where page 1 belongs.
+        let good = std::fs::read(&path).unwrap();
+        let page = |pid: usize| (PAGE_HEADER_LEN as usize + 64 * (pid + 1))..(PAGE_HEADER_LEN as usize + 64 * (pid + 2));
+        let mut rotten = good.clone();
+        rotten[page(1).start + 20] ^= 0x10;
+        let mut misplaced = good.clone();
+        misplaced.copy_within(page(0), page(1).start);
+        for bytes in [rotten, misplaced] {
+            std::fs::write(&path, &bytes).unwrap();
+            let f = Box::new(RealFile::open(&path).unwrap());
+            let mut p = Pager::open(f).unwrap();
+            let mut into = p.read_page(0).unwrap();
+            let before = into.clone();
+            assert!(p.read_page_into(1, &mut into).is_err());
+            assert_eq!(into, before, "a refused page must not be adopted, in whole or in part");
         }
         std::fs::remove_file(path).ok();
     }

@@ -75,6 +75,19 @@ if grep -n 'input\.clone()' crates/bgl-gnn/src/{sage,gcn}.rs ||
     echo "the step re-grew a per-batch copy: write into the workspace" >&2
     exit 1
 fi
+# The serve driver is work-conserving (DESIGN.md §10): it takes what is
+# queued and never waits for more. Batches form behind a running pass.
+if grep -nE 'max_delay|wait_timeout' crates/bgl-serve/src/frontend.rs; then
+    echo "a hold timer on an idle engine is back: batches form while a pass runs" >&2
+    exit 1
+fi
+# A buffer-pool miss is one positional read into the frame it evicts, found
+# through a flat page table (DESIGN.md §11).
+if grep -n 'SeekFrom' crates/bgl-store/src/pager.rs ||
+    grep -n 'HashMap' crates/bgl-store/src/bufpool.rs; then
+    echo "per-miss seek or per-row SipHash back on the page path" >&2
+    exit 1
+fi
 # Bytes from a socket or a disk are read through one cursor (DESIGN.md §12):
 # a decoder that compares a length to what is left on its own, or pulls
 # fields out of a slice by hand, has re-grown a bounds check beside the one

@@ -4,7 +4,8 @@
 //!
 //! 1. **Determinism** — micro-batching is a latency knob, not a numerics
 //!    knob: a user's scores are bitwise-identical whether the query runs
-//!    alone on the engine, inside a batched window, or over loopback TCP.
+//!    alone on the engine, inside a batch, or over loopback TCP. Batches
+//!    form from what queued while the driver was busy, never from a timer.
 //! 2. **Backpressure** — a full admission queue sheds with the typed,
 //!    retryable `Overloaded` error, the ledger counts it, and everything
 //!    actually admitted still completes.
@@ -40,8 +41,16 @@ fn counter(reg: &Registry, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+fn histogram(reg: &Registry, name: &str) -> bgl_obs::HistogramSnapshot {
+    reg.histograms()
+        .into_iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("histogram {name} exists"))
+}
+
 /// Serial ground truth: a fresh identical stack queried one user at a
-/// time, straight on the engine — no queue, no windows, no batching.
+/// time, straight on the engine — no queue, no batching.
 fn serial_baseline(ctx: &ExperimentCtx, users: &[u32]) -> Vec<Vec<f32>> {
     let (mut engine, _) = ctx.serve_stack(1, None);
     users
@@ -57,13 +66,13 @@ fn serial_baseline(ctx: &ExperimentCtx, users: &[u32]) -> Vec<Vec<f32>> {
 }
 
 /// Claim 1a, in process: queue a full wave of queries *before* starting
-/// the driver so real multi-request windows form, then pin every reply to
+/// the driver so real multi-request batches form, then pin every reply to
 /// the one-at-a-time baseline down to the bit.
 #[test]
 fn batched_replies_are_bitwise_identical_to_serial() {
     let ctx = ExperimentCtx::small();
     let (_, population) = ctx.serve_stack(1, None);
-    // Repeats included: duplicate users inside one window must get
+    // Repeats included: duplicate users inside one batch must get
     // identical rows from the seeded sampler.
     let mut users: Vec<u32> = population.into_iter().take(20).collect();
     users.extend_from_slice(&[users[0], users[7], users[13], users[0]]);
@@ -71,11 +80,7 @@ fn batched_replies_are_bitwise_identical_to_serial() {
 
     let (engine, _) = ctx.serve_stack(1, None);
     let reg = Registry::enabled();
-    let cfg = ServeConfig {
-        max_batch: 8,
-        max_delay: Duration::from_micros(200),
-        queue_depth: 64,
-    };
+    let cfg = ServeConfig { max_batch: 8, queue_depth: 64 };
     let mut fe = ServeFrontend::new(engine, cfg, &reg);
     let handle = fe.handle();
     let tickets: Vec<_> = users
@@ -95,8 +100,8 @@ fn batched_replies_are_bitwise_identical_to_serial() {
             "user {u}: batched reply must be bitwise-identical to serial"
         );
     }
-    // It really batched — the pre-filled queue drains in max_batch
-    // windows, not one pass per request — and the ledger closes.
+    // It really batched — the pre-filled queue drains max_batch at a
+    // time, not one pass per request — and the ledger closes.
     let n = users.len() as u64;
     assert_eq!(counter(&reg, "serve.batches"), n.div_ceil(8));
     assert_eq!(counter(&reg, "serve.offered"), n);
@@ -106,8 +111,89 @@ fn batched_replies_are_bitwise_identical_to_serial() {
     assert_eq!(counter(&reg, "serve.failed"), 0);
 }
 
+/// Claim 1a, under load: nothing but a busy driver forms batches. The
+/// driver starts on a full pre-filled batch; 64 more requests arrive from
+/// another thread while it works, so they must share passes (half as many
+/// passes as requests is a loose bound: the expected count is 64 / 8) —
+/// and every reply is still the serial one.
+#[test]
+fn batches_form_under_load_without_a_timer() {
+    let ctx = ExperimentCtx::small();
+    let (_, population) = ctx.serve_stack(1, None);
+    let users: Vec<u32> = population.iter().copied().cycle().take(8 + 64).collect();
+    let baseline = serial_baseline(&ctx, &users);
+
+    let (engine, _) = ctx.serve_stack(1, None);
+    let reg = Registry::enabled();
+    let cfg = ServeConfig { max_batch: 8, queue_depth: 128 };
+    let mut fe = ServeFrontend::new(engine, cfg, &reg);
+    let handle = fe.handle();
+    let submit = |us: &[u32]| -> Vec<_> {
+        us.iter().map(|&u| handle.try_submit(u).expect("queue admits under depth")).collect()
+    };
+    let mut tickets = submit(&users[..8]);
+    fe.start();
+    tickets.extend(std::thread::scope(|s| {
+        s.spawn(|| submit(&users[8..])).join().expect("submitter thread")
+    }));
+    let replies: Vec<_> =
+        tickets.into_iter().map(|t| t.wait().expect("query completes")).collect();
+    fe.shutdown();
+
+    for ((u, want), got) in users.iter().zip(&baseline).zip(&replies) {
+        assert_eq!(&got.scores, want, "user {u}: reply must be bitwise-identical to serial");
+    }
+    let batches = counter(&reg, "serve.batches");
+    assert!(batches <= 1 + 32, "64 requests behind a busy driver took {batches} passes");
+    assert_eq!(counter(&reg, "serve.completed"), users.len() as u64);
+    assert_eq!(counter(&reg, "serve.failed"), 0);
+}
+
+/// The other half of work-conserving: an idle driver answers a lone
+/// request in a pass of its own instead of holding it for company.
+#[test]
+fn a_lone_request_on_an_idle_driver_is_a_batch_of_one() {
+    let ctx = ExperimentCtx::small();
+    let (engine, users) = ctx.serve_stack(1, None);
+    let reg = Registry::enabled();
+    let mut fe = ServeFrontend::new(engine, ServeConfig::default(), &reg);
+    fe.start();
+    fe.handle().try_submit(users[0]).expect("admit").wait().expect("query completes");
+    fe.shutdown();
+    assert_eq!(counter(&reg, "serve.batches"), 1);
+    let sizes = histogram(&reg, "serve.batch_size");
+    assert_eq!((sizes.count, sizes.max), (1, 1));
+}
+
+/// "No ticket ever hangs" without a driver: a front-end shut down before
+/// `start` has nobody to drain its queue, and the live handle keeps every
+/// queued reply sender alive — so shutdown itself must resolve them.
+/// Polled, not waited on: a regression fails here instead of hanging.
+#[test]
+fn shutdown_before_start_resolves_every_queued_ticket() {
+    let ctx = ExperimentCtx::small();
+    let (engine, users) = ctx.serve_stack(1, None);
+    let reg = Registry::enabled();
+    let fe = ServeFrontend::new(engine, ServeConfig::default(), &reg);
+    let handle = fe.handle();
+    let tickets: Vec<_> =
+        users.iter().take(3).map(|&u| handle.try_submit(u).expect("admit")).collect();
+    fe.shutdown();
+    for t in &tickets {
+        match t.try_wait() {
+            Some(Err(QueryError::ShuttingDown)) => {}
+            Some(other) => panic!("expected ShuttingDown, got {other:?}"),
+            None => panic!("a ticket queued before shutdown is still unresolved"),
+        }
+    }
+    assert_eq!(counter(&reg, "serve.accepted"), 3);
+    assert_eq!(counter(&reg, "serve.failed"), 3);
+    assert_eq!(counter(&reg, "serve.completed"), 0);
+    assert!(matches!(handle.try_submit(users[0]), Err(QueryError::ShuttingDown)));
+}
+
 /// Claim 1b, over loopback TCP: the same wave pipelined through a real
-/// socket — queries land in shared windows server-side — must produce the
+/// socket — queries share batches server-side — must produce the
 /// same bits as the serial baseline.
 #[test]
 fn tcp_replies_are_bitwise_identical_to_serial() {
@@ -150,11 +236,7 @@ fn overload_sheds_typed_and_admitted_work_still_completes() {
     let ctx = ExperimentCtx::small();
     let (engine, users) = ctx.serve_stack(1, None);
     let reg = Registry::enabled();
-    let cfg = ServeConfig {
-        max_batch: 4,
-        max_delay: Duration::from_micros(100),
-        queue_depth: 4,
-    };
+    let cfg = ServeConfig { max_batch: 4, queue_depth: 4 };
     // Driver not started: the queue fills to exactly `queue_depth`.
     let mut fe = ServeFrontend::new(engine, cfg, &reg);
     let handle = fe.handle();
@@ -187,7 +269,7 @@ fn overload_sheds_typed_and_admitted_work_still_completes() {
     assert_eq!(counter(&reg, "serve.shed"), 2);
 }
 
-/// Claim 1c: one bad request inside a window fails alone. Its batch-mates
+/// Claim 1c: one bad request inside a batch fails alone. Its batch-mates
 /// still complete, still bitwise-equal to serial, and the failure is the
 /// permanent (non-retryable) `InvalidNode`.
 #[test]
@@ -199,11 +281,7 @@ fn invalid_node_poisons_only_its_own_reply() {
 
     let (engine, _) = ctx.serve_stack(1, None);
     let reg = Registry::enabled();
-    let cfg = ServeConfig {
-        max_batch: 8,
-        max_delay: Duration::from_micros(100),
-        queue_depth: 16,
-    };
+    let cfg = ServeConfig { max_batch: 8, queue_depth: 16 };
     let mut fe = ServeFrontend::new(engine, cfg, &reg);
     let handle = fe.handle();
     let good: Vec<_> = users
@@ -249,12 +327,7 @@ fn latency_histogram_percentiles_upper_bound_the_exact_sort() {
     assert_eq!(counter(&reg, "serve.accepted"), report.accepted);
     assert_eq!(counter(&reg, "serve.shed"), report.shed);
     assert_eq!(counter(&reg, "serve.completed"), report.completed);
-    let hist = reg
-        .histograms()
-        .into_iter()
-        .find(|(k, _)| k == "serve.latency_us")
-        .map(|(_, v)| v)
-        .expect("latency histogram exists");
+    let hist = histogram(&reg, "serve.latency_us");
     assert_eq!(hist.count, report.completed);
     for p in [0.5, 0.9, 0.99, 0.999] {
         assert!(
